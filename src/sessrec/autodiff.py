@@ -11,8 +11,8 @@ Two numerical ground rules shape the op set:
 * Reductions along axes that may be padded (node or position axes of a
   batch) must produce bit-identical results whether or not trailing padded
   entries are present.  numpy's pairwise summation does not guarantee this,
-  so `masked_softmax`, `weighted_sum` and `mix_rows` accumulate those axes
-  sequentially (adding an exact +0.0 is the identity).
+  so `masked_softmax`, `weighted_sum` and `masked_sum` accumulate those
+  axes sequentially (adding an exact +0.0 is the identity).
 * BLAS matmul kernels change the order of partial sums depending on the row
   count, which also breaks that guarantee.  `matmul` therefore defaults to a
   row-stable einsum path; callers whose row count never varies (e.g. scoring
@@ -90,36 +90,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -266,19 +236,6 @@ def mul(a, b):
     return _make(out, (a, b), backward, "mul")
 
 
-def div(a, b):
-    a, b = _pair(a, b)
-    _check_broadcast("div", a, b)
-    out = a.value / b.value
-
-    def backward(g):
-        ga = _unbroadcast(g / b.value, a.shape)
-        gb = _unbroadcast(-g * a.value / (b.value * b.value), b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), backward, "div")
-
-
 def neg(a):
     a = _as_tensor(a)
 
@@ -368,21 +325,6 @@ def narrow(a, axis, start, length):
     return _make(out, (a,), backward, "narrow")
 
 
-def pick(a, axis, index):
-    """Select one index along `axis` (removes the axis)."""
-    a = _as_tensor(a)
-    out = np.take(a.value, index, axis=axis)
-
-    def backward(g):
-        full = np.zeros_like(a.value)
-        sl = [slice(None)] * a.ndim
-        sl[axis] = index
-        full[tuple(sl)] = g
-        return (full,)
-
-    return _make(out, (a,), backward, "pick")
-
-
 def gather(table, idx):
     """Row lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
     table = _as_tensor(table)
@@ -422,18 +364,6 @@ def batched_gather(x, idx):
     return _make(out, (x,), backward, "batched_gather")
 
 
-def where_mask(mask, a):
-    """Keep entries where `mask` is true, exact +0.0 elsewhere."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.where(mask, a.value, 0.0)
-
-    def backward(g):
-        return (np.where(mask, g, 0.0),)
-
-    return _make(out, (a,), backward, "where_mask")
-
-
 # -- reductions -------------------------------------------------------------
 
 
@@ -464,12 +394,18 @@ def mean_all(a):
 def weighted_sum(w, v, valid=None):
     """sum_j w[..., j] * v[..., j, :]  with sequential accumulation over j.
 
-    Padding-stable: entries where `valid` is false contribute an exact +0.0,
-    and trailing padded entries never change the partial-sum order of the
-    valid prefix.
+    The leading axes of `v` broadcast against those of `w`: weights (B, N, J)
+    with values (B, 1, J, d) mix one shared set of J rows into each of the N
+    outputs.  Padding-stable: entries where `valid` (shaped like `w`) is
+    false contribute an exact +0.0, and trailing padded entries never change
+    the partial-sum order of the valid prefix.
     """
     w, v = _as_tensor(w), _as_tensor(v)
-    if w.shape != v.shape[:-1]:
+    try:
+        lead_ok = np.broadcast_shapes(w.shape, v.shape[:-1]) == w.shape
+    except ValueError:
+        lead_ok = False
+    if not lead_ok or v.shape[-2:-1] != w.shape[-1:]:
         raise ShapeError(f"weighted_sum: weights {w.shape} vs values {v.shape}")
     J = w.shape[-1]
     if valid is not None:
@@ -481,7 +417,7 @@ def weighted_sum(w, v, valid=None):
         if valid is not None:
             term = np.where(valid[..., j : j + 1], term, 0.0)
         acc = term if acc is None else acc + term
-    out = acc if acc is not None else np.zeros(v.shape[:-2] + (v.shape[-1],), dtype=vv.dtype)
+    out = acc if acc is not None else np.zeros(w.shape[:-1] + v.shape[-1:], dtype=vv.dtype)
 
     def backward(g):
         gw = np.einsum("...d,...jd->...j", g, vv)
@@ -489,36 +425,9 @@ def weighted_sum(w, v, valid=None):
         if valid is not None:
             gw = np.where(valid, gw, 0.0)
             gv = np.where(valid[..., None], gv, 0.0)
-        return gw, gv
+        return gw, _unbroadcast(gv, v.shape)
 
     return _make(out, (w, v), backward, "weighted_sum")
-
-
-def mix_rows(w, v, valid=None):
-    """out[b, i, :] = sum_j w[b, i, j] * v[b, j, :], sequential over j."""
-    w, v = _as_tensor(w), _as_tensor(v)
-    if w.ndim != 3 or v.ndim != 3 or w.shape[0] != v.shape[0] or w.shape[2] != v.shape[1]:
-        raise ShapeError(f"mix_rows: weights {w.shape} vs values {v.shape}")
-    J = w.shape[2]
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-    wv, vv = w.value, v.value
-    acc = None
-    for j in range(J):
-        term = wv[:, :, j : j + 1] * vv[:, None, j, :]
-        if valid is not None:
-            term = np.where(valid[:, :, j : j + 1], term, 0.0)
-        acc = term if acc is None else acc + term
-    out = acc
-
-    def backward(g):
-        gw = np.einsum("bid,bjd->bij", g, vv)
-        gv = np.einsum("bij,bid->bjd", wv if valid is None else np.where(valid, wv, 0.0), g)
-        if valid is not None:
-            gw = np.where(valid, gw, 0.0)
-        return gw, gv
-
-    return _make(out, (w, v), backward, "mix_rows")
 
 
 def masked_sum(a, mask, axis):
@@ -598,16 +507,6 @@ def sigmoid(a):
         return (g * out * (1.0 - out),)
 
     return _make(out, (a,), backward, "sigmoid")
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.value)
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward, "exp")
 
 
 def log(a):
@@ -784,44 +683,18 @@ def format_graph(root, max_nodes=200):
 
 def gradcheck(f, x, step=1e-5):
     """Max relative error between the analytic gradient of scalar f(x) and a
-    central finite difference, per coordinate of x.
-
-    Relative error is |a - n| / max(1, |a| + |n|).
+    central finite difference, per coordinate of x (see `gradcheck_params`).
     """
-    x = np.asarray(x, dtype=np.float64)
-    xt = Tensor(x.copy(), requires_grad=True, op="gradcheck_input")
-    out = f(xt)
-    if out.size != 1:
-        raise ValueError("gradcheck: f must be scalar-valued")
-    backward(out)
-    analytic = xt.grad if xt.grad is not None else np.zeros_like(x)
-    if not np.all(np.isfinite(analytic)):
-        raise FloatingPointError("gradcheck: non-finite analytic gradient")
-
-    numeric = np.zeros_like(x)
-    flat = x.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f(Tensor(x.copy(), requires_grad=False)).value)
-        flat[i] = orig - step
-        lo = float(f(Tensor(x.copy(), requires_grad=False)).value)
-        flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * step)
-    if not np.all(np.isfinite(numeric)):
-        raise FloatingPointError("gradcheck: non-finite finite-difference value")
-
-    denom = np.maximum(1.0, np.abs(analytic) + np.abs(numeric))
-    rel = np.abs(analytic - numeric) / denom
-    return float(rel.max()) if rel.size else 0.0
+    xt = Tensor(np.array(x, dtype=np.float64), requires_grad=True, op="gradcheck_input")
+    return gradcheck_params(lambda: f(xt), [xt], step=step)
 
 
 def gradcheck_params(build_loss, params, step=1e-5):
     """Gradcheck every coordinate of every tensor in `params` against the
     scalar produced by `build_loss()` (which must read the live values).
 
-    Returns the max relative error over all coordinates.
+    Returns the max relative error over all coordinates, where the relative
+    error is |a - n| / max(1, |a| + |n|).
     """
     loss = build_loss()
     if loss.size != 1:

@@ -99,28 +99,14 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, t
 @dataclass
 class SessionBatch:
     items: np.ndarray          # (B, F) frontier item ids, 0-padded
-    frontier_mask: np.ndarray  # (B, F)
     nbr_idx: np.ndarray        # (B, F, W)
     nbr_wt: np.ndarray         # (B, F, W)
     nbr_mask: np.ndarray       # (B, F, W)
     rel: np.ndarray            # (B, N, N)
-    node_mask: np.ndarray      # (B, N)
     alias: np.ndarray          # (B, L)
     pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
     labels: np.ndarray         # (B,)
-
-    @property
-    def batch_size(self):
-        return self.items.shape[0]
-
-    @property
-    def max_len(self):
-        return self.alias.shape[1]
-
-    @property
-    def max_nodes(self):
-        return self.rel.shape[1]
 
 
 def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:
@@ -138,12 +124,10 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
         raise ValueError(f"pad_len {L} shorter than longest example")
 
     items = np.zeros((B, F), dtype=np.int64)
-    frontier_mask = np.zeros((B, F), dtype=bool)
     nbr_idx = np.zeros((B, F, W), dtype=np.int64)
     nbr_wt = np.zeros((B, F, W), dtype=np.float64)
     nbr_mask = np.zeros((B, F, W), dtype=bool)
     rel = np.zeros((B, N, N), dtype=np.int8)
-    node_mask = np.zeros((B, N), dtype=bool)
     alias = np.zeros((B, L), dtype=np.int64)
     pos_mask = np.zeros((B, L), dtype=bool)
     lengths = np.zeros(B, dtype=np.int64)
@@ -152,16 +136,13 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     for b, p in enumerate(packs):
         f, n, l = p.frontier_size, p.num_nodes, p.length
         items[b, :f] = p.frontier_items
-        frontier_mask[b, :f] = True
         nbr_idx[b, :f] = p.nbr_idx
         nbr_wt[b, :f] = p.nbr_wt
         nbr_mask[b, :f] = p.nbr_mask
         rel[b, :n, :n] = p.rel
-        node_mask[b, :n] = True
         alias[b, :l] = p.alias
         pos_mask[b, :l] = True
         lengths[b] = l
         labels[b] = p.label
 
-    return SessionBatch(items, frontier_mask, nbr_idx, nbr_wt, nbr_mask,
-                        rel, node_mask, alias, pos_mask, lengths, labels)
+    return SessionBatch(items, nbr_idx, nbr_wt, nbr_mask, rel, alias, pos_mask, lengths, labels)

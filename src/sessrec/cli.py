@@ -25,7 +25,8 @@ from .corpus import (CorpusError, build_examples, filter_corpus, parse_sessions,
                      write_examples, write_sessions, write_vocab)
 from .evaluation import evaluate_model, render_table, rows_to_jsonl, run_ablations
 from .graphs import build_global_graph, read_global_graph, write_global_graph
-from .model import ModelConfig, load_checkpoint, model_gradcheck, save_checkpoint
+from .model import (AGGREGATIONS, LOSS_MODES, POSITION_MODES, ModelConfig, load_checkpoint,
+                    model_gradcheck, save_checkpoint)
 from .train import TrainingError, train_model
 
 STAGE_DIRS = {"preprocess": "corpus", "build-graph": "graphs", "train": "checkpoints",
@@ -185,7 +186,10 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
     corpus_dir = work_dir / "corpus"
     examples = [e for e in read_examples(corpus_dir / "examples.tsv") if e.split == "test"]
     graph = read_global_graph(work_dir / "graphs" / "global_graph.tsv")
-    model = load_checkpoint(ckpt_path)
+    try:
+        model = load_checkpoint(ckpt_path)
+    except ValueError as exc:
+        raise StageError(str(exc)) from None
     report = evaluate_model(model, examples, graph, batch_size=cfg.train.batch_size,
                             label="test", fingerprint=cfg.fingerprint())
     rows = [{"label": "test", "report": report}]
@@ -205,8 +209,7 @@ ABLATION_GRIDS = {
                ("w/o session", {"use_session_layer": False}, {}),
                ("1-hop", {"k_hops": 1}, {}),
                ("2-hop", {"k_hops": 2}, {})],
-    "aggregation": [(name, {"aggregation": name, "k_hops": 1}, {}) for name in
-                    ("sum", "gate", "max", "concat")],
+    "aggregation": [(name, {"aggregation": name, "k_hops": 1}, {}) for name in AGGREGATIONS],
     "position": [("reversed-position", {"position_mode": "reversed"}, {}),
                  ("forward-position", {"position_mode": "forward"}, {}),
                  ("self-attention", {"position_mode": "self_attention"}, {})],
@@ -244,8 +247,8 @@ def cmd_ablate(cfg: RunConfig, work_dir: Path, grid_name: str, fmt: str) -> int:
 def cmd_gradcheck(cfg: RunConfig, full: bool, threshold: float) -> int:
     if full:
         combos = [dict(k_hops=k, aggregation=a, position_mode=p, loss_mode=lm)
-                  for k in (1, 2) for a in ("sum", "gate", "max", "concat")
-                  for p in ("reversed", "forward") for lm in ("binary", "categorical")]
+                  for k in (1, 2) for a in AGGREGATIONS
+                  for p in ("reversed", "forward") for lm in LOSS_MODES]
     else:
         combos = [dict(k_hops=cfg.model.k_hops or 1, aggregation=cfg.model.aggregation,
                        position_mode=cfg.model.position_mode, loss_mode=cfg.model.loss_mode)]
@@ -315,11 +318,10 @@ def _build_parser():
 
 def _model_flags(p):
     p.add_argument("--hops", type=int, dest="k_hops")
-    p.add_argument("--aggregation", choices=("sum", "gate", "max", "concat"))
-    p.add_argument("--position-mode", dest="position_mode",
-                   choices=("reversed", "forward", "self_attention", "none"))
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
+    p.add_argument("--position-mode", dest="position_mode", choices=POSITION_MODES)
     p.add_argument("--dropout", type=float, dest="dropout_global")
-    p.add_argument("--loss-mode", dest="loss_mode", choices=("binary", "categorical"))
+    p.add_argument("--loss-mode", dest="loss_mode", choices=LOSS_MODES)
 
 
 def _overrides_from_args(args) -> dict:

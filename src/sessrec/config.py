@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .model import AGGREGATIONS, LOSS_MODES, POSITION_MODES, PRECISIONS, ModelConfig
+from .model import ModelConfig
 from .train import TrainConfig
 
 
@@ -33,11 +33,29 @@ class CorpusConfig:
     test_window_days: float = 7.0
     validation_fraction: float = 0.1
 
+    def __post_init__(self):
+        problems = [msg for bad, msg in (
+            (self.min_item_freq < 1, "min_item_freq must be >= 1"),
+            (self.min_session_len < 2, "min_session_len must be >= 2"),
+            (self.test_window_days <= 0, "test_window_days must be > 0"),
+            (not 0 <= self.validation_fraction < 1, "validation_fraction must be in [0, 1)"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
+
 
 @dataclass
 class GraphConfig:
     epsilon: int = 3
     top_n: int = 12
+
+    def __post_init__(self):
+        problems = [msg for bad, msg in (
+            (self.epsilon < 1, "epsilon must be >= 1"),
+            (self.top_n < 1, "top_n must be >= 1"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 @dataclass
@@ -71,30 +89,6 @@ _SECTIONS = {
     "train": TrainConfig,
     "paths": PathsConfig,
 }
-
-_RANGE_CHECKS = [
-    ("graph", "epsilon", lambda v: v >= 1, "graph.epsilon must be >= 1"),
-    ("graph", "top_n", lambda v: v >= 1, "graph.top_n must be >= 1"),
-    ("corpus", "min_item_freq", lambda v: v >= 1, "corpus.min_item_freq must be >= 1"),
-    ("corpus", "min_session_len", lambda v: v >= 2, "corpus.min_session_len must be >= 2"),
-    ("corpus", "test_window_days", lambda v: v > 0, "corpus.test_window_days must be > 0"),
-    ("corpus", "validation_fraction", lambda v: 0 <= v < 1, "corpus.validation_fraction must be in [0, 1)"),
-    ("model", "embedding_dim", lambda v: v >= 1, "model.embedding_dim must be >= 1"),
-    ("model", "k_hops", lambda v: v in (0, 1, 2), "model.k_hops must be 0, 1 or 2"),
-    ("model", "aggregation", lambda v: v in AGGREGATIONS, f"model.aggregation must be one of {AGGREGATIONS}"),
-    ("model", "position_mode", lambda v: v in POSITION_MODES, f"model.position_mode must be one of {POSITION_MODES}"),
-    ("model", "dropout_global", lambda v: 0 <= v < 1, "model.dropout_global must be in [0, 1): rate must be < 1"),
-    ("model", "leaky_slope", lambda v: v > 0, "model.leaky_slope must be > 0"),
-    ("model", "loss_mode", lambda v: v in LOSS_MODES, f"model.loss_mode must be one of {LOSS_MODES}"),
-    ("model", "precision", lambda v: v in PRECISIONS, f"model.precision must be one of {PRECISIONS}"),
-    ("train", "batch_size", lambda v: v >= 1, "train.batch_size must be >= 1"),
-    ("train", "lr", lambda v: v > 0, "train.lr must be > 0"),
-    ("train", "lr_decay_factor", lambda v: 0 < v <= 1, "train.lr_decay_factor must be in (0, 1]"),
-    ("train", "lr_decay_every", lambda v: v >= 1, "train.lr_decay_every must be >= 1"),
-    ("train", "l2", lambda v: v >= 0, "train.l2 must be >= 0"),
-    ("train", "max_epochs", lambda v: v >= 1, "train.max_epochs must be >= 1"),
-]
-
 
 def _coerce(value, target_type, keypath, problems):
     if target_type is bool:
@@ -161,16 +155,8 @@ def validate_config(data: dict | None) -> RunConfig:
                 values[key] = coerced
         section_values[section] = values
 
-    for section, key, check, message in _RANGE_CHECKS:
-        if key in section_values.get(section, {}):
-            if not check(section_values[section][key]):
-                problems.append(message)
-
     for key in data:
         problems.append(f"{key}: unknown top-level key")
-
-    if problems:
-        raise ConfigError(problems)
 
     # the run seed drives training unless train.seed is set explicitly
     if "seed" not in section_values.get("train", {}):
@@ -183,8 +169,8 @@ def validate_config(data: dict | None) -> RunConfig:
     for section, cls in _SECTIONS.items():
         try:
             kwargs[section] = cls(**section_values.get(section, {}))
-        except ValueError as exc:
-            problems.append(f"{section}: {exc}")
+        except ValueError as exc:  # one line per failed rule
+            problems.extend(f"{section}: {line}" for line in str(exc).splitlines())
     if problems:
         raise ConfigError(problems)
     return RunConfig(**kwargs)

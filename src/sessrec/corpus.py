@@ -237,15 +237,6 @@ def write_vocab(path, vocab):
             f.write(f"{raw}\t{idx}\n")
 
 
-def read_vocab(path):
-    vocab = {}
-    with open(path) as f:
-        for line in f:
-            raw, idx = line.rstrip("\n").split("\t")
-            vocab[raw] = int(idx)
-    return vocab
-
-
 def write_sessions(path, corpus: SessionCorpus, split_name: str):
     with open(path, "a") as f:
         for s in corpus.sessions:

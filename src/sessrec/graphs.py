@@ -22,8 +22,6 @@ REL_OUT = 2
 REL_INOUT = 3
 REL_SELF = 4
 
-RELATION_NAMES = {REL_IN: "in", REL_OUT: "out", REL_INOUT: "in-out", REL_SELF: "self"}
-
 
 @dataclass
 class SessionGraph:

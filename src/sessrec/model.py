@@ -50,22 +50,20 @@ class ModelConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
-        if self.k_hops not in (0, 1, 2):
-            raise ValueError("k_hops must be 0, 1 or 2")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.position_mode not in POSITION_MODES:
-            raise ValueError(f"position_mode must be one of {POSITION_MODES}")
-        if not 0.0 <= self.dropout_global < 1.0:
-            raise ValueError("dropout_global must be in [0, 1)")
-        if self.loss_mode not in LOSS_MODES:
-            raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be one of {PRECISIONS}")
-        if self.k_hops == 0 and not self.use_session_layer:
-            raise ValueError("at least one of the global layer (k_hops >= 1) and the session layer must be enabled")
+        problems = [msg for bad, msg in (
+            (self.embedding_dim < 1, "embedding_dim must be >= 1"),
+            (self.k_hops not in (0, 1, 2), "k_hops must be 0, 1 or 2"),
+            (self.aggregation not in AGGREGATIONS, f"aggregation must be one of {AGGREGATIONS}"),
+            (self.position_mode not in POSITION_MODES, f"position_mode must be one of {POSITION_MODES}"),
+            (not 0.0 <= self.dropout_global < 1.0, "dropout_global must be in [0, 1): rate must be < 1"),
+            (self.leaky_slope <= 0, "leaky_slope must be > 0"),
+            (self.loss_mode not in LOSS_MODES, f"loss_mode must be one of {LOSS_MODES}"),
+            (self.precision not in PRECISIONS, f"precision must be one of {PRECISIONS}"),
+            (self.k_hops == 0 and not self.use_session_layer,
+             "at least one of the global layer (k_hops >= 1) and the session layer must be enabled"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
     @property
     def dtype(self):
@@ -191,7 +189,7 @@ class NextItemModel:
         prod = ad.mul(hi, hj)                                      # (B, N, N, d)
         scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), cfg.leaky_slope)
         alpha = ad.masked_softmax(scores, batch.rel > 0, axis=-1)  # rows sum to 1 per node
-        h_out = ad.mix_rows(alpha, h_nodes)
+        h_out = ad.weighted_sum(alpha, hj)                         # (B, N, d)
         return h_out, alpha
 
     def fuse(self, h_global, h_session, train_mode=False, rng=None):
@@ -418,14 +416,17 @@ def save_checkpoint(path, model: NextItemModel):
 
 def load_checkpoint(path) -> NextItemModel:
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
+        try:
+            header = json.loads(f.readline().decode())
+        except ValueError:  # not UTF-8 or not JSON
+            header = None
         payload = f.read()
-    if header.get("magic") != _CKPT_MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _CKPT_MAGIC:
         raise ValueError(f"{path} is not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {header.get('version')}")
+        raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise ValueError("checkpoint payload fails its integrity check")
+        raise ValueError(f"{path}: checkpoint payload fails its integrity check")
     config = ModelConfig(**header["config"])
     model = NextItemModel(header["num_items"], header["max_len"], config, seed=header["seed"])
     state = {}

@@ -31,12 +31,17 @@ class TrainConfig:
     l2_exclude: tuple = ()
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.lr <= 0 or not 0 < self.lr_decay_factor <= 1:
-            raise ValueError("batch_size, lr and lr_decay_factor must be positive")
-        if self.lr_decay_every < 1 or self.max_epochs < 1:
-            raise ValueError("lr_decay_every and max_epochs must be >= 1")
-        if not 1 <= self.patience <= self.max_epochs:
-            raise ValueError("patience must be in [1, max_epochs]")
+        problems = [msg for bad, msg in (
+            (self.batch_size < 1, "batch_size must be >= 1"),
+            (self.lr <= 0, "lr must be > 0"),
+            (not 0 < self.lr_decay_factor <= 1, "lr_decay_factor must be in (0, 1]"),
+            (self.lr_decay_every < 1, "lr_decay_every must be >= 1"),
+            (self.l2 < 0, "l2 must be >= 0"),
+            (self.max_epochs < 1, "max_epochs must be >= 1"),
+            (not 1 <= self.patience <= self.max_epochs, "patience must be in [1, max_epochs]"),
+        ) if bad]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def effective_lr(cfg: TrainConfig, epoch: int) -> float:

@@ -145,6 +145,31 @@ class TestSoftmaxProperties:
         padded = ad.masked_softmax(t(padded_scores), padded_mask).value
         assert np.array_equal(padded[:, :4], base)
 
+    def test_weighted_sum_broadcast_values_padding_stable(self):
+        # one (B, 1, J, d) value set mixed into N outputs; appending masked
+        # entries along J must not change any output bit
+        rng = np.random.default_rng(10)
+        w, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4, 5))
+        base = ad.weighted_sum(t(w), t(v)).value
+        assert base.shape == (2, 3, 5)
+        padded_w = np.concatenate([w, rng.normal(size=(2, 3, 3))], axis=2)
+        padded_v = np.concatenate([v, rng.normal(size=(2, 1, 3, 5))], axis=2)
+        valid = np.concatenate([np.ones((2, 3, 4), bool), np.zeros((2, 3, 3), bool)], axis=2)
+        padded = ad.weighted_sum(t(padded_w), t(padded_v), valid=valid).value
+        assert np.array_equal(padded, base)
+
+
+def _weighted_sum_loss(w_shape, v_shape, valid=None):
+    """Scalar loss of weighted_sum over one flat input holding w then v."""
+    nw = int(np.prod(w_shape))
+
+    def f(x):
+        w = ad.reshape(ad.narrow(x, 0, 0, nw), w_shape)
+        v = ad.reshape(ad.narrow(x, 0, nw, int(np.prod(v_shape))), v_shape)
+        return ad.sum_all(ad.tanh(ad.weighted_sum(w, v, valid=valid)))
+
+    return f, nw + int(np.prod(v_shape))
+
 
 class TestGradcheck:
     def test_quadratic_is_exact_to_fd_order(self):
@@ -170,6 +195,18 @@ class TestGradcheck:
 
         err = ad.gradcheck(lambda x: ad.sum_all(bad_tanh(x)), np.array([0.7, -1.2, 0.3]))
         assert err > 1e-2
+
+    def test_weighted_sum_broadcast_values(self):
+        rng = np.random.default_rng(12)
+        f, n = _weighted_sum_loss((2, 3, 4), (2, 1, 4, 5))
+        assert ad.gradcheck(f, rng.normal(size=n)) < 1e-8
+
+    def test_weighted_sum_with_valid_mask(self):
+        rng = np.random.default_rng(13)
+        valid = rng.random((2, 3, 4)) > 0.4
+        valid[0, 1] = False  # a row with no valid entry
+        f, n = _weighted_sum_loss((2, 3, 4), (2, 1, 4, 5), valid=valid)
+        assert ad.gradcheck(f, rng.normal(size=n)) < 1e-8
 
     def test_nonfinite_rejected(self):
         with np.errstate(divide="ignore", invalid="ignore"):

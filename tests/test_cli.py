@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sessrec.cli import main
-from sessrec.config import ConfigError, load_config, validate_config
+from sessrec.config import ConfigError, GraphConfig, load_config, validate_config
 from sessrec.corpus import read_examples
+from sessrec.model import ModelConfig, NextItemModel, save_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,6 +72,12 @@ class TestValidateConfig:
             validate_config({"graph": {"epsilon": 0, "top_n": 0},
                              "model": {"dropout_global": 1.5}})
         assert len(exc.value.problems) == 3
+
+    def test_sections_validate_when_built_directly(self):
+        with pytest.raises(ValueError, match="epsilon must be >= 1"):
+            GraphConfig(epsilon=0)
+        with pytest.raises(ValueError, match="leaky_slope must be > 0"):
+            ModelConfig(leaky_slope=0.0)
 
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError, match="expected an integer"):
@@ -138,6 +145,29 @@ class TestPipeline:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         row = json.loads(line)
         assert {"P@10", "P@20", "MRR@10", "MRR@20"} <= set(row)
+
+    def test_evaluate_rejects_foreign_or_corrupt_checkpoint(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        foreign = wd / "foreign.ckpt"
+        foreign.write_bytes(b'{"magic": "something-else"}\n\x00\x01')
+        junk = wd / "junk.ckpt"
+        junk.write_bytes(b"\xff\xfe not json at all")
+        corrupt = wd / "corrupt.ckpt"
+        save_checkpoint(corrupt, NextItemModel(5, 4, ModelConfig(embedding_dim=2, k_hops=0)))
+        blob = bytearray(corrupt.read_bytes())
+        blob[-1] ^= 0xFF
+        corrupt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        for path, reason in ((foreign, "not a model checkpoint"), (junk, "not a model checkpoint"),
+                             (corrupt, "integrity")):
+            rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd),
+                       "--checkpoint", str(path)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert reason in err and str(path) in err
+            assert len(err.strip().splitlines()) == 1
 
     def test_ablate_aggregation_grid_has_four_rows(self, pipeline_cfg):
         cfg, events, wd = pipeline_cfg
