@@ -4,7 +4,7 @@ A tape is built implicitly: every operation returns a `Tensor` holding the
 computed value, references to its parent tensors, and a closure that maps the
 output gradient to parent gradients.  `backward()` walks the graph once in
 reverse topological order and accumulates gradients additively, so fan-out
-works without any bookkeeping by the caller.
+works without any bookkeeping by the caller; only leaves keep a `grad`.
 
 Two numerical ground rules shape the op set:
 
@@ -618,11 +618,13 @@ def masked_softmax(a, mask, axis=-1):
 
 
 def backward(root, seed=None):
-    """Populate gradients of every tensor reachable from a scalar `root`.
+    """Populate the gradients of every leaf tensor reachable from a scalar
+    `root`.
 
     Each call propagates a fresh pass and adds its result into every
-    reachable tensor's `grad`, so calling twice without resetting doubles
+    reachable leaf's `grad`, so calling twice without resetting doubles
     the gradients (fan-out within one pass accumulates as well).
+    Intermediate tensors pass their gradients on without storing them.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
@@ -634,8 +636,8 @@ def backward(root, seed=None):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        node.accumulate_grad(g)
         if node._backward is None:
+            node.accumulate_grad(g)
             continue
         for parent, pg in zip(node.parents, node._backward(g)):
             if parent.requires_grad and pg is not None:

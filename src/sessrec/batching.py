@@ -3,12 +3,18 @@
 Each example is packed once (`pack_example`) and reused across epochs.  A
 pack's node list starts with the session's unique items (so session-graph
 node slot == frontier slot) followed by the global-graph receptive field,
-breadth-first layer by layer up to `k_hops` hops.  Neighbor lists are always
-`top_n` wide with a validity mask; nodes in the outermost layer are treated
-as isolated because their own neighbors fall outside the packed frontier and
-their aggregated values are never consumed.
+breadth-first layer by layer up to `k_hops` hops; `layer_end[j]` ends the
+rows within j hops.  Neighbor lists are always `top_n` wide with a validity
+mask and exist only for the rows within `k_hops - 1` hops: nodes in the
+outermost layer are isolated by construction, because their own neighbors
+fall outside the packed frontier and their aggregated values are never
+consumed.
 
-`collate` stacks packs into padded arrays.  Padded slots index row 0 and are
+`collate` pads each layer separately: session nodes to N, hop-1 rows to
+F1, hop-2 rows to F2, any `pad_frontier` surplus going to the outermost
+layer.  The batch-wide layer ends P_0 = N, P_1 = N + F1, ... make "the rows
+within j hops" the exact prefix `[0, P_j)` of every example, and neighbor
+indices are remapped to that layout.  Padded slots index row 0 and are
 masked; the model's reductions guarantee they contribute exact zeros, so a
 padded batch of one example reproduces the unpadded forward bit for bit.
 """
@@ -28,10 +34,11 @@ class ExamplePack:
     label: int
     alias: np.ndarray          # (l,) position -> node slot
     rel: np.ndarray            # (n, n) session relation codes
-    frontier_items: np.ndarray # (f,) item ids, session nodes first
-    nbr_idx: np.ndarray        # (f, W) frontier-slot indices of neighbors
-    nbr_wt: np.ndarray         # (f, W) edge weights
-    nbr_mask: np.ndarray       # (f, W) neighbor validity
+    frontier_items: np.ndarray # (f,) item ids, session nodes first, then hop by hop
+    layer_end: tuple           # (k_hops + 1,) frontier[:layer_end[j]] = nodes within j hops
+    nbr_idx: np.ndarray        # (layer_end[-2], W) frontier-slot indices of neighbors
+    nbr_wt: np.ndarray         # (layer_end[-2], W) edge weights
+    nbr_mask: np.ndarray       # (layer_end[-2], W) neighbor validity
 
     @property
     def length(self):
@@ -50,12 +57,12 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, t
     sg = build_session_graph(prefix)
     frontier = list(sg.nodes)
     slot = {item: i for i, item in enumerate(frontier)}
+    layer_end = [len(frontier)]
 
     if k_hops > 0:
         if global_graph is None:
             raise ValueError("k_hops > 0 requires a global graph")
         W = global_graph.top_n if top_n is None else top_n
-        layer_end = [len(frontier)]  # frontier[:layer_end[t]] = nodes within t hops
         current = list(frontier)
         for _ in range(k_hops):
             nxt = []
@@ -67,22 +74,17 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, t
                         nxt.append(nbr)
             layer_end.append(len(frontier))
             current = nxt
-        f = len(frontier)
-        nbr_idx = np.zeros((f, W), dtype=np.int64)
-        nbr_wt = np.zeros((f, W), dtype=np.float64)
-        nbr_mask = np.zeros((f, W), dtype=bool)
-        inner = layer_end[-2] if k_hops > 0 else f  # outermost layer stays isolated
-        for i, item in enumerate(frontier[:inner]):
-            for w_i, (nbr, wt) in enumerate(global_graph.neighbors(item)):
-                nbr_idx[i, w_i] = slot[nbr]
-                nbr_wt[i, w_i] = wt
-                nbr_mask[i, w_i] = True
+        inner = layer_end[-2]  # the outermost layer stays isolated
     else:
-        f = len(frontier)
-        W = 1
-        nbr_idx = np.zeros((f, W), dtype=np.int64)
-        nbr_wt = np.zeros((f, W), dtype=np.float64)
-        nbr_mask = np.zeros((f, W), dtype=bool)
+        W, inner = 1, 0
+    nbr_idx = np.zeros((inner, W), dtype=np.int64)
+    nbr_wt = np.zeros((inner, W), dtype=np.float64)
+    nbr_mask = np.zeros((inner, W), dtype=bool)
+    for i, item in enumerate(frontier[:inner]):
+        for w_i, (nbr, wt) in enumerate(global_graph.neighbors(item)):
+            nbr_idx[i, w_i] = slot[nbr]
+            nbr_wt[i, w_i] = wt
+            nbr_mask[i, w_i] = True
 
     return ExamplePack(
         prefix=tuple(prefix),
@@ -90,6 +92,7 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, t
         alias=np.asarray(sg.alias, dtype=np.int64),
         rel=sg.rel,
         frontier_items=np.asarray(frontier, dtype=np.int64),
+        layer_end=tuple(layer_end),
         nbr_idx=nbr_idx,
         nbr_wt=nbr_wt,
         nbr_mask=nbr_mask,
@@ -98,10 +101,11 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, t
 
 @dataclass
 class SessionBatch:
-    items: np.ndarray          # (B, F) frontier item ids, 0-padded
-    nbr_idx: np.ndarray        # (B, F, W)
-    nbr_wt: np.ndarray         # (B, F, W)
-    nbr_mask: np.ndarray       # (B, F, W)
+    items: np.ndarray          # (B, P_K) frontier item ids, layer by layer, 0-padded
+    layer_ends: tuple          # (P_0, ..., P_K): rows [0, P_j) are within j hops; P_0 = N
+    nbr_idx: np.ndarray        # (B, P_{K-1}, W) row indices of neighbors, all < P_K
+    nbr_wt: np.ndarray         # (B, P_{K-1}, W)
+    nbr_mask: np.ndarray       # (B, P_{K-1}, W)
     rel: np.ndarray            # (B, N, N)
     alias: np.ndarray          # (B, L)
     pos_mask: np.ndarray       # (B, L)
@@ -110,39 +114,64 @@ class SessionBatch:
 
 
 def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:
-    """Stack packs into padded arrays.  Pad sizes default to batch maxima;
-    passing larger values must not change any example's forward result."""
+    """Stack packs into padded arrays, each hop layer padded on its own.
+
+    Pad sizes default to batch maxima; `pad_nodes` widens the session layer
+    and `pad_frontier` the total width, its surplus going to the outermost
+    layer.  Passing larger values must not change any example's forward
+    result."""
     B = len(packs)
     if B == 0:
         raise ValueError("cannot collate an empty batch")
     L = max(p.length for p in packs) if pad_len is None else pad_len
-    N = max(p.num_nodes for p in packs) if pad_nodes is None else pad_nodes
-    F = max(p.frontier_size for p in packs) if pad_frontier is None else pad_frontier
-    F = max(F, N)
-    W = packs[0].nbr_idx.shape[1]
     if any(p.length > L for p in packs):
         raise ValueError(f"pad_len {L} shorter than longest example")
+    sizes = np.diff([p.layer_end for p in packs], axis=1, prepend=0)  # (B, K+1) layer sizes
+    f = sizes.sum(axis=1)
+    widths = sizes.max(axis=0)
+    if pad_nodes is not None:
+        if pad_nodes < widths[0]:
+            raise ValueError(f"pad_nodes {pad_nodes} smaller than the largest session graph")
+        widths[0] = pad_nodes
+    if pad_frontier is not None:
+        if pad_frontier < f.max():
+            raise ValueError(f"pad_frontier {pad_frontier} smaller than the largest frontier")
+        widths[-1] += max(0, pad_frontier - int(widths.sum()))
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    N, F = int(ends[0]), int(ends[-1])
+    inner = int(starts[-1])  # rows that can have neighbors
+    W = packs[0].nbr_idx.shape[1]
 
     items = np.zeros((B, F), dtype=np.int64)
-    nbr_idx = np.zeros((B, F, W), dtype=np.int64)
-    nbr_wt = np.zeros((B, F, W), dtype=np.float64)
-    nbr_mask = np.zeros((B, F, W), dtype=bool)
+    nbr_idx = np.zeros((B, inner, W), dtype=np.int64)
+    nbr_wt = np.zeros((B, inner, W), dtype=np.float64)
+    nbr_mask = np.zeros((B, inner, W), dtype=bool)
     rel = np.zeros((B, N, N), dtype=np.int8)
     alias = np.zeros((B, L), dtype=np.int64)
     pos_mask = np.zeros((B, L), dtype=bool)
-    lengths = np.zeros(B, dtype=np.int64)
-    labels = np.zeros(B, dtype=np.int64)
+    lengths = np.array([p.length for p in packs], dtype=np.int64)
+    labels = np.array([p.label for p in packs], dtype=np.int64)
+
+    # pack slot -> batch row: each layer moves to the start of its padded block
+    first = np.cumsum(f) - f  # each pack's first slot in the concatenated packs
+    slot = np.arange(f.sum()) - np.repeat(first, f)
+    shift = starts - (np.cumsum(sizes, axis=1) - sizes)
+    row = slot + np.repeat(shift.ravel(), sizes.ravel())
+    b_of = np.repeat(np.arange(B), f)
+    items[b_of, row] = np.concatenate([p.frontier_items for p in packs])
+    has_nbrs = slot < np.repeat([len(p.nbr_idx) for p in packs], f)
+    b_in, row_in = b_of[has_nbrs], row[has_nbrs]
+    pack_nbrs = np.concatenate([p.nbr_idx for p in packs])
+    nbr_idx[b_in, row_in] = row[pack_nbrs + first[b_in, None]]
+    nbr_wt[b_in, row_in] = np.concatenate([p.nbr_wt for p in packs])
+    nbr_mask[b_in, row_in] = np.concatenate([p.nbr_mask for p in packs])
 
     for b, p in enumerate(packs):
-        f, n, l = p.frontier_size, p.num_nodes, p.length
-        items[b, :f] = p.frontier_items
-        nbr_idx[b, :f] = p.nbr_idx
-        nbr_wt[b, :f] = p.nbr_wt
-        nbr_mask[b, :f] = p.nbr_mask
+        n, l = p.num_nodes, p.length
         rel[b, :n, :n] = p.rel
         alias[b, :l] = p.alias
         pos_mask[b, :l] = True
-        lengths[b] = l
-        labels[b] = p.label
 
-    return SessionBatch(items, nbr_idx, nbr_wt, nbr_mask, rel, alias, pos_mask, lengths, labels)
+    return SessionBatch(items, tuple(int(e) for e in ends), nbr_idx, nbr_wt, nbr_mask, rel, alias,
+                        pos_mask, lengths, labels)

@@ -190,6 +190,15 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
         model = load_checkpoint(ckpt_path)
     except ValueError as exc:
         raise StageError(str(exc)) from None
+    meta = json.loads((corpus_dir / "meta.json").read_text())
+    if model.num_items != meta["num_items"]:
+        raise StageError(f"checkpoint {ckpt_path} scores {model.num_items} items but the corpus has "
+                         f"{meta['num_items']}; evaluate it against the corpus it was trained on")
+    longest = max((len(e.prefix) for e in examples), default=0)
+    if model.config.position_mode in ("reversed", "forward") and longest > model.max_len:
+        raise StageError(f"checkpoint {ckpt_path} has positions for sessions of up to {model.max_len} "
+                         f"items but a test prefix has {longest}; evaluate it against the corpus it "
+                         f"was trained on")
     report = evaluate_model(model, examples, graph, batch_size=cfg.train.batch_size,
                             label="test", fingerprint=cfg.fingerprint())
     rows = [{"label": "test", "report": report}]

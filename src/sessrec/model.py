@@ -78,7 +78,7 @@ class ForwardResult:
     fused: ad.Tensor           # (B, N, d) fused item vectors per session node
     seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
-    global_attn: list          # per hop: (B, F, W) neighbor attention
+    global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention
     session_attn: ad.Tensor | None  # (B, N, N)
 
 
@@ -142,31 +142,41 @@ class NextItemModel:
     def global_layer_forward(self, h_frontier, batch: SessionBatch, session_feat):
         """Hop-stacked neighbor aggregation on the co-occurrence graph.
 
-        `session_feat` (B, d) is the mean of the session's initial item
-        embeddings and stays fixed across hops.  Returns the final per-node
-        vectors (B, F, d) and the per-hop attention weights.
+        `h_frontier` (B, P_K, d) holds the initial vectors of the batch's
+        per-hop layout (see batching module).  Only the session rows' final
+        vectors are consumed, so hop t of K computes just the rows within
+        K - t hops, the prefix [0, P_{K-t}), reading its inputs from
+        [0, P_{K-t+1}).  A neighbor's score q1^T LeakyReLU(W1 [(s * h_j) || w_ij])
+        is factored as gathered per-row projections (s * h_j) W1a^T plus
+        w_ij W1b, with W1 = [W1a | W1b].  `session_feat` (B, d) is the mean
+        of the session's initial item embeddings and stays fixed across hops.
+
+        Returns the session rows' final vectors (B, N, d) and, per hop t,
+        the neighbor attention (B, P_{K-t}, W).
         """
         cfg = self.config
-        B, F, d = h_frontier.shape
-        W = batch.nbr_idx.shape[2]
-        wt = ad.constant(batch.nbr_wt[..., None], dtype=cfg.dtype)  # (B, F, W, 1)
-        s_b = ad.reshape(session_feat, (B, 1, 1, d))
+        B, _, d = h_frontier.shape
+        ends = batch.layer_ends
+        s_b = ad.reshape(session_feat, (B, 1, d))
         attn = []
         h = h_frontier
-        for suffix in self._hop_suffixes():
+        for t, suffix in enumerate(self._hop_suffixes(), start=1):
+            rows_in, rows = ends[-t], ends[-t - 1]
             proj = self.params[f"global_att_proj{suffix}"]
             vec = self.params[f"global_att_vec{suffix}"]
             agg = self.params[f"global_agg{suffix}"]
-            nbr_h = ad.batched_gather(h, batch.nbr_idx)            # (B, F, W, d)
-            x = ad.concat([ad.mul(s_b, nbr_h), wt], axis=-1)       # (B, F, W, d+1)
-            x2 = ad.reshape(x, (B * F * W, d + 1))
-            scores = ad.matmul(ad.leaky_relu(ad.matmul(x2, proj, transpose_b=True), cfg.leaky_slope),
-                               ad.reshape(vec, (d + 1, 1)))
-            scores = ad.reshape(scores, (B, F, W))
-            alpha = ad.masked_softmax(scores, batch.nbr_mask, axis=-1)
-            h_nbr = ad.weighted_sum(alpha, nbr_h)                  # (B, F, d); zero rows when isolated
-            cat = ad.reshape(ad.concat([h, h_nbr], axis=-1), (B * F, 2 * d))
-            h = ad.reshape(ad.relu(ad.matmul(cat, agg, transpose_b=True)), (B, F, d))
+            nbr_idx = batch.nbr_idx[:, :rows]
+            flat_idx = nbr_idx + (rows_in * np.arange(B))[:, None, None]
+            wt = ad.constant(batch.nbr_wt[:, :rows, :, None], dtype=cfg.dtype)   # (B, R, W, 1)
+            z = ad.matmul(ad.reshape(ad.mul(h, s_b), (B * rows_in, d)),
+                          ad.narrow(proj, 1, 0, d), transpose_b=True)           # (B*R_in, d+1)
+            w1b = ad.reshape(ad.narrow(proj, 1, d, 1), (d + 1,))
+            pre = ad.add(ad.gather(z, flat_idx), ad.mul(wt, w1b))                # (B, R, W, d+1)
+            scores = ad.reduce_sum(ad.mul(ad.leaky_relu(pre, cfg.leaky_slope), vec), axis=-1)
+            alpha = ad.masked_softmax(scores, batch.nbr_mask[:, :rows], axis=-1)
+            h_nbr = ad.weighted_sum(alpha, ad.batched_gather(h, nbr_idx))      # (B, R, d); zero rows when isolated
+            cat = ad.reshape(ad.concat([ad.narrow(h, 1, 0, rows), h_nbr], axis=-1), (B * rows, 2 * d))
+            h = ad.reshape(ad.relu(ad.matmul(cat, agg, transpose_b=True)), (B, rows, d))
             attn.append(alpha)
         return h, attn
 
@@ -271,7 +281,7 @@ class NextItemModel:
 
     def predict(self, session_vec):
         """Probabilities over all items, scored against the initial embeddings."""
-        cand = ad.gather(self.params["item_embeddings"], np.arange(1, self.num_items + 1))
+        cand = ad.narrow(self.params["item_embeddings"], 0, 1, self.num_items)
         logits = ad.matmul(session_vec, cand, transpose_b=True, row_stable=False)  # (B, m)
         return ad.softmax(logits, axis=-1), logits
 
@@ -279,12 +289,10 @@ class NextItemModel:
 
     def forward(self, batch: SessionBatch, train_mode=False, rng=None) -> ForwardResult:
         cfg = self.config
-        B, F = batch.items.shape
         N = batch.rel.shape[1]
-        d = cfg.embedding_dim
         emb = self.params["item_embeddings"]
 
-        h0_frontier = ad.gather(emb, batch.items)                    # (B, F, d)
+        h0_frontier = ad.gather(emb, batch.items)                    # (B, P_K, d)
         h0_positions = ad.batched_gather(h0_frontier, batch.alias)   # (B, L, d)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
 
@@ -292,8 +300,7 @@ class NextItemModel:
         global_attn = []
         if cfg.k_hops >= 1:
             session_feat = ad.mul(ad.masked_sum(h0_positions, batch.pos_mask, axis=1), inv_len)
-            h_gf, global_attn = self.global_layer_forward(h0_frontier, batch, session_feat)
-            h_global = ad.narrow(h_gf, 1, 0, N)
+            h_global, global_attn = self.global_layer_forward(h0_frontier, batch, session_feat)
 
         h_session = None
         session_attn = None

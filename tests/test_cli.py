@@ -169,6 +169,31 @@ class TestPipeline:
             assert reason in err and str(path) in err
             assert len(err.strip().splitlines()) == 1
 
+    def _evaluate_saved(self, pipeline_cfg, capsys, num_items_delta=0, max_len_delta=0):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        meta = json.loads((wd / "corpus" / "meta.json").read_text())
+        longest = max(len(e.prefix) for e in read_examples(wd / "corpus" / "examples.tsv")
+                      if e.split == "test")
+        assert longest >= 2
+        ckpt = wd / "mismatched.ckpt"
+        save_checkpoint(ckpt, NextItemModel(meta["num_items"] + num_items_delta, longest + max_len_delta,
+                                            ModelConfig(embedding_dim=6, k_hops=1)))
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(ckpt)])
+        return rc, capsys.readouterr().err
+
+    def test_evaluate_rejects_checkpoint_of_another_vocabulary(self, pipeline_cfg, capsys):
+        rc, err = self._evaluate_saved(pipeline_cfg, capsys, num_items_delta=-3)
+        assert rc == 2
+        assert "items" in err and len(err.strip().splitlines()) == 1
+
+    def test_evaluate_rejects_checkpoint_with_short_position_table(self, pipeline_cfg, capsys):
+        rc, err = self._evaluate_saved(pipeline_cfg, capsys, max_len_delta=-1)
+        assert rc == 2
+        assert "test prefix" in err and len(err.strip().splitlines()) == 1
+
     def test_ablate_aggregation_grid_has_four_rows(self, pipeline_cfg):
         cfg, events, wd = pipeline_cfg
         for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):

@@ -115,6 +115,88 @@ class TestGlobalLayer:
             pack_example((1, 5), 1, graph, 1)
 
 
+def reference_global_rows(model, pack):
+    """Dense numpy evaluation of the global layer over every frontier row of
+    one unpadded pack, hop by hop; returns the session rows' final vectors."""
+    p = {name: model.params[name].value for name in model.params.names()}
+    slope = model.config.leaky_slope
+    emb = p["item_embeddings"]
+    h = emb[pack.frontier_items]
+    s = emb[list(pack.prefix)].mean(axis=0)
+    for suffix in model._hop_suffixes():
+        W1, q1, W2 = (p[f"global_att_proj{suffix}"], p[f"global_att_vec{suffix}"],
+                      p[f"global_agg{suffix}"])
+        out = np.empty_like(h)
+        for i in range(len(h)):
+            h_nbr = np.zeros(h.shape[1])
+            if i < len(pack.nbr_idx) and pack.nbr_mask[i].any():
+                js = pack.nbr_idx[i][pack.nbr_mask[i]]
+                x = np.concatenate([s * h[js], pack.nbr_wt[i][pack.nbr_mask[i]][:, None]], axis=1)
+                pre = x @ W1.T
+                e = np.where(pre >= 0, pre, slope * pre) @ q1
+                a = np.exp(e - e.max())
+                h_nbr = (a / a.sum()) @ h[js]
+            out[i] = np.maximum(W2 @ np.concatenate([h[i], h_nbr]), 0.0)
+        h = out
+    return h[: pack.num_nodes]
+
+
+def global_rows(model, batch):
+    emb = model.params["item_embeddings"]
+    h0_f = ad.gather(emb, batch.items)
+    h0_pos = ad.batched_gather(h0_f, batch.alias)
+    inv_len = ad.constant((1.0 / batch.lengths)[:, None])
+    s = ad.mul(ad.masked_sum(h0_pos, batch.pos_mask, axis=1), inv_len)
+    h_g, _ = model.global_layer_forward(h0_f, batch, s)
+    return h_g.value
+
+
+class TestGlobalLayerReference:
+    def _corpus(self, seed, num_items=30):
+        rng = np.random.default_rng(seed)
+        sessions = [list(rng.integers(1, num_items + 1, size=rng.integers(2, 9))) for _ in range(60)]
+        graph = build_global_graph(sessions, epsilon=3, top_n=6, num_items=num_items)
+        prefixes = [tuple(int(x) for x in rng.integers(1, num_items + 1, size=rng.integers(1, 8)))
+                    for _ in range(8)]
+        return graph, prefixes
+
+    def test_session_rows_match_dense_reference(self):
+        graph, prefixes = self._corpus(41)
+        for k in (1, 2):
+            for shared in (False, True):
+                for use_session in (True, False):
+                    model = make_model(30, max_len=8, embedding_dim=6, k_hops=k, share_hop_weights=shared,
+                                       use_session_layer=use_session, seed=k)
+                    for prm in model.params:
+                        prm.value *= 4.0  # leave the near-linear init regime
+                    packs = [pack_example(pf, 1, graph, k) for pf in prefixes]
+                    batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
+                                    pad_frontier=max(p.frontier_size for p in packs) + 9)
+                    h_g = global_rows(model, batch)
+                    if not use_session:
+                        assert np.array_equal(model.forward(batch).fused.value, h_g)
+                    for b, pack in enumerate(packs):
+                        expect = reference_global_rows(model, pack)
+                        assert np.allclose(h_g[b, : pack.num_nodes], expect, rtol=0, atol=1e-12), \
+                            f"k_hops={k} shared={shared} session={use_session} example {b}"
+
+    def test_mixed_batch_matches_single_forwards(self):
+        graph, _ = self._corpus(43)
+        rng = np.random.default_rng(44)
+        model = make_model(30, max_len=10, embedding_dim=8, k_hops=2, seed=45)
+        packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, 2)
+                 for n in (1, 6, 2, 9, 3, 1, 4)]
+        assert len({p.layer_end for p in packs}) == len(packs)
+        out = model.forward(collate(packs))
+        for b, pack in enumerate(packs):
+            alone = model.forward(collate([pack]))
+            n = pack.num_nodes
+            assert np.array_equal(out.fused.value[b, :n], alone.fused.value[0])
+            assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
+            # the scoring matmul runs on BLAS, whose rows change with the row count
+            assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-12)
+
+
 class TestSessionLayer:
     def test_self_loop_only_is_passthrough(self):
         model = make_model(3, embedding_dim=5, k_hops=0)
