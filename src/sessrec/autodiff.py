@@ -509,6 +509,9 @@ def sigmoid(a):
     return _make(out, (a,), backward, "sigmoid")
 
 
+# No model code calls `log` or `clamp` since the loss moved into
+# `softmax_loss`; perfbench/tracing.py reports per-op metrics for both by name,
+# so they stay until that op list changes.
 def log(a):
     a = _as_tensor(a)
     out = np.log(a.value)
@@ -580,6 +583,69 @@ def softmax(a, axis=-1):
         return (out * (g - dot),)
 
     return _make(out, (a,), backward, "softmax")
+
+
+def softmax_loss(logits, labels, mode):
+    """Per-example loss (B,) of softmax(logits) against the columns `labels` (B,).
+
+    `categorical` is -log p_y = logsumexp(z) - z_y, with gradient p - onehot.
+    `binary` is -[log p_y + sum_{j != y} log(1 - p_j)]: the label's own miss
+    term is never formed, and log(1 - p_j) is log1p(-p_j) except at the row's
+    top logit j*, where it is log(sum_{k != j*} e^(z_k - z_j*)) - log S with
+    that excluded sum formed directly.  The gradient is a - p sum(a), with
+    a_j = p_j / (1 - p_j) for a miss and a_y = -1; the j* terms also come from
+    the excluded sum, so a saturated softmax (1 - p_j* rounding to 0) keeps a
+    finite loss and gradient.
+    """
+    logits = _as_tensor(logits)
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
+        raise ShapeError(f"softmax_loss: logits {logits.shape} vs labels {labels.shape}")
+    if mode not in ("binary", "categorical"):
+        raise ValueError(f"softmax_loss: unknown mode {mode!r}")
+    z = logits.value
+    rows = np.arange(z.shape[0])
+    top = z.argmax(axis=1)
+    mx = z[rows, top]
+    p = z - mx[:, None]
+    np.exp(p, out=p)
+    p[rows, top] = 0.0
+    excl = p.sum(axis=1)                          # sum_{k != j*} e^(z_k - z_j*)
+    s = 1.0 + excl
+    p /= s[:, None]
+    log_s = np.log1p(excl)
+    off = top != labels                           # rows whose top logit is a miss
+    out = log_s - (z[rows, labels] - mx)          # -log p_y
+    if mode == "binary":
+        miss = np.negative(p)
+        np.log1p(miss, out=miss)                  # log(1 - p_j); 0 at j* for now
+        miss[rows[off], top[off]] = np.log(excl[off]) - log_s[off]
+        miss[rows, labels] = 0.0
+        out = out - miss.sum(axis=1)
+    p[rows, top] = 1.0 / s
+
+    def backward(g):
+        if mode == "categorical":
+            grad = p * g[:, None]
+            grad[rows, labels] -= g
+            return (grad,)
+        a = 1.0 - p
+        a[rows, top] = 1.0
+        np.divide(p, a, out=a)                    # p_j / (1 - p_j), j != j*
+        a[rows[off], top[off]] = 1.0 / excl[off]  # p_j* / (1 - p_j*) = 1 / excluded sum
+        a[rows, labels] = -1.0
+        a_top = a[rows, top].copy()
+        a[rows, top] = 0.0
+        rest = a.sum(axis=1)                      # sum of a over j != j*
+        grad = p * (a_top + rest)[:, None]
+        np.subtract(a, grad, out=grad)
+        # column j*: a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the
+        # label; forming a_j* - p_j* sum(a) instead would cancel
+        grad[rows, top] = np.where(off, 1.0, -excl) / s - p[rows, top] * rest
+        grad *= g[:, None]
+        return (grad,)
+
+    return _make(out, (logits,), backward, "softmax_loss")
 
 
 def masked_softmax(a, mask, axis=-1):

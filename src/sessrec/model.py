@@ -6,7 +6,7 @@ the running session's mean embedding), and a session level that attends
 over the session graph with one weight vector per edge relation.  Fused
 per-position vectors are pooled into a session vector with position-aware
 soft attention, and candidates are scored against the initial embedding
-table through a softmax.
+table; the softmax over those logits is folded into the loss.
 
 All forward math runs on the autodiff tape.  Reductions along padded axes
 use the padding-stable ops, so a padded batch reproduces unpadded forwards
@@ -32,7 +32,6 @@ LOSS_MODES = ("binary", "categorical")
 PRECISIONS = ("double", "single")
 
 CHECKPOINT_VERSION = 1
-PROB_CLAMP = 1e-10
 
 
 @dataclass
@@ -72,7 +71,6 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    probs: ad.Tensor           # (B, m) next-item probabilities
     logits: ad.Tensor          # (B, m) pre-softmax scores
     session_vec: ad.Tensor     # (B, d)
     fused: ad.Tensor           # (B, N, d) fused item vectors per session node
@@ -80,6 +78,11 @@ class ForwardResult:
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
     global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention
     session_attn: ad.Tensor | None  # (B, N, N)
+
+    @property
+    def probs(self):
+        """(B, m) next-item probabilities, computed from the logits when read."""
+        return ad.softmax(self.logits, axis=-1)
 
 
 class NextItemModel:
@@ -280,10 +283,9 @@ class NextItemModel:
         return session_vec, beta
 
     def predict(self, session_vec):
-        """Probabilities over all items, scored against the initial embeddings."""
+        """Logits (B, m) over all items, scored against the initial embeddings."""
         cand = ad.narrow(self.params["item_embeddings"], 0, 1, self.num_items)
-        logits = ad.matmul(session_vec, cand, transpose_b=True, row_stable=False)  # (B, m)
-        return ad.softmax(logits, axis=-1), logits
+        return ad.matmul(session_vec, cand, transpose_b=True, row_stable=False)
 
     # -- end-to-end -----------------------------------------------------------
 
@@ -311,41 +313,31 @@ class NextItemModel:
         fused = self.fuse(h_global, h_session, train_mode, rng)      # (B, N, d)
         seq_vectors = ad.batched_gather(fused, batch.alias)          # (B, L, d)
         session_vec, beta = self.session_encode(seq_vectors, batch, inv_len)
-        probs, logits = self.predict(session_vec)
-        return ForwardResult(probs, logits, session_vec, fused, seq_vectors,
+        logits = self.predict(session_vec)
+        return ForwardResult(logits, session_vec, fused, seq_vectors,
                              beta, global_attn, session_attn)
 
-    def loss(self, probs, labels):
-        """Scalar loss (mean over the batch).
+    def loss(self, logits, labels):
+        """Scalar loss (mean over the batch) of the softmax of `logits`.
 
         `binary` mode sums a per-item binary cross entropy over the whole
         vocabulary against the one-hot target; `categorical` is the negative
-        log probability of the label.  Probabilities are clamped to
-        [1e-10, 1 - 1e-10] before any log.
+        log probability of the label.  Both are computed from the logits in
+        one op (`autodiff.softmax_loss`), so a saturated softmax stays finite.
         """
-        per_example = self.example_losses(probs, labels)
+        per_example = self.example_losses(logits, labels)
         out = ad.mean_all(per_example)
         if not np.isfinite(out.value):
             raise FloatingPointError("non-finite loss")
         return out
 
-    def example_losses(self, probs, labels):
-        if probs.ndim == 1:
-            probs = ad.reshape(probs, (1, probs.shape[0]))
+    def example_losses(self, logits, labels):
+        if logits.ndim == 1:
+            logits = ad.reshape(logits, (1, logits.shape[0]))
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        B, m = probs.shape
-        if np.any((labels < 1) | (labels > m)):
+        if np.any((labels < 1) | (labels > logits.shape[1])):
             raise ValueError("labels must be item indices in [1, m]")
-        onehot = np.zeros((B, m), dtype=self.config.dtype)
-        onehot[np.arange(B), labels - 1] = 1.0
-        y = ad.constant(onehot)
-        clamped = ad.clamp(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        if self.config.loss_mode == "categorical":
-            picked = ad.reduce_sum(ad.mul(y, clamped), axis=-1)
-            return ad.neg(ad.log(picked))
-        hit = ad.mul(y, ad.log(clamped))
-        miss = ad.mul(ad.sub(1.0, y), ad.log(ad.sub(1.0, clamped)))
-        return ad.neg(ad.reduce_sum(ad.add(hit, miss), axis=-1))
+        return ad.softmax_loss(logits, labels - 1, self.config.loss_mode)
 
     # -- state ------------------------------------------------------------------
 
@@ -382,7 +374,7 @@ def model_gradcheck(config: ModelConfig, step=1e-5, seed=3):
 
     def build_loss():
         out = model.forward(batch, train_mode=False)
-        return model.loss(out.probs, batch.labels)
+        return model.loss(out.logits, batch.labels)
 
     return ad.gradcheck_params(build_loss, model.params.trainable(), step=step)
 

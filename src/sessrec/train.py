@@ -49,8 +49,16 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
+# Elements per scratch block: small next to the item table, and cache-sized.
+_ADAM_BLOCK = 1 << 15
+
+
 class Adam:
-    """Standard Adam with bias correction; one moment pair per parameter."""
+    """Standard Adam with bias correction; one moment pair per parameter.
+
+    `step` updates the moments and the parameters in place, a block of rows
+    at a time through two scratch buffers per dtype.
+    """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -61,6 +69,11 @@ class Adam:
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.value) for p in self.params}
         self.v = {p.name: np.zeros_like(p.value) for p in self.params}
+        sizes = {}
+        for p in self.params:
+            dt = p.value.dtype
+            sizes[dt] = max(sizes.get(dt, _ADAM_BLOCK), _row_size(p.value))
+        self._scratch = {dt: np.empty((2, n), dtype=dt) for dt, n in sizes.items()}
 
     def step(self, lr: float):
         self.step_count += 1
@@ -71,22 +84,44 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.value)
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value = p.value - lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            arrays = [np.atleast_1d(x) for x in (p.value, g, self.m[p.name], self.v[p.name])]
+            scratch = self._scratch[p.value.dtype]
+            rows = scratch.shape[1] // _row_size(p.value)  # >= 1: scratch holds the longest row
+            for start in range(0, len(arrays[0]), rows):
+                value, g_rows, m, v = (x[start:start + rows] for x in arrays)
+                a, b = (buf[:value.size].reshape(value.shape) for buf in scratch)
+                # the same operations, in the same order, as
+                #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+                #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+                m *= self.beta1
+                np.multiply(g_rows, 1.0 - self.beta1, out=a)
+                m += a
+                v *= self.beta2
+                np.multiply(g_rows, g_rows, out=a)
+                a *= 1.0 - self.beta2
+                v += a
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                value -= a
+
+
+def _row_size(arr):
+    """Elements per index of the first axis, at least 1 (a 0-d array is one row)."""
+    return max(1, arr.size // arr.shape[0]) if arr.ndim and arr.shape[0] else 1
 
 
 def couple_l2(params, l2: float, exclude=()):
-    """Apply the L2 penalty as grad += l2 * param, then reject non-finite grads."""
+    """Apply the L2 penalty as grad += l2 * param in place, then reject
+    non-finite grads."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)
         if l2 and p.name not in exclude:
-            p.grad = p.grad + l2 * p.value
+            p.grad += l2 * p.value
         if not np.all(np.isfinite(p.grad)):
             raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
 
@@ -162,7 +197,7 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
             batch = collate([train_packs[i] for i in idxs])
             model.params.zero_grads()
             out = model.forward(batch, train_mode=True, rng=rng)
-            loss = model.loss(out.probs, batch.labels)
+            loss = model.loss(out.logits, batch.labels)
             ad.backward(loss)
             couple_l2(model.params.trainable(), train_cfg.l2, train_cfg.l2_exclude)
             optimizer.step(lr)

@@ -214,6 +214,66 @@ class TestGradcheck:
                 ad.gradcheck(lambda x: ad.sum_all(ad.log(x)), np.array([0.0, 1.0]))
 
 
+def _logsumexp(v):
+    top = v.max()
+    return top + np.log(np.exp(v - top).sum())
+
+
+def _softmax_loss_reference(z, labels, mode):
+    """Row by row in float64: -log p_y, plus for `binary` each miss term
+    log(1 - p_j) = logsumexp(z without j) - logsumexp(z)."""
+    out = []
+    for row, y in zip(z, labels):
+        lse = _logsumexp(row)
+        loss = lse - row[y]
+        if mode == "binary":
+            loss -= sum(_logsumexp(np.delete(row, j)) - lse for j in range(row.size) if j != y)
+        out.append(loss)
+    return np.array(out)
+
+
+def _softmax_loss_inputs(lead):
+    """Random logits (6, 9); with `lead`, each row's top logit leads the rest
+    by that much, on the label in rows 0-2 and off it in rows 3-5."""
+    rng = np.random.default_rng(17)
+    z = rng.normal(size=(6, 9))
+    labels = np.array([0, 4, 8, 1, 5, 8])
+    if lead:
+        top = np.array([0, 4, 8, 2, 7, 0])
+        z[np.arange(6), top] = z.max(axis=1) + lead
+    return z, labels
+
+
+class TestSoftmaxLoss:
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("lead", [0.0, 20.0])
+    def test_matches_log_softmax_reference(self, mode, lead):
+        z, labels = _softmax_loss_inputs(lead)
+        got = ad.softmax_loss(ad.constant(z), labels, mode).value
+        assert np.allclose(got, _softmax_loss_reference(z, labels, mode), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("lead", [0.0, 20.0])
+    def test_gradcheck(self, mode, lead):
+        z, labels = _softmax_loss_inputs(lead)
+        w = np.linspace(0.5, 2.0, labels.size)  # distinct upstream gradient per row
+        f = lambda x: ad.sum_all(ad.mul(ad.softmax_loss(x, labels, mode), w))
+        assert ad.gradcheck(f, z) < 1e-8
+
+    def test_categorical_gradient_is_p_minus_onehot(self):
+        z, labels = _softmax_loss_inputs(0.0)
+        x = t(z)
+        ad.backward(ad.sum_all(ad.softmax_loss(x, labels, "categorical")))
+        onehot = np.eye(z.shape[1])[labels]
+        assert np.allclose(x.grad, ad.softmax(t(z)).value - onehot, atol=1e-15)
+
+    def test_rejects_unknown_mode_and_bad_shapes(self):
+        with pytest.raises(ValueError, match="mode"):
+            ad.softmax_loss(t(np.zeros((2, 3))), np.array([0, 1]), "hinge")
+        with pytest.raises(ad.ShapeError):
+            ad.softmax_loss(t(np.zeros((2, 3))), np.array([0]), "binary")
+
+
 class TestDeterminism:
     def test_forward_and_gradients_bit_identical_across_runs(self):
         def run():

@@ -411,72 +411,73 @@ class TestPredictAndLoss:
         model = make_model(3, embedding_dim=2, k_hops=0)
         emb = model.params["item_embeddings"]
         emb.value[1:] = [0.4, -0.7]
-        probs, _ = model.predict(ad.constant(np.array([[0.3, 0.9]])))
+        probs = ad.softmax(model.predict(ad.constant(np.array([[0.3, 0.9]]))))
         assert np.allclose(probs.value[0], [1 / 3] * 3, atol=1e-12)
 
     def test_zero_session_vector_uniform(self):
         model = make_model(4, embedding_dim=3, k_hops=0)
-        probs, _ = model.predict(ad.constant(np.zeros((1, 3))))
+        probs = ad.softmax(model.predict(ad.constant(np.zeros((1, 3)))))
         assert np.allclose(probs.value[0], 0.25, atol=1e-12)
 
     def test_hand_set_logits_desk_softmax(self):
         model = make_model(3, embedding_dim=1, k_hops=0)
         emb = model.params["item_embeddings"]
         emb.value[1:] = [[1.0], [0.0], [-1.0]]
-        probs, logits = model.predict(ad.constant(np.array([[1.0]])))
+        logits = model.predict(ad.constant(np.array([[1.0]])))
+        probs = ad.softmax(logits)
         assert np.allclose(logits.value[0], [1.0, 0.0, -1.0])
         assert np.allclose(probs.value[0], [0.6652, 0.2447, 0.0900], atol=1e-4)
 
     def test_probabilities_sum_to_one_and_interior(self):
         model = make_model(30, embedding_dim=8, k_hops=0, seed=12)
         rng = np.random.default_rng(0)
-        probs, _ = model.predict(ad.constant(rng.normal(size=(6, 8))))
+        probs = ad.softmax(model.predict(ad.constant(rng.normal(size=(6, 8)))))
         assert np.allclose(probs.value.sum(-1), 1.0, atol=1e-6)
         assert np.all((probs.value > 0) & (probs.value < 1))
 
     def test_ranking_invariance_under_logit_shift(self):
         model = make_model(25, embedding_dim=6, k_hops=0, seed=13)
         rng = np.random.default_rng(1)
-        _, logits = model.predict(ad.constant(rng.normal(size=(3, 6))))
+        logits = model.predict(ad.constant(rng.normal(size=(3, 6))))
         base = ad.softmax(logits, axis=-1).value
         shifted = ad.softmax(ad.add(logits, 7.5), axis=-1).value
         assert np.array_equal(np.argsort(-base, axis=-1), np.argsort(-shifted, axis=-1))
 
     def test_loss_zero_on_exact_onehot(self):
         model = make_model(4, embedding_dim=2, k_hops=0)
-        probs = ad.constant(np.array([[0.0, 1.0, 0.0, 0.0]]))
-        assert abs(model.loss(probs, [2]).item()) < 1e-6
+        logits = ad.constant(np.array([[-1e3, 0.0, -1e3, -1e3]]))
+        assert abs(model.loss(logits, [2]).item()) < 1e-6
 
     def test_binary_loss_uniform_two_items(self):
         model = make_model(2, embedding_dim=2, k_hops=0)
-        probs = ad.constant(np.array([[0.5, 0.5]]))
+        logits = ad.constant(np.log([[0.5, 0.5]]))
         for label in (1, 2):
-            assert np.isclose(model.loss(probs, [label]).item(), 2 * math.log(2), atol=1e-9)
+            assert np.isclose(model.loss(logits, [label]).item(), 2 * math.log(2), atol=1e-9)
 
     def test_categorical_loss_uniform(self):
         m = 7
         model = make_model(m, embedding_dim=2, k_hops=0, loss_mode="categorical")
-        probs = ad.constant(np.full((1, m), 1.0 / m))
-        assert np.isclose(model.loss(probs, [3]).item(), math.log(m), atol=1e-9)
+        logits = ad.constant(np.log(np.full((1, m), 1.0 / m)))
+        assert np.isclose(model.loss(logits, [3]).item(), math.log(m), atol=1e-9)
 
     def test_single_vector_loss_accepted(self):
         model = make_model(3, embedding_dim=2, k_hops=0)
-        probs = ad.constant(np.array([0.2, 0.5, 0.3]))
-        assert model.loss(probs, 2).item() > 0
+        logits = ad.constant(np.log([0.2, 0.5, 0.3]))
+        assert model.loss(logits, 2).item() > 0
 
     def test_nonfinite_loss_rejected(self):
         model = make_model(2, embedding_dim=2, k_hops=0)
-        probs = ad.constant(np.array([[np.nan, 0.5]]))
+        logits = ad.constant(np.array([[np.nan, math.log(0.5)]]))
         with pytest.raises(FloatingPointError):
-            model.loss(probs, [1])
+            model.loss(logits, [1])
 
     def test_bad_label_rejected(self):
         model = make_model(3, embedding_dim=2, k_hops=0)
-        probs = ad.constant(np.full((1, 3), 1 / 3))
+        logits = ad.constant(np.log(np.full((1, 3), 1 / 3)))
         with pytest.raises(ValueError):
-            model.loss(probs, [0])
+            model.loss(logits, [0])
         with pytest.raises(ValueError):
-            model.loss(probs, [4])
+            model.loss(logits, [4])
 
 
 class TestWholeModel:
@@ -547,10 +548,33 @@ class TestWholeModel:
             model = NextItemModel(m, 4, cfg, seed=2)
             out = model.forward(batch)
             assert out.probs.value.dtype == np.float32
-            loss = model.loss(out.probs, batch.labels)
+            loss = model.loss(out.logits, batch.labels)
             assert loss.value.dtype == np.float32
             ad.backward(loss)
             assert model.params["item_embeddings"].grad.dtype == np.float32
+
+    def test_single_precision_trains_through_saturated_softmax(self):
+        # the top logit leads every other by 50, so 1 - p_top rounds to 0 in
+        # float32; binary loss and gradients must stay finite whether or not
+        # the top item is the label
+        model = make_model(6, embedding_dim=4, k_hops=0, precision="single", seed=5)
+        prefix, top = (1, 2, 3), 6  # the top item is outside the session
+        s = model.forward(single_batch(prefix, 1, None, 0)).session_vec.value[0]
+        emb = model.params["item_embeddings"].value
+        emb[top] = s * ((emb[1:top] @ s).max() + 50) / (s @ s)
+        for label in (top, 1):
+            model.params.zero_grads()
+            batch = single_batch(prefix, label, None, 0)
+            out = model.forward(batch)
+            z = out.logits.value[0]
+            assert z.dtype == np.float32
+            assert abs(z[top - 1] - np.delete(z, top - 1).max() - 50) < 1e-3
+            assert out.probs.value[0, top - 1] == 1.0
+            loss = model.loss(out.logits, batch.labels)
+            ad.backward(loss)
+            assert np.isfinite(loss.value)
+            for p in model.params.trainable():
+                assert np.all(np.isfinite(p.grad)), p.name
 
 
 class TestCheckpoint:

@@ -59,6 +59,49 @@ class TestAdam:
         assert all(opt.m[p.name].shape == p.value.shape for p in params)
 
 
+def reference_adam_step(value, m, v, g, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's update as the allocating formula it replaced, for comparison."""
+    m = m * beta1
+    m += (1.0 - beta1) * g
+    v = v * beta2
+    v += (1.0 - beta2) * (g * g)
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    return value - lr * (m / bc1) / (np.sqrt(v / bc2) + eps), m, v
+
+
+class TestInPlaceAdam:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference_bit_for_bit(self, dtype):
+        # "table" and "vec" span several scratch blocks, with a short last block
+        rng = np.random.default_rng(4)
+        store = ad.ParameterStore()
+        params = [store.register(name, rng.normal(size=shape).astype(dtype))
+                  for name, shape in (("table", (301, 250)), ("vec", (40000,)), ("mat", (2, 2)),
+                                      ("scalar", ()))]
+        ref = {p.name: (p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params}
+        values = [p.value for p in params]
+        opt = Adam(params)
+        for t in range(1, 4):
+            for p in params:
+                p.grad = rng.normal(size=p.value.shape).astype(dtype)
+            expected_grads = {p.name: p.grad + 1e-2 * p.value for p in params}
+            grads = [p.grad for p in params]
+            couple_l2(params, 1e-2)
+            for p, g in zip(params, grads):
+                assert p.grad is g  # coupled in place
+                assert np.array_equal(p.grad, expected_grads[p.name])
+            opt.step(0.01)
+            for p in params:
+                value, m, v = reference_adam_step(*ref[p.name], expected_grads[p.name], 0.01, t)
+                ref[p.name] = (value, m, v)
+                assert p.value.dtype == dtype
+                assert np.array_equal(p.value, value)
+                assert np.array_equal(opt.m[p.name], m)
+                assert np.array_equal(opt.v[p.name], v)
+        assert all(p.value is arr for p, arr in zip(params, values))  # updated in place
+
+
 class TestSchedule:
     def test_decay_at_epoch_three(self):
         cfg = TrainConfig(lr=0.001, lr_decay_factor=0.1, lr_decay_every=3)
