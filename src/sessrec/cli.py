@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, dump_config, load_config
-from .corpus import (CorpusError, build_examples, filter_corpus, parse_sessions,
+from .corpus import (TEST, CorpusError, build_examples, filter_corpus, parse_sessions,
                      read_events, read_examples, read_sessions, temporal_split,
                      write_examples, write_sessions, write_vocab)
 from .evaluation import evaluate_model, render_table, rows_to_jsonl, run_ablations
@@ -91,35 +91,38 @@ def _echo_config(stage_dir: Path, cfg: RunConfig):
 def cmd_preprocess(cfg: RunConfig, work_dir: Path) -> int:
     if not cfg.paths.events:
         raise StageError("preprocess needs an events file (--events or paths.events)")
+    events_path = Path(cfg.paths.events)
+    try:
+        text = events_path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise StageError(f"cannot read events file {events_path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise StageError(f"events file {events_path} is not UTF-8 text") from None
     out = _stage_dir(work_dir, "corpus")
-    with open(cfg.paths.events) as f:
-        events = read_events(f, delimiter=cfg.corpus.delimiter)
-    corpus = parse_sessions(events)
+    corpus = parse_sessions(read_events(text.split("\n"), delimiter=cfg.corpus.delimiter))
     filtered = filter_corpus(corpus, cfg.corpus.min_item_freq, cfg.corpus.min_session_len)
     train, test = temporal_split(filtered, int(cfg.corpus.test_window_days * 86400))
     examples = build_examples(train, test, cfg.corpus.validation_fraction, cfg.seed)
 
     sessions_path = out / "sessions.tsv"
-    sessions_path.write_text("")
-    write_sessions(sessions_path, train, "train")
-    write_sessions(sessions_path, test, "test")
+    write_sessions(sessions_path, train, test)
     write_examples(out / "examples.tsv", examples)
-    write_vocab(out / "vocab.tsv", train.vocab)
+    write_vocab(out / "vocab.tsv", train.item_ids)
 
-    all_sessions = train.sessions + test.sessions
+    clicks, num_test = len(train.items) + len(test.items), int(np.count_nonzero(examples.split == TEST))
     meta = {
         "num_items": train.num_items,
-        "max_prefix_len": max(len(e.prefix) for e in examples),
-        "num_clicks": sum(len(s.items) for s in all_sessions),
-        "num_train_examples": sum(1 for e in examples if e.split in ("train", "validation")),
-        "num_test_examples": sum(1 for e in examples if e.split == "test"),
-        "num_train_sessions": len(train.sessions),
-        "num_test_sessions": len(test.sessions),
-        "avg_session_len": round(sum(len(s.items) for s in all_sessions) / len(all_sessions), 4),
+        "max_prefix_len": int(examples.length.max()),
+        "num_clicks": clicks,
+        "num_train_examples": len(examples.split) - num_test,
+        "num_test_examples": num_test,
+        "num_train_sessions": len(train.keys),
+        "num_test_sessions": len(test.keys),
+        "avg_session_len": round(clicks / (len(train.keys) + len(test.keys)), 4),
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     _echo_config(out, cfg)
-    write_manifest(out, "preprocess", cfg.fingerprint(), [Path(cfg.paths.events)],
+    write_manifest(out, "preprocess", cfg.fingerprint(), [events_path],
                    [sessions_path, out / "examples.tsv", out / "vocab.tsv", out / "meta.json"])
     print(f"preprocess: {meta['num_train_examples']} train + {meta['num_test_examples']} test examples, "
           f"{meta['num_items']} items -> {out}")
@@ -131,9 +134,8 @@ def cmd_build_graph(cfg: RunConfig, work_dir: Path) -> int:
     out = _stage_dir(work_dir, "graphs")
     corpus_dir = work_dir / "corpus"
     meta = json.loads((corpus_dir / "meta.json").read_text())
-    train_sessions = read_sessions(corpus_dir / "sessions.tsv", "train")
-    graph = build_global_graph([s.items for s in train_sessions], cfg.graph.epsilon,
-                               cfg.graph.top_n, num_items=meta["num_items"])
+    offsets, items = read_sessions(corpus_dir / "sessions.tsv", "train")
+    graph = build_global_graph(offsets, items, cfg.graph.epsilon, cfg.graph.top_n, meta["num_items"])
     graph_path = out / "global_graph.tsv"
     write_global_graph(graph_path, graph)
     _echo_config(out, cfg)
@@ -145,14 +147,19 @@ def cmd_build_graph(cfg: RunConfig, work_dir: Path) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
+def _model_inputs(work_dir: Path):
+    """Check the preprocess and build-graph stages; read meta, examples and graph."""
     verify_upstream(work_dir, "preprocess")
     verify_upstream(work_dir, "build-graph")
+    corpus_dir = work_dir / "corpus"
+    return (json.loads((corpus_dir / "meta.json").read_text()), read_examples(corpus_dir / "examples.tsv"),
+            read_global_graph(work_dir / "graphs" / "global_graph.tsv"))
+
+
+def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
+    meta, examples, graph = _model_inputs(work_dir)
     out = _stage_dir(work_dir, "checkpoints")
     corpus_dir = work_dir / "corpus"
-    meta = json.loads((corpus_dir / "meta.json").read_text())
-    examples = read_examples(corpus_dir / "examples.tsv")
-    graph = read_global_graph(work_dir / "graphs" / "global_graph.tsv")
 
     log_lines = ["epoch\tlr_effective\ttrain_loss\tval_P@20\tval_MRR@20\tseconds"]
 
@@ -175,8 +182,7 @@ def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
-    verify_upstream(work_dir, "preprocess")
-    verify_upstream(work_dir, "build-graph")
+    meta, examples, graph = _model_inputs(work_dir)
     ckpt_path = Path(cfg.paths.checkpoint) if cfg.paths.checkpoint else work_dir / "checkpoints" / "model.ckpt"
     if not cfg.paths.checkpoint:
         verify_upstream(work_dir, "train")
@@ -184,13 +190,11 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
         raise StageError(f"checkpoint {ckpt_path} does not exist")
     out = _stage_dir(work_dir, "reports")
     corpus_dir = work_dir / "corpus"
-    examples = [e for e in read_examples(corpus_dir / "examples.tsv") if e.split == "test"]
-    graph = read_global_graph(work_dir / "graphs" / "global_graph.tsv")
+    examples = [e for e in examples if e.split == "test"]
     try:
         model = load_checkpoint(ckpt_path)
     except ValueError as exc:
         raise StageError(str(exc)) from None
-    meta = json.loads((corpus_dir / "meta.json").read_text())
     if model.num_items != meta["num_items"]:
         raise StageError(f"checkpoint {ckpt_path} scores {model.num_items} items but the corpus has "
                          f"{meta['num_items']}; evaluate it against the corpus it was trained on")
@@ -227,13 +231,9 @@ ABLATION_GRIDS = {
 
 
 def cmd_ablate(cfg: RunConfig, work_dir: Path, grid_name: str, fmt: str) -> int:
-    verify_upstream(work_dir, "preprocess")
-    verify_upstream(work_dir, "build-graph")
+    meta, examples, graph = _model_inputs(work_dir)
     out = _stage_dir(work_dir, "reports")
     corpus_dir = work_dir / "corpus"
-    meta = json.loads((corpus_dir / "meta.json").read_text())
-    examples = read_examples(corpus_dir / "examples.tsv")
-    graph = read_global_graph(work_dir / "graphs" / "global_graph.tsv")
     grid = ABLATION_GRIDS[grid_name]
     rows = run_ablations(examples, meta["num_items"], meta["max_prefix_len"], graph,
                          cfg.model, cfg.train, grid, fingerprint=cfg.fingerprint(), log=print)

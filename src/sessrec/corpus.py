@@ -1,57 +1,46 @@
 """Clickstream ingestion: parse, filter, split and augment session logs.
 
-The pipeline is parse -> filter -> temporal split -> sequence splitting.
-Items are mapped to a dense vocabulary of indices 1..m (0 is reserved for
-padding everywhere downstream).
+The pipeline is read -> parse -> filter -> temporal split -> prefix
+augmentation, each step on columnar arrays.  Items are mapped to a dense
+vocabulary of indices 1..m (0 is reserved for padding everywhere
+downstream).  A `SessionCorpus` holds its sessions in CSR form, and an
+`ExampleTable` names each example by session row and prefix length;
+`write_examples` cuts the prefixes out of the sessions' text.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, replace
+from itertools import compress, repeat
+
+import numpy as np
 
 SECONDS_PER_DAY = 86400
+SPLITS = ("train", "validation", "test")  # ExampleTable.split codes
+TRAIN, VALIDATION, TEST = range(3)
 
 
 class CorpusError(ValueError):
     """Raised for malformed input or degenerate corpora."""
 
 
-@dataclass(frozen=True)
-class RawEvent:
-    session_id: str
-    item_id: str
-    timestamp: int
-
-    def __post_init__(self):
-        if not self.session_id or not self.item_id:
-            raise CorpusError("event fields must be non-empty")
-        if self.timestamp < 0:
-            raise CorpusError(f"negative timestamp {self.timestamp}")
-
-
-@dataclass
-class Session:
-    key: str
-    items: list[int]
-    last_timestamp: int
-
-
 @dataclass
 class SessionCorpus:
-    sessions: list[Session] = field(default_factory=list)
-    vocab: dict[str, int] = field(default_factory=dict)  # raw item id -> dense index
+    keys: np.ndarray        # (S,) raw session ids (object)
+    offsets: np.ndarray     # (S + 1,) session r is items[offsets[r]:offsets[r + 1]], in time order
+    items: np.ndarray       # (offsets[-1],) int64 item indices 1..m
+    last_ts: np.ndarray     # (S,) latest timestamp of the session's raw events, kept through filtering
+    item_ids: np.ndarray    # (m,) raw id of item i at [i - 1] (object)
 
     @property
     def num_items(self) -> int:
-        return len(self.vocab)
+        return len(self.item_ids)
 
-    @property
-    def num_clicks(self) -> int:
-        return sum(len(s.items) for s in self.sessions)
-
-    def inverse_vocab(self) -> dict[int, str]:
-        return {idx: raw for raw, idx in self.vocab.items()}
+    def event_rows(self) -> np.ndarray:
+        """Session row of each entry of `items`."""
+        return np.repeat(np.arange(len(self.keys)), np.diff(self.offsets))
 
 
 @dataclass(frozen=True)
@@ -67,69 +56,110 @@ class Example:
             raise CorpusError("example label must be a real item index")
 
 
-def read_events(lines, delimiter=None):
-    """Parse delimiter-separated event lines into RawEvents.
+@dataclass
+class ExampleTable:
+    """Example j is the first `length[j]` items of session `row[j]` of `train`
+    (splits train and validation, listed first) or `test`, labelled with the next item."""
+    train: SessionCorpus
+    test: SessionCorpus
+    row: np.ndarray
+    length: np.ndarray
+    split: np.ndarray       # codes into SPLITS
 
-    Lines are `session_id<sep>item_id<sep>timestamp`.  A header line is
-    auto-detected (non-integer timestamp field on line 1).  Malformed lines
-    raise CorpusError naming the line number.
+
+def _ints(strings) -> list:
+    """int() of each string, up to the first one it rejects."""
+    out = []
+    with suppress(ValueError):
+        out.extend(map(int, strings))
+    return out
+
+
+def read_events(lines, delimiter=None):
+    """Parse `session_id<sep>item_id<sep>timestamp` lines into the columns
+    (session ids, item ids, int64 timestamps).
+
+    Without a delimiter each line uses tab if it has one, else comma.  Blank
+    lines are skipped, fields are stripped, and a header line is
+    auto-detected (non-integer timestamp field on line 1).  The first
+    malformed line raises a CorpusError naming its line number.
     """
-    events = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        sep = delimiter
-        if sep is None:
-            sep = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in line.split(sep)]
-        if len(parts) != 3:
-            raise CorpusError(f"line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            ts = int(parts[2])
-        except ValueError:
-            if lineno == 1:
-                continue  # header
-            raise CorpusError(f"line {lineno}: bad timestamp {parts[2]!r}") from None
-        try:
-            events.append(RawEvent(parts[0], parts[1], ts))
-        except CorpusError as e:
-            raise CorpusError(f"line {lineno}: {e}") from None
-    return events
+    lines = [line.rstrip("\n") for line in lines]
+    nonblank = list(map(bool, map(str.strip, lines)))
+    rows = list(compress(lines, nonblank))
+    header = bool(lines) and nonblank[0]  # line 1 may be a header
+    sep = "," if delimiter is None else delimiter
+    if delimiter is None and any("\t" in row for row in rows):
+        rows, sep = [row.replace("\t" if "\t" in row else ",", "\n") for row in rows], "\n"
+    counts = np.fromiter(map(str.count, rows, repeat(sep)), dtype=np.int64, count=len(rows)) + 1
+    wrong = np.flatnonzero(counts != 3)
+    n = int(wrong[0]) if len(wrong) else len(rows)  # rows [0, n) have three fields
+    text = "\n".join(rows[:n]).replace(sep, "\n")  # the fields, one per line: no row holds a break
+    del rows
+    fields = text.split("\n") if n else []
+    del text
+    sessions, items, stamps = (list(map(str.strip, fields[k::3])) for k in range(3))
+    del fields
+    first = int(header and n > 0 and not _ints(stamps[:1]))  # rows [first, n) are events
+    ts = _ints(stamps[first:])
+    if ts and not -2**63 <= min(ts) <= max(ts) < 2**63:  # beyond int64: a bad timestamp
+        ts = ts[:next(k for k, t in enumerate(ts) if not -2**63 <= t < 2**63)]
+    timestamps = np.array(ts, dtype=np.int64)
+
+    problems = []  # (row, message): the earliest row wins, then list order
+    if first + len(ts) < n:
+        problems.append((first + len(ts), f"bad timestamp {stamps[first + len(ts)]!r}"))
+    problems += [(col.index("", first), "event fields must be non-empty")
+                 for col in (sessions, items) if "" in col[first:]]
+    negative = np.flatnonzero(timestamps < 0)
+    if len(negative):
+        problems.append((first + negative[0], f"negative timestamp {timestamps[negative[0]]}"))
+    if n < len(counts):
+        problems.append((n, f"expected 3 fields, got {counts[n]}"))
+    if problems:
+        row, message = min(problems, key=lambda p: p[0])
+        raise CorpusError(f"line {list(compress(range(1, len(nonblank) + 1), nonblank))[row]}: {message}")
+    return sessions[first:], items[first:], timestamps
+
+
+def _factorize(values):
+    """Codes 0.. in first-seen order, and the distinct values in that order."""
+    index = dict.fromkeys(values)
+    for code, value in enumerate(index):
+        index[value] = code
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+    return codes, np.array(list(index), dtype=object)
 
 
 def parse_sessions(events) -> SessionCorpus:
-    """Group events by session, sort within sessions by timestamp (stable),
-    and assign vocabulary indices in first-seen stream order."""
-    vocab: dict[str, int] = {}
-    grouped: dict[str, list[tuple[int, int]]] = {}
-    order: list[str] = []
-    for ev in events:
-        if not isinstance(ev, RawEvent):
-            ev = RawEvent(*ev)
-        if ev.item_id not in vocab:
-            vocab[ev.item_id] = len(vocab) + 1
-        if ev.session_id not in grouped:
-            grouped[ev.session_id] = []
-            order.append(ev.session_id)
-        grouped[ev.session_id].append((ev.timestamp, vocab[ev.item_id]))
-    sessions = []
-    for key in order:
-        evs = sorted(grouped[key], key=lambda t: t[0])  # stable: ties keep input order
-        sessions.append(Session(key, [idx for _, idx in evs], max(t for t, _ in evs)))
-    return SessionCorpus(sessions, vocab)
+    """Group `read_events` columns by session in first-seen order, sort each
+    session by timestamp (stable: ties keep input order), and index items in
+    first-seen stream order."""
+    sessions, items, timestamps = events
+    session, keys = _factorize(sessions)
+    item, item_ids = _factorize(items)
+    order = np.lexsort((timestamps, session))
+    offsets = np.r_[0, np.cumsum(np.bincount(session, minlength=len(keys)))]
+    return SessionCorpus(keys, offsets, item[order] + 1, timestamps[order][offsets[1:] - 1], item_ids)
 
 
-def _redensify(sessions: list[Session], old_inverse: dict[int, str]) -> SessionCorpus:
-    """Rebuild a dense vocabulary (preserving old index order) over the items
-    that actually occur in `sessions`."""
-    used = set()
-    for s in sessions:
-        used.update(s.items)
-    remap = {old: new + 1 for new, old in enumerate(sorted(used))}
-    vocab = {old_inverse[old]: new for old, new in remap.items()}
-    out_sessions = [Session(s.key, [remap[i] for i in s.items], s.last_timestamp) for s in sessions]
-    return SessionCorpus(out_sessions, vocab)
+def _keep(corpus: SessionCorpus, event_keep, min_len: int, items=None) -> SessionCorpus:
+    """`corpus` cut to the events in `event_keep` and then to the sessions
+    with at least `min_len` of them; `items` replaces the item indices."""
+    rows = corpus.event_rows()
+    lengths = np.bincount(rows[event_keep], minlength=len(corpus.keys))
+    keep = lengths >= min_len
+    items = corpus.items if items is None else items
+    return SessionCorpus(corpus.keys[keep], np.r_[0, np.cumsum(lengths[keep])],
+                         items[event_keep & keep[rows]], corpus.last_ts[keep], corpus.item_ids)
+
+
+def _densify(corpus: SessionCorpus):
+    """Old index -> new index (0: unused) over the items `corpus` uses, in
+    old index order, and the raw ids of the new vocabulary."""
+    used = np.zeros(corpus.num_items + 1, dtype=bool)
+    used[corpus.items] = True
+    return np.where(used, np.cumsum(used), 0), corpus.item_ids[used[1:]]
 
 
 def filter_corpus(corpus: SessionCorpus, min_item_freq: int = 5, min_session_len: int = 2) -> SessionCorpus:
@@ -137,19 +167,12 @@ def filter_corpus(corpus: SessionCorpus, min_item_freq: int = 5, min_session_len
 
     One pass each, in that order (not iterated to a fixpoint).
     """
-    freq: dict[int, int] = {}
-    for s in corpus.sessions:
-        for i in s.items:
-            freq[i] = freq.get(i, 0) + 1
-    keep_items = {i for i, c in freq.items() if c >= min_item_freq}
-    filtered = []
-    for s in corpus.sessions:
-        items = [i for i in s.items if i in keep_items]
-        if len(items) >= min_session_len:
-            filtered.append(Session(s.key, items, s.last_timestamp))
-    if not filtered:
+    freq = np.bincount(corpus.items, minlength=corpus.num_items + 1)
+    filtered = _keep(corpus, freq[corpus.items] >= min_item_freq, min_session_len)
+    if not len(filtered.keys):
         raise CorpusError("corpus is empty after filtering")
-    return _redensify(filtered, corpus.inverse_vocab())
+    index, item_ids = _densify(filtered)
+    return replace(filtered, items=index[filtered.items], item_ids=item_ids)
 
 
 def temporal_split(corpus: SessionCorpus, test_window: int = 7 * SECONDS_PER_DAY):
@@ -160,95 +183,92 @@ def temporal_split(corpus: SessionCorpus, test_window: int = 7 * SECONDS_PER_DAY
     shorter than 2 are dropped.  Both partitions are re-indexed against the
     train vocabulary.
     """
-    if not corpus.sessions:
+    if not len(corpus.keys):
         raise CorpusError("cannot split an empty corpus")
-    boundary = max(s.last_timestamp for s in corpus.sessions) - test_window
-    train_sessions = [s for s in corpus.sessions if s.last_timestamp <= boundary]
-    test_sessions = [s for s in corpus.sessions if s.last_timestamp > boundary]
-    if not train_sessions:
+    is_train = (corpus.last_ts <= corpus.last_ts.max() - test_window)[corpus.event_rows()]
+    if not is_train.any():
         raise CorpusError("temporal split produced an empty train partition")
-    if not test_sessions:
+    if is_train.all():
         raise CorpusError("temporal split produced an empty test partition")
-
-    inverse = corpus.inverse_vocab()
-    train = _redensify(train_sessions, inverse)
-    # remap test sessions through the train vocabulary, dropping unseen items
-    old_to_new = {}
-    for raw, new in train.vocab.items():
-        old_to_new[corpus.vocab[raw]] = new
-    remapped = []
-    for s in test_sessions:
-        items = [old_to_new[i] for i in s.items if i in old_to_new]
-        if len(items) >= 2:
-            remapped.append(Session(s.key, items, s.last_timestamp))
-    if not remapped:
+    index, item_ids = _densify(_keep(corpus, is_train, 1))
+    remapped = index[corpus.items]
+    train = replace(_keep(corpus, is_train, 1, remapped), item_ids=item_ids)
+    test = replace(_keep(corpus, ~is_train & (remapped > 0), 2, remapped), item_ids=item_ids)
+    if not len(test.keys):
         raise CorpusError("temporal split produced an empty test partition")
-    test = SessionCorpus(remapped, dict(train.vocab))
     return train, test
 
 
-def split_sequences(corpus: SessionCorpus):
-    """Sequence-splitting augmentation: a session [s1..sn] yields the n-1
-    pairs (prefix [s1..sk], label s(k+1)) for k = 1..n-1."""
-    pairs = []
-    for s in corpus.sessions:
-        for k in range(1, len(s.items)):
-            pairs.append((tuple(s.items[:k]), s.items[k]))
-    return pairs
+def _prefixes(corpus: SessionCorpus):
+    """(row, length) of the prefixes [s1..sk], k = 1..n-1, of each session [s1..sn]."""
+    counts = np.diff(corpus.offsets) - 1
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
 
 
-def build_examples(train: SessionCorpus, test: SessionCorpus, validation_fraction: float = 0.1, seed: int = 1):
+def build_examples(train: SessionCorpus, test: SessionCorpus, validation_fraction: float = 0.1,
+                   seed: int = 1) -> ExampleTable:
     """Augment both partitions and carve a seeded random validation subset
     out of the train examples."""
-    train_pairs = split_sequences(train)
-    test_pairs = split_sequences(test)
-    n_valid = int(len(train_pairs) * validation_fraction)
-    rng = random.Random(seed)
-    valid_idx = set(rng.sample(range(len(train_pairs)), n_valid)) if n_valid else set()
-    examples = [
-        Example(prefix, label, "validation" if i in valid_idx else "train")
-        for i, (prefix, label) in enumerate(train_pairs)
-    ]
-    examples.extend(Example(prefix, label, "test") for prefix, label in test_pairs)
-    return examples
+    (train_rows, train_lengths), (test_rows, test_lengths) = _prefixes(train), _prefixes(test)
+    split = np.repeat(np.array([TRAIN, TEST], dtype=np.int8), (len(train_rows), len(test_rows)))
+    n_valid = int(len(train_rows) * validation_fraction)
+    if n_valid:
+        split[random.Random(seed).sample(range(len(train_rows)), n_valid)] = VALIDATION
+    return ExampleTable(train, test, np.concatenate((train_rows, test_rows)),
+                        np.concatenate((train_lengths, test_lengths)), split)
 
 
 # -- artifact files -----------------------------------------------------------
 
 
-def write_examples(path, examples):
+def _text(corpus: SessionCorpus):
+    """The item indices as one space-joined string, each one's string, and
+    each one's start in the text (item k is text[start[k]:start[k + 1] - 1])."""
+    names = np.array([str(i) for i in range(corpus.num_items + 1)], dtype=object)
+    widths = np.fromiter(map(len, names), dtype=np.int64, count=len(names))
+    words = names[corpus.items]
+    return " ".join(words.tolist()), words, np.r_[0, np.cumsum(widths[corpus.items] + 1)]
+
+
+def write_examples(path, examples: ExampleTable):
+    """One `prefix\tlabel\tsplit` line per example, prefix items space-joined."""
     with open(path, "w") as f:
-        for ex in examples:
-            f.write(" ".join(str(i) for i in ex.prefix) + f"\t{ex.label}\t{ex.split}\n")
+        for corpus, part in ((examples.train, examples.split != TEST),
+                             (examples.test, examples.split == TEST)):
+            text, words, start = _text(corpus)
+            first = corpus.offsets[examples.row[part]]
+            end = first + examples.length[part]
+            f.writelines(f"{text[a:b]}\t{label}\t{SPLITS[code]}\n" for a, b, label, code in
+                         zip(start[first].tolist(), (start[end] - 1).tolist(), words[end].tolist(),
+                             examples.split[part].tolist()))
 
 
 def read_examples(path):
-    examples = []
     with open(path) as f:
-        for line in f:
-            prefix, label, split = line.rstrip("\n").split("\t")
-            examples.append(Example(tuple(int(i) for i in prefix.split(" ")), int(label), split))
-    return examples
+        return [Example(tuple(int(i) for i in prefix.split(" ")), int(label), split)
+                for prefix, label, split in (line.rstrip("\n").split("\t") for line in f)]
 
 
-def write_vocab(path, vocab):
+def write_vocab(path, item_ids):
     with open(path, "w") as f:
-        for raw, idx in sorted(vocab.items(), key=lambda kv: kv[1]):
-            f.write(f"{raw}\t{idx}\n")
+        f.writelines(f"{raw}\t{idx}\n" for idx, raw in enumerate(item_ids, start=1))
 
 
-def write_sessions(path, corpus: SessionCorpus, split_name: str):
-    with open(path, "a") as f:
-        for s in corpus.sessions:
-            seq = " ".join(str(i) for i in s.items)
-            f.write(f"{s.key}\t{seq}\t{s.last_timestamp}\t{split_name}\n")
+def write_sessions(path, train: SessionCorpus, test: SessionCorpus):
+    """One `key\titems\tlast_ts\tsplit` line per session, train then test."""
+    with open(path, "w") as f:
+        for corpus, split_name in ((train, "train"), (test, "test")):
+            text, _words, start = _text(corpus)
+            f.writelines(f"{key}\t{text[a:b]}\t{ts}\t{split_name}\n" for key, a, b, ts in
+                         zip(corpus.keys.tolist(), start[corpus.offsets[:-1]].tolist(),
+                             (start[corpus.offsets[1:]] - 1).tolist(), corpus.last_ts.tolist()))
 
 
-def read_sessions(path, split_name=None):
-    sessions = []
+def read_sessions(path, split_name):
+    """CSR (offsets, items) of the sessions of one split in a sessions file."""
     with open(path) as f:
-        for line in f:
-            key, seq, ts, split = line.rstrip("\n").split("\t")
-            if split_name is None or split == split_name:
-                sessions.append(Session(key, [int(i) for i in seq.split(" ")], int(ts)))
-    return sessions
+        fields = f.read().replace("\n", "\t").split("\t")[:-1]  # four per line
+    seqs = [seq for seq, split in zip(fields[1::4], fields[3::4]) if split == split_name]
+    lengths = np.fromiter(map(str.count, seqs, repeat(" ")), dtype=np.int64, count=len(seqs)) + 1
+    return np.r_[0, np.cumsum(lengths)], np.fromstring(" ".join(seqs), dtype=np.int64, sep=" ")

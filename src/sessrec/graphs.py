@@ -6,12 +6,14 @@ relations (incoming, outgoing, bidirectional, self).  The global graph is
 undirected and weighted: for every session, every unordered item pair at
 sequence distance <= epsilon counts once per occurrence, and each node keeps
 only its `top_n` heaviest neighbors (ties broken by ascending item index).
+It is built on arrays from the training sessions in CSR form (`offsets`,
+`items`); `GlobalGraph` keeps the pruned (neighbor, weight) lists per item.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -64,22 +66,6 @@ def build_session_graph(sequence) -> SessionGraph:
     return SessionGraph(nodes, alias, rel)
 
 
-def session_transitions(graph: SessionGraph):
-    """Recover the set of directed transitions encoded in the relations."""
-    out = set()
-    n = graph.num_nodes
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            r = graph.rel[i, j]
-            if r == REL_OUT or r == REL_INOUT:
-                out.add((i, j))
-            elif r == REL_IN:
-                out.add((j, i))
-    return out
-
-
 @dataclass
 class GlobalGraph:
     neighbors_map: dict[int, list[tuple[int, int]]]  # item -> [(neighbor, weight)], pruned
@@ -94,66 +80,60 @@ class GlobalGraph:
         return list(self.neighbors_map.get(item, ()))
 
 
-def cooccurrence_weights(sequences, epsilon: int) -> Counter:
-    """Symmetric pair weights: each (position, offset<=epsilon) occurrence of an
-    unordered item pair adds one.  Pairs of an item with itself are skipped."""
-    weights: Counter = Counter()
-    for seq in sequences:
-        n = len(seq)
-        for i in range(n):
-            for dj in range(1, epsilon + 1):
-                j = i + dj
-                if j >= n:
-                    break
-                a, b = seq[i], seq[j]
-                if a == b:
-                    continue
-                weights[(min(a, b), max(a, b))] += 1
-    return weights
+def csr(sequences):
+    """(offsets, items) of item sequences: sequence r is items[offsets[r]:offsets[r + 1]]."""
+    offsets = np.r_[0, np.cumsum([len(seq) for seq in sequences], dtype=np.int64)]
+    return offsets, np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=offsets[-1])
 
 
-def build_global_graph(corpus_or_sequences, epsilon: int = 3, top_n: int = 12, num_items=None) -> GlobalGraph:
-    """Build the pruned co-occurrence graph from training sessions only."""
-    if hasattr(corpus_or_sequences, "sessions"):
-        sequences = [s.items for s in corpus_or_sequences.sessions]
-        if num_items is None:
-            num_items = corpus_or_sequences.num_items
-    else:
-        sequences = list(corpus_or_sequences)
-        if num_items is None:
-            num_items = max((max(seq) for seq in sequences if seq), default=0)
-    weights = cooccurrence_weights(sequences, epsilon)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), w in weights.items():
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
-    pruned = {}
-    for item, nbrs in adj.items():
-        nbrs.sort(key=lambda nw: (-nw[1], nw[0]))
-        pruned[item] = nbrs[:top_n]
-    return GlobalGraph(pruned, num_items, epsilon, top_n)
+def cooccurrence_weights(offsets, items, epsilon: int):
+    """Symmetric pair weights over sessions in CSR form: each (position, offset <= epsilon)
+    occurrence of an unordered pair of distinct items adds one.  Returns arrays
+    (a, b, weight) with a < b, ordered by (a, b)."""
+    session = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    base = int(items.max(initial=0)) + 1
+    keys = []
+    for d in range(1, epsilon + 1):
+        a, b = items[:-d], items[d:]
+        pair = (session[:-d] == session[d:]) & (a != b)
+        keys.append(np.minimum(a, b)[pair] * base + np.maximum(a, b)[pair])
+    pairs, weight = np.unique(np.concatenate(keys), return_counts=True)
+    return pairs // base, pairs % base, weight
+
+
+def _neighbors_map(item, nbr, weight):
+    """item -> [(neighbor, weight)] from entries grouped by item."""
+    starts = np.flatnonzero(np.diff(item, prepend=-1))
+    ends = np.r_[starts[1:], len(item)].tolist()
+    entries = list(zip(nbr.tolist(), weight.tolist()))
+    return {i: entries[a:b] for i, a, b in zip(item[starts].tolist(), starts.tolist(), ends)}
+
+
+def build_global_graph(offsets, items, epsilon: int, top_n: int, num_items: int) -> GlobalGraph:
+    """Build the pruned co-occurrence graph from training sessions in CSR
+    form: every pair counts for both its items, each item's neighbors are
+    ordered by (descending weight, ascending index) and cut at `top_n`."""
+    a, b, w = cooccurrence_weights(offsets, items, epsilon)
+    item, nbr, weight = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
+    order = np.lexsort((nbr, -weight, item))
+    item, nbr, weight = item[order], nbr[order], weight[order]
+    keep = np.arange(len(item)) - np.searchsorted(item, item) < top_n
+    return GlobalGraph(_neighbors_map(item[keep], nbr[keep], weight[keep]), num_items, epsilon, top_n)
 
 
 def write_global_graph(path, graph: GlobalGraph):
     """Line-delimited export `item\tneighbor\tweight`, sorted."""
     with open(path, "w") as f:
         f.write(f"# num_items={graph.num_items} epsilon={graph.epsilon} top_n={graph.top_n}\n")
-        for item in sorted(graph.neighbors_map):
-            for nbr, w in graph.neighbors_map[item]:
-                f.write(f"{item}\t{nbr}\t{w}\n")
+        f.writelines(f"{item}\t{nbr}\t{w}\n" for item in sorted(graph.neighbors_map)
+                     for nbr, w in graph.neighbors_map[item])
 
 
 def read_global_graph(path) -> GlobalGraph:
-    neighbors_map: dict[int, list[tuple[int, int]]] = {}
-    meta = {}
     with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    k, v = part.split("=")
-                    meta[k] = int(v)
-                continue
-            item, nbr, w = line.split("\t")
-            neighbors_map.setdefault(int(item), []).append((int(nbr), int(w)))
-    return GlobalGraph(neighbors_map, meta["num_items"], meta["epsilon"], meta["top_n"])
+        header = f.readline()
+        entries = np.fromstring(f.read(), dtype=np.int64, sep=" ").reshape(-1, 3)
+    meta = {k: int(v) for k, v in (part.split("=") for part in header[1:].split())}
+    order = np.argsort(entries[:, 0], kind="stable")
+    item, nbr, weight = entries[order].T
+    return GlobalGraph(_neighbors_map(item, nbr, weight), meta["num_items"], meta["epsilon"], meta["top_n"])

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .batching import SessionBatch, collate, pack_example
-from .graphs import build_global_graph
+from .graphs import build_global_graph, csr
 
 AGGREGATIONS = ("sum", "gate", "max", "concat")
 POSITION_MODES = ("reversed", "forward", "self_attention", "none")
@@ -356,7 +356,7 @@ TOY_SESSIONS = [[1, 2, 3, 2], [2, 3, 4], [4, 1, 4, 5]]
 def toy_batch(config: ModelConfig, epsilon=3, top_n=12):
     """One batch holding every prefix example of a tiny 3-session corpus."""
     num_items = 5
-    graph = build_global_graph(TOY_SESSIONS, epsilon, top_n, num_items=num_items)
+    graph = build_global_graph(*csr(TOY_SESSIONS), epsilon, top_n, num_items=num_items)
     packs = []
     for seq in TOY_SESSIONS:
         for k in range(1, len(seq)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sessrec.corpus import Example
-from sessrec.graphs import build_global_graph
+from sessrec.graphs import build_global_graph, csr
 
 
 def pattern_sessions(n_sessions=100, n_patterns=5, cycle=4, length=5):
@@ -33,7 +33,7 @@ def memorization_setup():
     sessions = pattern_sessions()
     num_items = 20
     examples = examples_from_sessions(sessions)
-    graph = build_global_graph(sessions, epsilon=3, top_n=12, num_items=num_items)
+    graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
     return sessions, num_items, examples, graph
 
 

@@ -18,17 +18,16 @@ import pytest
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
 from sessrec.cli import main
-from sessrec.corpus import (build_examples, filter_corpus, parse_sessions,
+from sessrec.corpus import (TEST, build_examples, filter_corpus, parse_sessions,
                             temporal_split)
 from sessrec.evaluation import metrics, rank_of, ranks_for_packs
-from sessrec.graphs import (build_global_graph, build_session_graph,
-                            cooccurrence_weights)
+from sessrec.graphs import build_global_graph, build_session_graph, csr
 from sessrec.model import ModelConfig, NextItemModel, model_gradcheck
 from sessrec.train import TrainConfig, train_model
 
 from conftest import examples_from_sessions, pattern_sessions, random_corpus
 from test_evaluation import oracle_rank
-from test_graphs import brute_force_pair_weights, brute_force_relations
+from test_graphs import brute_force_pair_weights, brute_force_relations, pair_weights
 
 
 def report(n, text):
@@ -62,11 +61,11 @@ def test_c02_global_graph_oracle():
         n_sessions = int(rng.integers(1, 51))
         epsilon = int(rng.integers(1, 4))
         sessions = random_corpus(rng, n_sessions, n_items)
-        mine = cooccurrence_weights(sessions, epsilon)
+        mine = pair_weights(sessions, epsilon)
         oracle = brute_force_pair_weights(sessions, epsilon)
         assert {frozenset(k): v for k, v in mine.items()} == oracle
         top_n = int(rng.integers(1, 13))
-        graph = build_global_graph(sessions, epsilon, top_n, num_items=n_items)
+        graph = build_global_graph(*csr(sessions), epsilon, top_n, num_items=n_items)
         # post-truncation lists respect (descending weight, ascending index)
         full = {}
         for (a, b), w in mine.items():
@@ -162,7 +161,7 @@ def test_c06_masking_equivalence():
     rng = np.random.default_rng(2024)
     num_items = 40
     sessions = random_corpus(rng, 60, num_items)
-    graph = build_global_graph(sessions, epsilon=3, top_n=12, num_items=num_items)
+    graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
     cfg = ModelConfig(embedding_dim=16, k_hops=2, dropout_global=0.0, precision="double")
     model = NextItemModel(num_items, max_len=12, config=cfg, seed=31)
     for trial in range(50):
@@ -187,7 +186,7 @@ def test_c07_softmax_normalization():
     rng = np.random.default_rng(808)
     num_items = 25
     sessions = random_corpus(rng, 50, num_items)
-    graph = build_global_graph(sessions, epsilon=3, top_n=12, num_items=num_items)
+    graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
     cfg = ModelConfig(embedding_dim=12, k_hops=1, dropout_global=0.0)
     model = NextItemModel(num_items, max_len=12, config=cfg, seed=17)
     for _ in range(100):
@@ -270,19 +269,19 @@ def test_c09_diginetica_statistics():
         rank = seen_rank.get(sid, 0)
         seen_rank[sid] = rank + 1
         events.append((sid, item, base + rank))
-    corpus = parse_sessions(events)
+    corpus = parse_sessions(([e[0] for e in events], [e[1] for e in events],
+                             np.array([e[2] for e in events], dtype=np.int64)))
     filtered = filter_corpus(corpus, min_item_freq=5, min_session_len=2)
     train, test = temporal_split(filtered, 7 * 86400)
     examples = build_examples(train, test, validation_fraction=0.0, seed=1)
 
     stats = {
-        "clicks": sum(len(s.items) for s in train.sessions + test.sessions),
-        "train": sum(1 for e in examples if e.split != "test"),
-        "test": sum(1 for e in examples if e.split == "test"),
+        "clicks": len(train.items) + len(test.items),
+        "train": int(np.count_nonzero(examples.split != TEST)),
+        "test": int(np.count_nonzero(examples.split == TEST)),
         "items": train.num_items,
     }
-    sessions_all = train.sessions + test.sessions
-    stats["avg_len"] = stats["clicks"] / len(sessions_all)
+    stats["avg_len"] = stats["clicks"] / (len(train.keys) + len(test.keys))
     expected = {"clicks": 982961, "train": 719470, "test": 60858, "items": 43097, "avg_len": 5.12}
     for key, want in expected.items():
         got = stats[key]

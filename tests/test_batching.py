@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessrec.batching import collate, pack_example
-from sessrec.graphs import build_global_graph
+from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel
 
 
@@ -13,7 +13,7 @@ def packed_batches(draw):
     n_items = draw(st.integers(2, 25))
     seqs = st.lists(st.integers(1, n_items), min_size=2, max_size=8)
     sessions = draw(st.lists(seqs, min_size=1, max_size=15))
-    graph = build_global_graph(sessions, epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
+    graph = build_global_graph(*csr(sessions), epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
     prefixes = draw(st.lists(st.lists(st.integers(1, n_items), min_size=1, max_size=6),
                              min_size=1, max_size=5))
     packs = [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]

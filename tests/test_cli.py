@@ -227,6 +227,20 @@ class TestPipeline:
         assert len(rows) == 9
         assert sum(1 for r in rows if r.get("selected_on_validation")) == 1
 
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file"), ("directory", "Is a directory"),
+                                              ("latin-1", "not UTF-8")])
+    def test_preprocess_unreadable_events_file_exits_2(self, tmp_path, capsys, kind, reason):
+        events = tmp_path / "events.csv"
+        if kind == "directory":
+            events.mkdir()
+        elif kind == "latin-1":
+            events.write_bytes("s1,café,1\ns1,thé,2\n".encode("latin-1"))
+        rc = main(["preprocess", "--events", str(events), "--work-dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert reason in err and str(events) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("graph: {epsilon: 0}\n")

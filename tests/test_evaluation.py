@@ -3,7 +3,7 @@ import pytest
 
 from sessrec.evaluation import (EvalReport, metrics, rank_of, render_table,
                                 rows_to_jsonl, run_ablations)
-from sessrec.graphs import build_global_graph
+from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig
 from sessrec.train import TrainConfig
 
@@ -77,7 +77,7 @@ class TestAblationHarness:
         for i, e in enumerate(examples):
             split = "test" if i % 3 == 0 else e.split
             relabeled.append(type(e)(e.prefix, e.label, split))
-        graph = build_global_graph(sessions, epsilon=2, top_n=12, num_items=9)
+        graph = build_global_graph(*csr(sessions), epsilon=2, top_n=12, num_items=9)
         return relabeled, 9, graph
 
     def test_grid_produces_report_per_config(self):

@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from sessrec.graphs import (REL_IN, REL_INOUT, REL_OUT, REL_SELF,
                             build_global_graph, build_session_graph,
-                            cooccurrence_weights, read_global_graph,
-                            session_transitions, write_global_graph)
+                            cooccurrence_weights, csr, read_global_graph,
+                            write_global_graph)
+
+
+def pair_weights(sequences, epsilon):
+    """cooccurrence_weights of a list of sequences as {(a, b): weight}."""
+    a, b, w = cooccurrence_weights(*csr(sequences), epsilon)
+    return dict(zip(zip(a.tolist(), b.tolist()), w.tolist()))
 
 
 def brute_force_pair_weights(sequences, epsilon):
@@ -20,6 +26,22 @@ def brute_force_pair_weights(sequences, epsilon):
                     key = frozenset((seq[i], seq[j]))
                     tally[key] = tally.get(key, 0) + 1
     return tally
+
+
+def session_transitions(graph):
+    """Recover the set of directed transitions encoded in the relations."""
+    out = set()
+    n = graph.num_nodes
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            r = graph.rel[i, j]
+            if r == REL_OUT or r == REL_INOUT:
+                out.add((i, j))
+            elif r == REL_IN:
+                out.add((j, i))
+    return out
 
 
 def brute_force_relations(seq):
@@ -96,42 +118,42 @@ class TestSessionGraph:
 
 class TestGlobalGraph:
     def test_window_counts_epsilon_1(self):
-        w = cooccurrence_weights([[1, 2, 3], [2, 1, 4]], epsilon=1)
+        w = pair_weights([[1, 2, 3], [2, 1, 4]], epsilon=1)
         assert w == {(1, 2): 2, (2, 3): 1, (1, 4): 1}
 
     def test_window_counts_epsilon_2(self):
-        w = cooccurrence_weights([[1, 2, 3], [2, 1, 4]], epsilon=2)
+        w = pair_weights([[1, 2, 3], [2, 1, 4]], epsilon=2)
         assert w == {(1, 2): 2, (2, 3): 1, (1, 4): 1, (1, 3): 1, (2, 4): 1}
 
     def test_single_pair(self):
-        g = build_global_graph([[1, 2]], epsilon=3, top_n=1, num_items=2)
+        g = build_global_graph(*csr([[1, 2]]), epsilon=3, top_n=1, num_items=2)
         assert g.neighbors(1) == [(2, 1)]
         assert g.neighbors(2) == [(1, 1)]
 
     def test_isolated_item_empty_list(self):
-        g = build_global_graph([[1, 1], [2, 3]], epsilon=2, top_n=5, num_items=3)
+        g = build_global_graph(*csr([[1, 1], [2, 3]]), epsilon=2, top_n=5, num_items=3)
         assert g.neighbors(1) == []
 
     def test_truncation_to_top_n(self):
         seqs = [[1, k] for k in range(2, 17)]  # item 1 co-occurs with 15 others
-        g = build_global_graph(seqs, epsilon=1, top_n=12, num_items=16)
+        g = build_global_graph(*csr(seqs), epsilon=1, top_n=12, num_items=16)
         assert len(g.neighbors(1)) == 12
 
     def test_tie_break_by_ascending_index(self):
         # weights to 1: item2 x3, item3 x3, item4 x1
         seqs = [[2, 1], [1, 2], [2, 1], [3, 1], [1, 3], [3, 1], [1, 4]]
-        g = build_global_graph(seqs, epsilon=1, top_n=2, num_items=4)
+        g = build_global_graph(*csr(seqs), epsilon=1, top_n=2, num_items=4)
         assert g.neighbors(1) == [(2, 3), (3, 3)]
 
     def test_unknown_item_rejected(self):
-        g = build_global_graph([[1, 2]], epsilon=1, top_n=5, num_items=2)
+        g = build_global_graph(*csr([[1, 2]]), epsilon=1, top_n=5, num_items=2)
         with pytest.raises(KeyError):
             g.neighbors(3)
 
     def test_neighbor_order_descending_weight_then_index(self):
         rng = np.random.default_rng(1)
         seqs = [rng.integers(1, 12, size=rng.integers(2, 9)).tolist() for _ in range(30)]
-        g = build_global_graph(seqs, epsilon=3, top_n=6, num_items=11)
+        g = build_global_graph(*csr(seqs), epsilon=3, top_n=6, num_items=11)
         for item in range(1, 12):
             nbrs = g.neighbors(item)
             assert nbrs == sorted(nbrs, key=lambda nw: (-nw[1], nw[0]))
@@ -143,15 +165,15 @@ class TestGlobalGraph:
             seqs = [rng.integers(1, n_items + 1, size=rng.integers(2, 11)).tolist()
                     for _ in range(int(rng.integers(1, 51)))]
             eps = int(rng.integers(1, 4))
-            mine = cooccurrence_weights(seqs, eps)
+            mine = pair_weights(seqs, eps)
             oracle = brute_force_pair_weights(seqs, eps)
             assert {frozenset(k): v for k, v in mine.items()} == oracle
 
     def test_pruning_monotonicity(self):
         rng = np.random.default_rng(3)
         seqs = [rng.integers(1, 15, size=8).tolist() for _ in range(40)]
-        small = build_global_graph(seqs, epsilon=2, top_n=3, num_items=14)
-        large = build_global_graph(seqs, epsilon=2, top_n=7, num_items=14)
+        small = build_global_graph(*csr(seqs), epsilon=2, top_n=3, num_items=14)
+        large = build_global_graph(*csr(seqs), epsilon=2, top_n=7, num_items=14)
         for item in range(1, 15):
             kept_small = set(small.neighbors(item))
             kept_large = set(large.neighbors(item))
@@ -161,14 +183,14 @@ class TestGlobalGraph:
         rng = np.random.default_rng(4)
         seqs = [rng.integers(1, 10, size=9).tolist() for _ in range(25)]
         for eps in (1, 2):
-            smaller = set(cooccurrence_weights(seqs, eps))
-            larger = set(cooccurrence_weights(seqs, eps + 1))
+            smaller = set(pair_weights(seqs, eps))
+            larger = set(pair_weights(seqs, eps + 1))
             assert smaller <= larger
 
     def test_weight_symmetry_and_integrality(self):
         rng = np.random.default_rng(5)
         seqs = [rng.integers(1, 8, size=6).tolist() for _ in range(20)]
-        g = build_global_graph(seqs, epsilon=3, top_n=100, num_items=7)
+        g = build_global_graph(*csr(seqs), epsilon=3, top_n=100, num_items=7)
         # with no effective truncation the adjacency must be symmetric
         for item, nbrs in g.neighbors_map.items():
             for nbr, w in nbrs:
@@ -180,13 +202,13 @@ class TestGlobalGraph:
         # hub item 1 drops weak neighbors, which still keep the hub: pruning
         # is per node, so the pruned adjacency is allowed to be one-sided
         seqs = [[1, 2]] * 3 + [[1, 3]] * 2 + [[1, 4]]
-        g = build_global_graph(seqs, epsilon=1, top_n=2, num_items=4)
+        g = build_global_graph(*csr(seqs), epsilon=1, top_n=2, num_items=4)
         kept_by_1 = {n for n, _ in g.neighbors(1)}
         assert kept_by_1 == {2, 3}
         assert g.neighbors(4) == [(1, 1)]  # 4 keeps 1 even though 1 dropped 4
 
     def test_export_round_trip(self, tmp_path):
-        g = build_global_graph([[1, 2, 3], [2, 1, 4]], epsilon=2, top_n=12, num_items=4)
+        g = build_global_graph(*csr([[1, 2, 3], [2, 1, 4]]), epsilon=2, top_n=12, num_items=4)
         path = tmp_path / "graph.tsv"
         write_global_graph(path, g)
         g2 = read_global_graph(path)

@@ -5,7 +5,7 @@ import pytest
 
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
-from sessrec.graphs import GlobalGraph, build_global_graph
+from sessrec.graphs import GlobalGraph, build_global_graph, csr
 from sessrec.model import (ModelConfig, NextItemModel, load_checkpoint,
                            model_gradcheck, save_checkpoint, toy_batch)
 
@@ -155,7 +155,7 @@ class TestGlobalLayerReference:
     def _corpus(self, seed, num_items=30):
         rng = np.random.default_rng(seed)
         sessions = [list(rng.integers(1, num_items + 1, size=rng.integers(2, 9))) for _ in range(60)]
-        graph = build_global_graph(sessions, epsilon=3, top_n=6, num_items=num_items)
+        graph = build_global_graph(*csr(sessions), epsilon=3, top_n=6, num_items=num_items)
         prefixes = [tuple(int(x) for x in rng.integers(1, num_items + 1, size=rng.integers(1, 8)))
                     for _ in range(8)]
         return graph, prefixes
@@ -485,7 +485,7 @@ class TestWholeModel:
         # with k_hops=0, a graph-bearing batch and a graph-free batch must
         # produce bit-identical output
         sessions = [[1, 2, 3], [2, 3, 4], [3, 1, 4]]
-        graph = build_global_graph(sessions, epsilon=2, top_n=12, num_items=4)
+        graph = build_global_graph(*csr(sessions), epsilon=2, top_n=12, num_items=4)
         model = make_model(4, embedding_dim=5, k_hops=0, aggregation="sum", seed=14)
         with_graph = single_batch((1, 2, 3), 4, graph, 0)
         without = single_batch((1, 2, 3), 4, None, 0)
@@ -496,7 +496,7 @@ class TestWholeModel:
     def test_padded_batch_matches_single_forward_bitwise(self):
         rng = np.random.default_rng(2)
         sessions = [list(rng.integers(1, 16, size=rng.integers(2, 8))) for _ in range(25)]
-        graph = build_global_graph(sessions, epsilon=3, top_n=12, num_items=15)
+        graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=15)
         model = make_model(15, embedding_dim=7, k_hops=2, seed=15)
         for _ in range(10):
             l = int(rng.integers(1, 7))

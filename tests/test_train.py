@@ -3,7 +3,7 @@ import pytest
 
 from sessrec import autodiff as ad
 from sessrec.corpus import Example
-from sessrec.graphs import build_global_graph
+from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig
 from sessrec.train import (Adam, TrainConfig, TrainingError, couple_l2,
                            effective_lr, train_model)
@@ -129,7 +129,7 @@ class TestSchedule:
 def tiny_training_inputs(n_items=12, seed=0):
     sessions = pattern_sessions(n_sessions=40, n_patterns=3, cycle=4, length=4)
     examples = examples_from_sessions(sessions, validation_fraction=0.2, seed=seed)
-    graph = build_global_graph(sessions, epsilon=2, top_n=12, num_items=n_items)
+    graph = build_global_graph(*csr(sessions), epsilon=2, top_n=12, num_items=n_items)
     return examples, n_items, graph
 
 
