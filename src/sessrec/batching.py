@@ -1,14 +1,15 @@
-"""Packing of (prefix, label) examples into padded batch arrays.
+"""Packing of (prefix, label) examples into padded batch arrays, and the
+session graphs built from them.
 
 Each example is packed once (`pack_example`) and reused across epochs.  A
-pack's node list starts with the session's unique items (so session-graph
-node slot == frontier slot) followed by the global-graph receptive field,
-breadth-first layer by layer up to `k_hops` hops; `layer_end[j]` ends the
-rows within j hops.  Neighbor lists are always `top_n` wide with a validity
-mask and exist only for the rows within `k_hops - 1` hops: nodes in the
-outermost layer are isolated by construction, because their own neighbors
-fall outside the packed frontier and their aggregated values are never
-consumed.
+pack's node list starts with the session's unique items in first-occurrence
+order (so session-graph node slot == frontier slot) followed by the
+global-graph receptive field, breadth-first layer by layer up to `k_hops`
+hops; `layer_end[j]` ends the rows within j hops.  Neighbor lists are always
+`top_n` wide with a validity mask and exist only for the rows within
+`k_hops - 1` hops: nodes in the outermost layer are isolated by
+construction, because their own neighbors fall outside the packed frontier
+and their aggregated values are never consumed.
 
 `collate` pads each layer separately: session nodes to N, hop-1 rows to
 F1, hop-2 rows to F2, any `pad_frontier` surplus going to the outermost
@@ -17,6 +18,12 @@ within j hops" the exact prefix `[0, P_j)` of every example, and neighbor
 indices are remapped to that layout.  Padded slots index row 0 and are
 masked; the model's reductions guarantee they contribute exact zeros, so a
 padded batch of one example reproduces the unpadded forward bit for bit.
+
+Session graphs are directed over the session's unique items with four edge
+relations (incoming, outgoing, bidirectional, self).  `collate` builds every
+example's graph from the padded `alias` / `pos_mask` arrays: an edge joins
+the slots of adjacent distinct items, and each pair of slots gets one of the
+relation codes below (padded slots get `REL_NONE`).
 """
 
 from __future__ import annotations
@@ -25,15 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GlobalGraph, build_session_graph
+from .graphs import GlobalGraph
+
+# relation codes for session-graph edges (0 = no edge); REL_IN | REL_OUT == REL_INOUT
+REL_NONE = 0
+REL_IN = 1
+REL_OUT = 2
+REL_INOUT = 3
+REL_SELF = 4
 
 
 @dataclass
 class ExamplePack:
-    prefix: tuple[int, ...]
     label: int
     alias: np.ndarray          # (l,) position -> node slot
-    rel: np.ndarray            # (n, n) session relation codes
     frontier_items: np.ndarray # (f,) item ids, session nodes first, then hop by hop
     layer_end: tuple           # (k_hops + 1,) frontier[:layer_end[j]] = nodes within j hops
     nbr_idx: np.ndarray        # (layer_end[-2], W) frontier-slot indices of neighbors
@@ -46,52 +58,48 @@ class ExamplePack:
 
     @property
     def num_nodes(self):
-        return self.rel.shape[0]
+        return self.layer_end[0]
 
     @property
     def frontier_size(self):
         return len(self.frontier_items)
 
 
-def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int, top_n: int | None = None) -> ExamplePack:
-    sg = build_session_graph(prefix)
-    frontier = list(sg.nodes)
-    slot = {item: i for i, item in enumerate(frontier)}
+def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int) -> ExamplePack:
+    if len(prefix) == 0:
+        raise ValueError("cannot pack an empty prefix")
+    if k_hops > 0 and global_graph is None:
+        raise ValueError("k_hops > 0 requires a global graph")
+    slot: dict[int, int] = {}
+    alias = [slot.setdefault(item, len(slot)) for item in prefix]
+    frontier = list(slot)
     layer_end = [len(frontier)]
-
-    if k_hops > 0:
-        if global_graph is None:
-            raise ValueError("k_hops > 0 requires a global graph")
-        W = global_graph.top_n if top_n is None else top_n
-        current = list(frontier)
-        for _ in range(k_hops):
-            nxt = []
-            for item in current:
-                for nbr, _w in global_graph.neighbors(item):
-                    if nbr not in slot:
-                        slot[nbr] = len(frontier)
-                        frontier.append(nbr)
-                        nxt.append(nbr)
-            layer_end.append(len(frontier))
-            current = nxt
-        inner = layer_end[-2]  # the outermost layer stays isolated
-    else:
-        W, inner = 1, 0
-    nbr_idx = np.zeros((inner, W), dtype=np.int64)
-    nbr_wt = np.zeros((inner, W), dtype=np.float64)
-    nbr_mask = np.zeros((inner, W), dtype=bool)
-    for i, item in enumerate(frontier[:inner]):
-        for w_i, (nbr, wt) in enumerate(global_graph.neighbors(item)):
-            nbr_idx[i, w_i] = slot[nbr]
-            nbr_wt[i, w_i] = wt
-            nbr_mask[i, w_i] = True
-
+    # One breadth-first walk: hop j reads the neighbor lists of layer j - 1,
+    # which are also those rows' neighbor slots (the outermost layer is not walked).
+    nbrs, wts, counts = [], [], []
+    start = 0
+    for _ in range(k_hops):
+        for item in frontier[start:]:  # a copy: the layer as it stood before this hop
+            entries = global_graph.neighbors(item)
+            for nbr, wt in entries:
+                if nbr not in slot:
+                    slot[nbr] = len(frontier)
+                    frontier.append(nbr)
+                nbrs.append(slot[nbr])
+                wts.append(wt)
+            counts.append(len(entries))
+        start = layer_end[-1]
+        layer_end.append(len(frontier))
+    W = global_graph.top_n if k_hops else 1
+    nbr_mask = np.arange(W) < np.array(counts, dtype=np.int64)[:, None]
+    nbr_idx = np.zeros(nbr_mask.shape, dtype=np.int64)
+    nbr_wt = np.zeros(nbr_mask.shape, dtype=np.float64)
+    nbr_idx[nbr_mask] = nbrs
+    nbr_wt[nbr_mask] = wts
     return ExamplePack(
-        prefix=tuple(prefix),
         label=label,
-        alias=np.asarray(sg.alias, dtype=np.int64),
-        rel=sg.rel,
-        frontier_items=np.asarray(frontier, dtype=np.int64),
+        alias=np.array(alias, dtype=np.int64),
+        frontier_items=np.array(frontier, dtype=np.int64),
         layer_end=tuple(layer_end),
         nbr_idx=nbr_idx,
         nbr_wt=nbr_wt,
@@ -106,7 +114,7 @@ class SessionBatch:
     nbr_idx: np.ndarray        # (B, P_{K-1}, W) row indices of neighbors, all < P_K
     nbr_wt: np.ndarray         # (B, P_{K-1}, W)
     nbr_mask: np.ndarray       # (B, P_{K-1}, W)
-    rel: np.ndarray            # (B, N, N)
+    rel: np.ndarray            # (B, N, N) session-graph relation codes
     alias: np.ndarray          # (B, L)
     pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
@@ -123,8 +131,9 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     B = len(packs)
     if B == 0:
         raise ValueError("cannot collate an empty batch")
-    L = max(p.length for p in packs) if pad_len is None else pad_len
-    if any(p.length > L for p in packs):
+    lengths = np.array([p.length for p in packs], dtype=np.int64)
+    L = int(lengths.max()) if pad_len is None else pad_len
+    if lengths.max() > L:
         raise ValueError(f"pad_len {L} shorter than longest example")
     sizes = np.diff([p.layer_end for p in packs], axis=1, prepend=0)  # (B, K+1) layer sizes
     f = sizes.sum(axis=1)
@@ -147,10 +156,6 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     nbr_idx = np.zeros((B, inner, W), dtype=np.int64)
     nbr_wt = np.zeros((B, inner, W), dtype=np.float64)
     nbr_mask = np.zeros((B, inner, W), dtype=bool)
-    rel = np.zeros((B, N, N), dtype=np.int8)
-    alias = np.zeros((B, L), dtype=np.int64)
-    pos_mask = np.zeros((B, L), dtype=bool)
-    lengths = np.array([p.length for p in packs], dtype=np.int64)
     labels = np.array([p.label for p in packs], dtype=np.int64)
 
     # pack slot -> batch row: each layer moves to the start of its padded block
@@ -167,11 +172,18 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     nbr_wt[b_in, row_in] = np.concatenate([p.nbr_wt for p in packs])
     nbr_mask[b_in, row_in] = np.concatenate([p.nbr_mask for p in packs])
 
-    for b, p in enumerate(packs):
-        n, l = p.num_nodes, p.length
-        rel[b, :n, :n] = p.rel
-        alias[b, :l] = p.alias
-        pos_mask[b, :l] = True
+    pos_mask = np.arange(L) < lengths[:, None]
+    alias = np.zeros((B, L), dtype=np.int64)
+    alias[pos_mask] = np.concatenate([p.alias for p in packs])
+
+    # session graphs: E[b, i, j] = 1 when slot j directly follows a different slot i;
+    # an edge seen both ways sums to REL_OUT + REL_IN == REL_INOUT
+    step = pos_mask[:, 1:] & (alias[:, 1:] != alias[:, :-1])
+    E = np.zeros((B, N, N), dtype=np.int8)
+    E[np.nonzero(step)[0], alias[:, :-1][step], alias[:, 1:][step]] = 1
+    rel = REL_OUT * E + REL_IN * E.transpose(0, 2, 1)
+    diag = np.arange(N)
+    rel[:, diag, diag] = np.where(diag < sizes[:, :1], REL_SELF, REL_NONE)
 
     return SessionBatch(items, tuple(int(e) for e in ends), nbr_idx, nbr_wt, nbr_mask, rel, alias,
                         pos_mask, lengths, labels)

@@ -186,15 +186,15 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
     ckpt_path = Path(cfg.paths.checkpoint) if cfg.paths.checkpoint else work_dir / "checkpoints" / "model.ckpt"
     if not cfg.paths.checkpoint:
         verify_upstream(work_dir, "train")
-    elif not ckpt_path.exists():
-        raise StageError(f"checkpoint {ckpt_path} does not exist")
+    try:
+        model = load_checkpoint(ckpt_path)
+    except OSError as exc:
+        raise StageError(f"cannot read checkpoint {ckpt_path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise StageError(str(exc)) from None
     out = _stage_dir(work_dir, "reports")
     corpus_dir = work_dir / "corpus"
     examples = [e for e in examples if e.split == "test"]
-    try:
-        model = load_checkpoint(ckpt_path)
-    except ValueError as exc:
-        raise StageError(str(exc)) from None
     if model.num_items != meta["num_items"]:
         raise StageError(f"checkpoint {ckpt_path} scores {model.num_items} items but the corpus has "
                          f"{meta['num_items']}; evaluate it against the corpus it was trained on")

@@ -22,7 +22,8 @@ from .train import TrainConfig
 class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
-        super().__init__("invalid configuration:\n  " + "\n  ".join(self.problems))
+        sep = " " if len(self.problems) == 1 else "\n  "
+        super().__init__("invalid configuration:" + sep + sep.join(self.problems))
 
 
 @dataclass
@@ -146,10 +147,7 @@ def validate_config(data: dict | None) -> RunConfig:
                 continue  # explicit null keeps the default
             ftype = fields[key].type
             base = {"int": int, "float": float, "bool": bool, "str": str,
-                    "str | None": str, "tuple": tuple}.get(ftype, None)
-            if base is tuple:
-                values[key] = tuple(value) if isinstance(value, (list, tuple)) else value
-                continue
+                    "str | None": str}.get(ftype, None)
             coerced = _coerce(value, base, f"{section}.{key}", problems) if base else value
             if coerced is not None:
                 values[key] = coerced
@@ -181,11 +179,20 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     apply nested `overrides` before validation."""
     data = {}
     if path is not None:
-        with open(path) as f:
-            loaded = yaml.safe_load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                loaded = yaml.safe_load(f)
+        except OSError as exc:
+            raise ConfigError([f"cannot read config file {path}: {exc.strerror}"]) from None
+        except UnicodeDecodeError:
+            raise ConfigError([f"config file {path} is not UTF-8 text"]) from None
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1})" if mark else ""
+            raise ConfigError([f"config file {path} is not valid YAML{where}"]) from None
         if loaded is not None:
             if not isinstance(loaded, dict):
-                raise ConfigError(["config file must contain a mapping"])
+                raise ConfigError([f"config file {path} must contain a mapping"])
             data = loaded
     for section, values in (overrides or {}).items():
         if isinstance(values, dict):

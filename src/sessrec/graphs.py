@@ -1,13 +1,12 @@
-"""Graph construction: per-session transition graphs and the corpus-wide
-windowed co-occurrence graph.
+"""The corpus-wide windowed co-occurrence graph.
 
-Session graphs are directed over the session's unique items with four edge
-relations (incoming, outgoing, bidirectional, self).  The global graph is
-undirected and weighted: for every session, every unordered item pair at
-sequence distance <= epsilon counts once per occurrence, and each node keeps
-only its `top_n` heaviest neighbors (ties broken by ascending item index).
-It is built on arrays from the training sessions in CSR form (`offsets`,
-`items`); `GlobalGraph` keeps the pruned (neighbor, weight) lists per item.
+The global graph is undirected and weighted: for every session, every
+unordered item pair at sequence distance <= epsilon counts once per
+occurrence, and each node keeps only its `top_n` heaviest neighbors (ties
+broken by ascending item index).  It is built on arrays from the training
+sessions in CSR form (`offsets`, `items`); `GlobalGraph` keeps the pruned
+(neighbor, weight) lists per item.  Session graphs are built per batch in
+`batching.collate`.
 """
 
 from __future__ import annotations
@@ -16,54 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-
-# relation codes for session-graph edges (0 = no edge)
-REL_NONE = 0
-REL_IN = 1
-REL_OUT = 2
-REL_INOUT = 3
-REL_SELF = 4
-
-
-@dataclass
-class SessionGraph:
-    nodes: list[int]        # unique items, first-occurrence order
-    alias: list[int]        # sequence position -> node slot
-    rel: np.ndarray         # (n, n) int8 relation codes
-
-    @property
-    def num_nodes(self):
-        return len(self.nodes)
-
-
-def build_session_graph(sequence) -> SessionGraph:
-    """Convert an item sequence into its relation-typed session graph."""
-    if len(sequence) == 0:
-        raise ValueError("cannot build a session graph from an empty sequence")
-    nodes: list[int] = []
-    slot: dict[int, int] = {}
-    for item in sequence:
-        if item not in slot:
-            slot[item] = len(nodes)
-            nodes.append(item)
-    alias = [slot[item] for item in sequence]
-    n = len(nodes)
-    rel = np.zeros((n, n), dtype=np.int8)
-    # directed transitions between adjacent distinct items
-    transitions = set()
-    for a, b in zip(alias, alias[1:]):
-        if a != b:
-            transitions.add((a, b))
-    for i, j in transitions:
-        if (j, i) in transitions:
-            rel[i, j] = REL_INOUT
-            rel[j, i] = REL_INOUT
-        else:
-            rel[i, j] = REL_OUT
-            rel[j, i] = REL_IN
-    for i in range(n):
-        rel[i, i] = REL_SELF
-    return SessionGraph(nodes, alias, rel)
 
 
 @dataclass

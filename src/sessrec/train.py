@@ -28,7 +28,6 @@ class TrainConfig:
     max_epochs: int = 10
     patience: int = 3
     seed: int = 1
-    l2_exclude: tuple = ()
 
     def __post_init__(self):
         problems = [msg for bad, msg in (
@@ -114,13 +113,13 @@ def _row_size(arr):
     return max(1, arr.size // arr.shape[0]) if arr.ndim and arr.shape[0] else 1
 
 
-def couple_l2(params, l2: float, exclude=()):
+def couple_l2(params, l2: float):
     """Apply the L2 penalty as grad += l2 * param in place, then reject
     non-finite grads."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)
-        if l2 and p.name not in exclude:
+        if l2:
             p.grad += l2 * p.value
         if not np.all(np.isfinite(p.grad)):
             raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
@@ -199,7 +198,7 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
             out = model.forward(batch, train_mode=True, rng=rng)
             loss = model.loss(out.logits, batch.labels)
             ad.backward(loss)
-            couple_l2(model.params.trainable(), train_cfg.l2, train_cfg.l2_exclude)
+            couple_l2(model.params.trainable(), train_cfg.l2)
             optimizer.step(lr)
             loss_sum += float(loss.value) * len(idxs)
         train_loss = loss_sum / len(train_packs)

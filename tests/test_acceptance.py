@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from sessrec import autodiff as ad
-from sessrec.batching import collate, pack_example
+from sessrec.batching import REL_NONE, collate, pack_example
 from sessrec.cli import main
 from sessrec.corpus import (TEST, build_examples, filter_corpus, parse_sessions,
                             temporal_split)
 from sessrec.evaluation import metrics, rank_of, ranks_for_packs
-from sessrec.graphs import build_global_graph, build_session_graph, csr
+from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel, model_gradcheck
 from sessrec.train import TrainConfig, train_model
 
@@ -82,15 +82,27 @@ def test_c02_global_graph_oracle():
 def test_c03_session_graph_oracle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(99)
-    for _ in range(200):
-        seq = rng.integers(1, 9, size=rng.integers(1, 16)).tolist()
-        g = build_session_graph(seq)
+    seqs = [rng.integers(1, 9, size=rng.integers(1, 16)).tolist() for _ in range(200)]
+    for seq in seqs:
+        pack = pack_example(tuple(seq), 1, None, 0)
         nodes, rel = brute_force_relations(seq)
-        assert g.nodes == nodes
-        assert np.array_equal(g.rel, rel)
+        assert pack.frontier_items.tolist() == nodes
+        assert np.array_equal(collate([pack]).rel[0], rel)
+    # the same sequences in padded batches: padded rows and columns carry no relation
+    for start in range(0, len(seqs), 8):
+        group = seqs[start: start + 8]
+        packs = [pack_example(tuple(seq), 1, None, 0) for seq in group]
+        batch = collate(packs, pad_len=max(p.length for p in packs) + int(rng.integers(0, 4)),
+                        pad_nodes=max(p.num_nodes for p in packs) + int(rng.integers(0, 4)))
+        for b, seq in enumerate(group):
+            nodes, rel = brute_force_relations(seq)
+            n = len(nodes)
+            assert np.array_equal(batch.rel[b, :n, :n], rel)
+            assert np.all(batch.rel[b, n:] == REL_NONE) and np.all(batch.rel[b, :, n:] == REL_NONE)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5, f"session-graph oracle took {elapsed:.1f}s"
-    report(3, f"200 sequences match the brute-force relation classifier in {elapsed:.1f}s")
+    report(3, f"200 sequences, alone and in 25 padded batches, match the brute-force relation "
+              f"classifier in {elapsed:.1f}s")
 
 
 def test_c04_metric_oracle():

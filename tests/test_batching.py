@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,3 +74,48 @@ def test_collate_pads_each_hop_layer_as_a_prefix(case):
         out = model.forward(batch)
         assert [a.shape for a in out.global_attn] == [(len(packs), ends[k_hops - 1 - t], batch.nbr_idx.shape[2])
                                                       for t in range(k_hops)]
+
+
+def bfs_oracle(prefix, graph, k_hops):
+    """Frontier, layer ends, alias and per-row (slot, weight) neighbor lists of
+    one prefix, walked breadth-first from `GlobalGraph.neighbors` alone."""
+    nodes = list(dict.fromkeys(prefix))
+    layers, seen = [nodes], set(nodes)
+    for _ in range(k_hops):
+        layer = []
+        for item in layers[-1]:
+            for nbr, _w in graph.neighbors(item):
+                if nbr not in seen:
+                    seen.add(nbr)
+                    layer.append(nbr)
+        layers.append(layer)
+    frontier = [item for layer in layers for item in layer]
+    layer_end = list(accumulate(len(layer) for layer in layers))
+    inner = layer_end[-2] if k_hops else 0
+    rows = [[(frontier.index(nbr), w) for nbr, w in graph.neighbors(item)] for item in frontier[:inner]]
+    return frontier, layer_end, [nodes.index(item) for item in prefix], rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pack_matches_breadth_first_oracle(data):
+    k_hops = data.draw(st.integers(0, 2))
+    n_items = data.draw(st.integers(1, 25))
+    seqs = st.lists(st.integers(1, n_items), min_size=1, max_size=8)
+    top_n = data.draw(st.integers(1, 5))
+    graph = build_global_graph(*csr(data.draw(st.lists(seqs, min_size=1, max_size=15))),
+                               epsilon=data.draw(st.integers(1, 3)), top_n=top_n, num_items=n_items)
+    prefix = tuple(data.draw(seqs))
+    pack = pack_example(prefix, 1, graph, k_hops)
+    frontier, layer_end, alias, rows = bfs_oracle(prefix, graph, k_hops)
+    assert pack.frontier_items.tolist() == frontier
+    assert list(pack.layer_end) == layer_end
+    assert pack.alias.tolist() == alias
+    W = top_n if k_hops else 1
+    assert pack.nbr_idx.shape == pack.nbr_wt.shape == pack.nbr_mask.shape == (len(rows), W)
+    for i, row in enumerate(rows):
+        n = len(row)
+        assert pack.nbr_mask[i].tolist() == [True] * n + [False] * (W - n)
+        assert pack.nbr_idx[i, :n].tolist() == [slot for slot, _ in row]
+        assert pack.nbr_wt[i, :n].tolist() == [float(w) for _, w in row]
+        assert not pack.nbr_idx[i, n:].any() and not pack.nbr_wt[i, n:].any()

@@ -1,28 +1,30 @@
 """The benchmark's tracer (perfbench/tracing.py) patches sessrec names from
 outside the program and silently drops the metrics of any hook whose target
-is gone.  These tests read its hook tables, without installing them, and
-check that every target still resolves the way `Tracer._patch` looks it up,
-so a refactor cannot drop a per-layer metric that BENCHMARK.json lists."""
+is gone, or whose counts read pack and batch fields that are gone.  These
+tests check that every hook target still resolves the way `Tracer._patch`
+looks it up, and that a traced toy pipeline reports every per-layer metric
+that BENCHMARK.json lists, so a refactor cannot drop one."""
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-from sessrec import autodiff
+from sessrec import autodiff, cli, corpus, evaluation, graphs, model, train
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("tracing")
 
 
 def _resolves(owner, attr):
@@ -46,3 +48,30 @@ def test_reported_op_is_patched_as_an_op(op):
     fn = getattr(autodiff, op, None)
     assert inspect.isfunction(fn) and fn.__module__ == autodiff.__name__, f"autodiff.{op} is gone"
     assert op not in tracing.NOT_OPS
+
+
+def test_traced_toy_pipeline_reports_every_per_layer_metric(tmp_path):
+    events, wd = tmp_path / "events.csv", tmp_path / "run"
+    _load("gen").write_events(events, sessions=300, catalogue=60, seed=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["preprocess", "--events", str(events), "--work-dir", str(wd),
+                         "--min-item-freq", "1"]) == 0
+        assert cli.main(["build-graph", "--work-dir", str(wd), "--epsilon", "2", "--top-n", "4"]) == 0
+        meta = json.loads((wd / "corpus" / "meta.json").read_text())
+        examples = corpus.read_examples(wd / "corpus" / "examples.tsv")
+        graph = graphs.read_global_graph(wd / "graphs" / "global_graph.tsv")
+        by_split = {split: [e for e in examples if e.split == split][:60]
+                    for split in ("train", "validation", "test")}
+        model_cfg = model.ModelConfig(embedding_dim=8, k_hops=2, dropout_global=0.0)
+        train_cfg = train.TrainConfig(batch_size=20, max_epochs=1, patience=1)
+        result = train.train_model(by_split["train"] + by_split["validation"], meta["num_items"],
+                                   meta["max_prefix_len"], graph, model_cfg, train_cfg)
+        evaluation.evaluate_model(result.model, by_split["test"], graph, batch_size=20)
+        metrics = tracer.metrics(1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == set()
+    listed = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in listed if m["name"] not in metrics] == []

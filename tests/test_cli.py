@@ -241,6 +241,35 @@ class TestPipeline:
         assert reason in err and str(events) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file"), ("directory", "Is a directory"),
+                                              ("latin-1", "not UTF-8"), ("malformed", "not valid YAML")])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, kind, reason):
+        config = tmp_path / "run.yaml"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "latin-1":
+            config.write_bytes("# café\nseed: 3\n".encode("latin-1"))
+        elif kind == "malformed":
+            config.write_text("model: {k_hops: 1\n")
+        rc = main(["gradcheck", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert reason in err and str(config) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_evaluate_checkpoint_directory_exits_2(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        ckpt = wd / "ckpt_dir"
+        ckpt.mkdir()
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Is a directory" in err and str(ckpt) in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("graph: {epsilon: 0}\n")

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.graphs import (REL_IN, REL_INOUT, REL_OUT, REL_SELF,
-                            build_global_graph, build_session_graph,
-                            cooccurrence_weights, csr, read_global_graph,
-                            write_global_graph)
+from sessrec.batching import (REL_IN, REL_INOUT, REL_OUT, REL_SELF, collate,
+                              pack_example)
+from sessrec.graphs import (build_global_graph, cooccurrence_weights, csr,
+                            read_global_graph, write_global_graph)
 
 
 def pair_weights(sequences, epsilon):
@@ -28,15 +28,22 @@ def brute_force_pair_weights(sequences, epsilon):
     return tally
 
 
-def session_transitions(graph):
+def session_graph(seq):
+    """(nodes, alias, rel) of one sequence, packed and collated on its own."""
+    pack = pack_example(tuple(seq), 1, None, 0)
+    batch = collate([pack])
+    return pack.frontier_items.tolist(), batch.alias[0].tolist(), batch.rel[0]
+
+
+def session_transitions(rel):
     """Recover the set of directed transitions encoded in the relations."""
     out = set()
-    n = graph.num_nodes
+    n = len(rel)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            r = graph.rel[i, j]
+            r = rel[i, j]
             if r == REL_OUT or r == REL_INOUT:
                 out.add((i, j))
             elif r == REL_IN:
@@ -67,53 +74,53 @@ def brute_force_relations(seq):
 
 class TestSessionGraph:
     def test_single_item_only_self_loop(self):
-        g = build_session_graph([4])
-        assert g.nodes == [4]
-        assert g.rel[0, 0] == REL_SELF
+        nodes, _, rel = session_graph([4])
+        assert nodes == [4]
+        assert rel[0, 0] == REL_SELF
 
     def test_hand_enumerated_relations(self):
         # [v1,v2,v3,v2]: transitions 1->2, 2->3, 3->2
-        g = build_session_graph([1, 2, 3, 2])
-        assert g.nodes == [1, 2, 3]
-        assert g.rel[1, 2] == REL_INOUT and g.rel[2, 1] == REL_INOUT
-        assert g.rel[0, 1] == REL_OUT and g.rel[1, 0] == REL_IN
-        assert all(g.rel[i, i] == REL_SELF for i in range(3))
-        assert session_transitions(g) == {(0, 1), (1, 2), (2, 1)}
+        nodes, _, rel = session_graph([1, 2, 3, 2])
+        assert nodes == [1, 2, 3]
+        assert rel[1, 2] == REL_INOUT and rel[2, 1] == REL_INOUT
+        assert rel[0, 1] == REL_OUT and rel[1, 0] == REL_IN
+        assert all(rel[i, i] == REL_SELF for i in range(3))
+        assert session_transitions(rel) == {(0, 1), (1, 2), (2, 1)}
 
     def test_self_adjacent_pair_collapses(self):
-        g = build_session_graph([1, 1, 2])
-        assert session_transitions(g) == {(0, 1)}
+        _, _, rel = session_graph([1, 1, 2])
+        assert session_transitions(rel) == {(0, 1)}
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            build_session_graph([])
+            pack_example((), 1, None, 0)
 
     def test_alias_maps_positions_to_slots(self):
-        g = build_session_graph([5, 9, 5, 7])
-        assert g.nodes == [5, 9, 7]
-        assert g.alias == [0, 1, 0, 2]
+        nodes, alias, _ = session_graph([5, 9, 5, 7])
+        assert nodes == [5, 9, 7]
+        assert alias == [0, 1, 0, 2]
 
     @given(st.lists(st.integers(1, 8), min_size=1, max_size=15))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force_classifier(self, seq):
-        g = build_session_graph(seq)
-        nodes, rel = brute_force_relations(seq)
-        assert g.nodes == nodes
-        assert np.array_equal(g.rel, rel)
+        nodes, _, rel = session_graph(seq)
+        expect_nodes, expect = brute_force_relations(seq)
+        assert nodes == expect_nodes
+        assert rel.dtype == expect.dtype and np.array_equal(rel, expect)
 
     def test_relation_antisymmetry_property(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             seq = rng.integers(1, 7, size=rng.integers(2, 12)).tolist()
-            g = build_session_graph(seq)
-            n = g.num_nodes
+            _, _, rel = session_graph(seq)
+            n = len(rel)
             for i in range(n):
-                assert g.rel[i, i] == REL_SELF
+                assert rel[i, i] == REL_SELF
                 for j in range(n):
                     if i == j:
                         continue
-                    assert (g.rel[i, j] == REL_IN) == (g.rel[j, i] == REL_OUT)
-                    assert (g.rel[i, j] == REL_INOUT) == (g.rel[j, i] == REL_INOUT)
+                    assert (rel[i, j] == REL_IN) == (rel[j, i] == REL_OUT)
+                    assert (rel[i, j] == REL_INOUT) == (rel[j, i] == REL_INOUT)
 
 
 class TestGlobalGraph:

@@ -122,7 +122,7 @@ def reference_global_rows(model, pack):
     slope = model.config.leaky_slope
     emb = p["item_embeddings"]
     h = emb[pack.frontier_items]
-    s = emb[list(pack.prefix)].mean(axis=0)
+    s = emb[pack.frontier_items[pack.alias]].mean(axis=0)
     for suffix in model._hop_suffixes():
         W1, q1, W2 = (p[f"global_att_proj{suffix}"], p[f"global_att_vec{suffix}"],
                       p[f"global_agg{suffix}"])

@@ -38,12 +38,6 @@ class TestAdam:
         couple_l2([p], l2=1e-2)
         assert np.isclose(p.grad[0], 0.5 + 0.02)
 
-    def test_l2_exclusion_list(self):
-        p = scalar_param(2.0)
-        p.grad = np.array([0.5])
-        couple_l2([p], l2=1e-2, exclude=("w",))
-        assert p.grad[0] == 0.5
-
     def test_nonfinite_gradient_names_parameter(self):
         p = scalar_param(1.0)
         p.grad = np.array([np.inf])
