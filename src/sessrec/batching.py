@@ -5,11 +5,11 @@ Each example is packed once (`pack_example`) and reused across epochs.  A
 pack's node list starts with the session's unique items in first-occurrence
 order (so session-graph node slot == frontier slot) followed by the
 global-graph receptive field, breadth-first layer by layer up to `k_hops`
-hops; `layer_end[j]` ends the rows within j hops.  Neighbor lists are always
-`top_n` wide with a validity mask and exist only for the rows within
-`k_hops - 1` hops: nodes in the outermost layer are isolated by
-construction, because their own neighbors fall outside the packed frontier
-and their aggregated values are never consumed.
+hops; `layer_end[j]` ends the rows within j hops.  Only the rows within
+`k_hops - 1` hops get neighbor rows, copied from their `GlobalGraph` table
+rows (`top_n` wide, mask `nbr > 0`, neighbors mapped to frontier slots): the
+outermost layer's own neighbors fall outside the packed frontier and its
+aggregated values are never consumed, so it is isolated by construction.
 
 `collate` pads each layer separately: session nodes to N, hop-1 rows to
 F1, hop-2 rows to F2, any `pad_frontier` surplus going to the outermost
@@ -73,36 +73,29 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int) -
     slot: dict[int, int] = {}
     alias = [slot.setdefault(item, len(slot)) for item in prefix]
     frontier = list(slot)
-    layer_end = [len(frontier)]
-    # One breadth-first walk: hop j reads the neighbor lists of layer j - 1,
-    # which are also those rows' neighbor slots (the outermost layer is not walked).
-    nbrs, wts, counts = [], [], []
-    start = 0
+    if k_hops > 0 and not 1 <= min(frontier) <= max(frontier) <= global_graph.num_items:
+        raise KeyError(f"prefix item outside the vocabulary [1, {global_graph.num_items}]: {list(prefix)}")
+    # breadth-first: hop j slots the neighbors in layer j - 1's table rows, row by row,
+    # appending the unseen ones to the frontier
+    layer_end, start, slots = [len(frontier)], 0, []
     for _ in range(k_hops):
-        for item in frontier[start:]:  # a copy: the layer as it stood before this hop
-            entries = global_graph.neighbors(item)
-            for nbr, wt in entries:
-                if nbr not in slot:
-                    slot[nbr] = len(frontier)
-                    frontier.append(nbr)
-                nbrs.append(slot[nbr])
-                wts.append(wt)
-            counts.append(len(entries))
-        start = layer_end[-1]
+        nbrs = global_graph.nbr[frontier[start:]]
+        slots += [slot.setdefault(item, len(slot)) for item in nbrs[nbrs > 0].tolist()]
+        start, frontier = len(frontier), list(slot)
         layer_end.append(len(frontier))
-    W = global_graph.top_n if k_hops else 1
-    nbr_mask = np.arange(W) < np.array(counts, dtype=np.int64)[:, None]
-    nbr_idx = np.zeros(nbr_mask.shape, dtype=np.int64)
-    nbr_wt = np.zeros(nbr_mask.shape, dtype=np.float64)
-    nbr_idx[nbr_mask] = nbrs
-    nbr_wt[nbr_mask] = wts
+    frontier_items = np.array(frontier, dtype=np.int64)
+    inner = frontier_items[:start]  # the rows within k_hops - 1 hops, the ones walked above
+    nbr, wt = (global_graph.nbr[inner], global_graph.weight[inner]) if k_hops else np.zeros((2, 0, 1), np.int64)
+    nbr_mask = nbr > 0
+    nbr_idx = np.zeros(nbr.shape, dtype=np.int64)
+    nbr_idx[nbr_mask] = slots
     return ExamplePack(
         label=label,
         alias=np.array(alias, dtype=np.int64),
-        frontier_items=np.array(frontier, dtype=np.int64),
+        frontier_items=frontier_items,
         layer_end=tuple(layer_end),
         nbr_idx=nbr_idx,
-        nbr_wt=nbr_wt,
+        nbr_wt=wt.astype(np.float64),
         nbr_mask=nbr_mask,
     )
 

@@ -10,7 +10,6 @@ refuse inputs whose checksums no longer match.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -77,7 +76,10 @@ def verify_upstream(work_dir: Path, stage: str):
 
 def _stage_dir(work_dir: Path, name: str) -> Path:
     d = work_dir / name
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StageError(f"cannot create stage directory {d}: {exc.strerror}") from None
     return d
 
 
@@ -141,7 +143,7 @@ def cmd_build_graph(cfg: RunConfig, work_dir: Path) -> int:
     _echo_config(out, cfg)
     write_manifest(out, "build-graph", cfg.fingerprint(),
                    [corpus_dir / "sessions.tsv", corpus_dir / "meta.json"], [graph_path])
-    edges = sum(len(v) for v in graph.neighbors_map.values())
+    edges = np.count_nonzero(graph.nbr)
     print(f"build-graph: {edges} pruned neighbor entries (epsilon={cfg.graph.epsilon}, "
           f"top_n={cfg.graph.top_n}) -> {graph_path}")
     return 0

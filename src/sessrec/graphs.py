@@ -4,9 +4,10 @@ The global graph is undirected and weighted: for every session, every
 unordered item pair at sequence distance <= epsilon counts once per
 occurrence, and each node keeps only its `top_n` heaviest neighbors (ties
 broken by ascending item index).  It is built on arrays from the training
-sessions in CSR form (`offsets`, `items`); `GlobalGraph` keeps the pruned
-(neighbor, weight) lists per item.  Session graphs are built per batch in
-`batching.collate`.
+sessions in CSR form (`offsets`, `items`) and held as two (num_items + 1,
+top_n) tables, `nbr` and `weight`: row i lists item i's neighbors in that
+order, filled slots first; empty slots hold item 0 with weight 0, and row 0
+(the padding item) is empty, so `nbr > 0` is the validity mask.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 @dataclass
 class GlobalGraph:
-    neighbors_map: dict[int, list[tuple[int, int]]]  # item -> [(neighbor, weight)], pruned
+    nbr: np.ndarray     # (num_items + 1, top_n) int64 neighbor items, 0 in empty slots
+    weight: np.ndarray  # (num_items + 1, top_n) int64 edge weights, 0 in empty slots
     num_items: int
     epsilon: int
     top_n: int
@@ -28,7 +30,13 @@ class GlobalGraph:
         """Pruned neighbor list of `item`, descending weight then ascending index."""
         if not 1 <= item <= self.num_items:
             raise KeyError(f"item {item} not in vocabulary [1, {self.num_items}]")
-        return list(self.neighbors_map.get(item, ()))
+        filled = self.nbr[item] > 0
+        return list(zip(self.nbr[item][filled].tolist(), self.weight[item][filled].tolist()))
+
+    @property
+    def neighbors_map(self):
+        """item -> neighbors(item), built on read; perfbench's tracer counts entries through it."""
+        return {item: self.neighbors(item) for item in np.flatnonzero(self.nbr[:, 0]).tolist()}
 
 
 def csr(sequences):
@@ -52,12 +60,13 @@ def cooccurrence_weights(offsets, items, epsilon: int):
     return pairs // base, pairs % base, weight
 
 
-def _neighbors_map(item, nbr, weight):
-    """item -> [(neighbor, weight)] from entries grouped by item."""
-    starts = np.flatnonzero(np.diff(item, prepend=-1))
-    ends = np.r_[starts[1:], len(item)].tolist()
-    entries = list(zip(nbr.tolist(), weight.tolist()))
-    return {i: entries[a:b] for i, a, b in zip(item[starts].tolist(), starts.tolist(), ends)}
+def _graph(item, nbr, weight, num_items: int, epsilon: int, top_n: int) -> GlobalGraph:
+    """The graph whose table rows hold, in order, each item's first `top_n` entries (sorted by item)."""
+    rank = np.arange(len(item)) - np.searchsorted(item, item)
+    keep = rank < top_n
+    tables = np.zeros((2, num_items + 1, top_n), dtype=np.int64)
+    tables[:, item[keep], rank[keep]] = nbr[keep], weight[keep]
+    return GlobalGraph(*tables, num_items, epsilon, top_n)
 
 
 def build_global_graph(offsets, items, epsilon: int, top_n: int, num_items: int) -> GlobalGraph:
@@ -67,17 +76,16 @@ def build_global_graph(offsets, items, epsilon: int, top_n: int, num_items: int)
     a, b, w = cooccurrence_weights(offsets, items, epsilon)
     item, nbr, weight = np.concatenate((a, b)), np.concatenate((b, a)), np.concatenate((w, w))
     order = np.lexsort((nbr, -weight, item))
-    item, nbr, weight = item[order], nbr[order], weight[order]
-    keep = np.arange(len(item)) - np.searchsorted(item, item) < top_n
-    return GlobalGraph(_neighbors_map(item[keep], nbr[keep], weight[keep]), num_items, epsilon, top_n)
+    return _graph(item[order], nbr[order], weight[order], num_items, epsilon, top_n)
 
 
 def write_global_graph(path, graph: GlobalGraph):
-    """Line-delimited export `item\tneighbor\tweight`, sorted."""
+    """Line-delimited export `item\tneighbor\tweight`, by item, each item's lines in table order."""
+    filled = graph.nbr > 0
+    entries = np.stack((np.nonzero(filled)[0], graph.nbr[filled], graph.weight[filled]), axis=1)
     with open(path, "w") as f:
         f.write(f"# num_items={graph.num_items} epsilon={graph.epsilon} top_n={graph.top_n}\n")
-        f.writelines(f"{item}\t{nbr}\t{w}\n" for item in sorted(graph.neighbors_map)
-                     for nbr, w in graph.neighbors_map[item])
+        f.write("%d\t%d\t%d\n" * len(entries) % tuple(entries.ravel().tolist()))
 
 
 def read_global_graph(path) -> GlobalGraph:
@@ -85,6 +93,4 @@ def read_global_graph(path) -> GlobalGraph:
         header = f.readline()
         entries = np.fromstring(f.read(), dtype=np.int64, sep=" ").reshape(-1, 3)
     meta = {k: int(v) for k, v in (part.split("=") for part in header[1:].split())}
-    order = np.argsort(entries[:, 0], kind="stable")
-    item, nbr, weight = entries[order].T
-    return GlobalGraph(_neighbors_map(item, nbr, weight), meta["num_items"], meta["epsilon"], meta["top_n"])
+    return _graph(*entries[np.argsort(entries[:, 0], kind="stable")].T, **meta)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ LOSS_MODES = ("binary", "categorical")
 PRECISIONS = ("double", "single")
 
 CHECKPOINT_VERSION = 1
+LEAKY_SLOPE = 0.2  # negative slope of every LeakyReLU in the attention scores
 
 
 @dataclass
@@ -42,10 +43,7 @@ class ModelConfig:
     position_mode: str = "reversed"
     use_session_layer: bool = True
     dropout_global: float = 0.4
-    leaky_slope: float = 0.2
     loss_mode: str = "binary"
-    share_hop_weights: bool = False
-    normalize_step_attention: bool = False
     precision: str = "double"
 
     def __post_init__(self):
@@ -55,7 +53,6 @@ class ModelConfig:
             (self.aggregation not in AGGREGATIONS, f"aggregation must be one of {AGGREGATIONS}"),
             (self.position_mode not in POSITION_MODES, f"position_mode must be one of {POSITION_MODES}"),
             (not 0.0 <= self.dropout_global < 1.0, "dropout_global must be in [0, 1): rate must be < 1"),
-            (self.leaky_slope <= 0, "leaky_slope must be > 0"),
             (self.loss_mode not in LOSS_MODES, f"loss_mode must be one of {LOSS_MODES}"),
             (self.precision not in PRECISIONS, f"precision must be one of {PRECISIONS}"),
             (self.k_hops == 0 and not self.use_session_layer,
@@ -112,7 +109,7 @@ class NextItemModel:
 
         gauss("item_embeddings", (self.num_items + 1, d))  # row 0 is padding
         if cfg.k_hops >= 1:
-            for suffix in dict.fromkeys(self._hop_suffixes()):
+            for suffix in self._hop_suffixes():
                 gauss(f"global_att_proj{suffix}", (d + 1, d + 1))
                 gauss(f"global_att_vec{suffix}", (d + 1,))
                 gauss(f"global_agg{suffix}", (d, 2 * d))
@@ -136,8 +133,6 @@ class NextItemModel:
                 gauss("fuse_concat", (d, 2 * d))
 
     def _hop_suffixes(self):
-        if self.config.share_hop_weights:
-            return [""] * self.config.k_hops
         return [f"_hop{k + 1}" for k in range(self.config.k_hops)]
 
     # -- layers ---------------------------------------------------------------
@@ -175,7 +170,7 @@ class NextItemModel:
                           ad.narrow(proj, 1, 0, d), transpose_b=True)           # (B*R_in, d+1)
             w1b = ad.reshape(ad.narrow(proj, 1, d, 1), (d + 1,))
             pre = ad.add(ad.gather(z, flat_idx), ad.mul(wt, w1b))                # (B, R, W, d+1)
-            scores = ad.reduce_sum(ad.mul(ad.leaky_relu(pre, cfg.leaky_slope), vec), axis=-1)
+            scores = ad.reduce_sum(ad.mul(ad.leaky_relu(pre, LEAKY_SLOPE), vec), axis=-1)
             alpha = ad.masked_softmax(scores, batch.nbr_mask[:, :rows], axis=-1)
             h_nbr = ad.weighted_sum(alpha, ad.batched_gather(h, nbr_idx))      # (B, R, d); zero rows when isolated
             cat = ad.reshape(ad.concat([ad.narrow(h, 1, 0, rows), h_nbr], axis=-1), (B * rows, 2 * d))
@@ -200,7 +195,7 @@ class NextItemModel:
         hi = ad.reshape(h_nodes, (B, N, 1, d))
         hj = ad.reshape(h_nodes, (B, 1, N, d))
         prod = ad.mul(hi, hj)                                      # (B, N, N, d)
-        scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), cfg.leaky_slope)
+        scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), LEAKY_SLOPE)
         alpha = ad.masked_softmax(scores, batch.rel > 0, axis=-1)  # rows sum to 1 per node
         h_out = ad.weighted_sum(alpha, hj)                         # (B, N, d)
         return h_out, alpha
@@ -277,8 +272,6 @@ class NextItemModel:
             inner = ad.sigmoid(ad.add(ad.add(keys, query), att_bias))
 
         beta = ad.reshape(ad.matmul(ad.reshape(inner, (B * L, d)), att_vec), (B, L))
-        if cfg.normalize_step_attention:
-            beta = ad.masked_softmax(beta, batch.pos_mask, axis=-1)
         session_vec = ad.weighted_sum(beta, seq_vectors, valid=batch.pos_mask)
         return session_vec, beta
 
@@ -382,6 +375,8 @@ def model_gradcheck(config: ModelConfig, step=1e-5, seed=3):
 # -- checkpoints ------------------------------------------------------------------
 
 _CKPT_MAGIC = "sessrec-checkpoint"
+# settings that older version-1 headers record, at the one value the model now fixes
+_RETIRED = {"leaky_slope": LEAKY_SLOPE, "share_hop_weights": False, "normalize_step_attention": False}
 
 
 def save_checkpoint(path, model: NextItemModel):
@@ -426,8 +421,12 @@ def load_checkpoint(path) -> NextItemModel:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise ValueError(f"{path}: checkpoint payload fails its integrity check")
-    config = ModelConfig(**header["config"])
-    model = NextItemModel(header["num_items"], header["max_len"], config, seed=header["seed"])
+    config = {k: v for k, v in header["config"].items() if k not in _RETIRED or v != _RETIRED[k]}
+    unsupported = sorted(set(config) - {f.name for f in dataclasses.fields(ModelConfig)})
+    if unsupported:
+        raise ValueError(f"{path}: unsupported model settings in the checkpoint: "
+                         + ", ".join(f"{k}={config[k]!r}" for k in unsupported))
+    model = NextItemModel(header["num_items"], header["max_len"], ModelConfig(**config), seed=header["seed"])
     state = {}
     for ent in header["params"]:
         raw = payload[ent["offset"]: ent["offset"] + ent["nbytes"]]

@@ -1,8 +1,9 @@
 """The per-event set-up pipeline that `sessrec preprocess` and
-`sessrec build-graph` ran before they worked on columnar arrays, kept
-verbatim as a test oracle: one Python object per event, per example and
-per item pair.  `write_stage_files` writes the stage files the way the two
-commands did.
+`sessrec build-graph` ran before they worked on columnar arrays, kept as a
+test oracle: one Python object per event, per example and per item pair,
+and the global graph as its own item -> [(neighbor, weight)] dict, so the
+oracle does not depend on the types it checks.  `write_stage_files` writes
+the stage files the way the two commands did.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from sessrec.corpus import SECONDS_PER_DAY, CorpusError, Example
-from sessrec.graphs import GlobalGraph
 
 
 @dataclass(frozen=True)
@@ -239,16 +239,8 @@ def cooccurrence_weights(sequences, epsilon: int) -> Counter:
     return weights
 
 
-def build_global_graph(corpus_or_sequences, epsilon: int = 3, top_n: int = 12, num_items=None) -> GlobalGraph:
-    """Build the pruned co-occurrence graph from training sessions only."""
-    if hasattr(corpus_or_sequences, "sessions"):
-        sequences = [s.items for s in corpus_or_sequences.sessions]
-        if num_items is None:
-            num_items = corpus_or_sequences.num_items
-    else:
-        sequences = list(corpus_or_sequences)
-        if num_items is None:
-            num_items = max((max(seq) for seq in sequences if seq), default=0)
+def build_global_graph(sequences, epsilon: int = 3, top_n: int = 12) -> dict:
+    """The pruned co-occurrence graph of training sessions: item -> [(neighbor, weight)]."""
     weights = cooccurrence_weights(sequences, epsilon)
     adj: dict[int, list[tuple[int, int]]] = {}
     for (a, b), w in weights.items():
@@ -258,15 +250,15 @@ def build_global_graph(corpus_or_sequences, epsilon: int = 3, top_n: int = 12, n
     for item, nbrs in adj.items():
         nbrs.sort(key=lambda nw: (-nw[1], nw[0]))
         pruned[item] = nbrs[:top_n]
-    return GlobalGraph(pruned, num_items, epsilon, top_n)
+    return pruned
 
 
-def write_global_graph(path, graph: GlobalGraph):
+def write_global_graph(path, graph: dict, num_items: int, epsilon: int, top_n: int):
     """Line-delimited export `item\tneighbor\tweight`, sorted."""
     with open(path, "w") as f:
-        f.write(f"# num_items={graph.num_items} epsilon={graph.epsilon} top_n={graph.top_n}\n")
-        for item in sorted(graph.neighbors_map):
-            for nbr, w in graph.neighbors_map[item]:
+        f.write(f"# num_items={num_items} epsilon={epsilon} top_n={top_n}\n")
+        for item in sorted(graph):
+            for nbr, w in graph[item]:
                 f.write(f"{item}\t{nbr}\t{w}\n")
 
 
@@ -301,6 +293,5 @@ def write_stage_files(events_path, corpus_dir, graph_dir, *, delimiter=None, min
         "avg_session_len": round(sum(len(s.items) for s in all_sessions) / len(all_sessions), 4),
     }
     (corpus_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    graph = build_global_graph([s.items for s in train.sessions], epsilon, top_n,
-                               num_items=meta["num_items"])
-    write_global_graph(graph_dir / "global_graph.tsv", graph)
+    graph = build_global_graph([s.items for s in train.sessions], epsilon, top_n)
+    write_global_graph(graph_dir / "global_graph.tsv", graph, meta["num_items"], epsilon, top_n)

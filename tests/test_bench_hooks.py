@@ -3,11 +3,14 @@ outside the program and silently drops the metrics of any hook whose target
 is gone, or whose counts read pack and batch fields that are gone.  These
 tests check that every hook target still resolves the way `Tracer._patch`
 looks it up, and that a traced toy pipeline reports every per-layer metric
-that BENCHMARK.json lists, so a refactor cannot drop one."""
+that BENCHMARK.json lists, so a refactor cannot drop one.  The benchmark
+driver (perfbench/workloads.py) also calls the program directly; a toy
+workload run through it end to end guards those calls."""
 
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it executes
     spec.loader.exec_module(module)
     return module
 
@@ -75,3 +79,20 @@ def test_traced_toy_pipeline_reports_every_per_layer_metric(tmp_path):
     assert tracer.absent == set()
     listed = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in listed if m["name"] not in metrics] == []
+
+
+@pytest.mark.parametrize("k_hops", [1, 2])
+def test_toy_workload_runs_end_to_end(tmp_path, monkeypatch, capsys, k_hops):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py imports gen as a top-level module
+    workloads = _load("workloads")
+    combo = next(c for c in workloads.FULL_GRID if c["k_hops"] == k_hops)
+    wl = workloads.Workload(f"toy-k{k_hops}", sessions=3000, catalogue=300,
+                            model=dict(k_hops=k_hops, embedding_dim=8), train_lengths=(1, 2),
+                            fault_lengths=(), eval_per_slot=20, eval_batch=10, setup_repeats=1,
+                            gradcheck=(combo,), min_rounds=1)
+    result = workloads.run_workload(wl, seed=5, seconds=0.1, traced=False, work_root=tmp_path / "work")
+    assert "check failed" not in capsys.readouterr().err
+    assert result["correct"] is True
+    assert result["failed"] == 0 and result["attempted"] > 0
+    listed = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in listed)

@@ -67,6 +67,12 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="unknown top-level key"):
             validate_config({"modle": {}})
 
+    def test_retired_model_settings_are_unknown_keys(self):
+        for key, value in (("leaky_slope", 0.2), ("share_hop_weights", False),
+                           ("normalize_step_attention", False)):
+            with pytest.raises(ConfigError, match=f"model.{key}: unknown key"):
+                validate_config({"model": {key: value}})
+
     def test_problems_aggregated(self):
         with pytest.raises(ConfigError) as exc:
             validate_config({"graph": {"epsilon": 0, "top_n": 0},
@@ -76,8 +82,6 @@ class TestValidateConfig:
     def test_sections_validate_when_built_directly(self):
         with pytest.raises(ValueError, match="epsilon must be >= 1"):
             GraphConfig(epsilon=0)
-        with pytest.raises(ValueError, match="leaky_slope must be > 0"):
-            ModelConfig(leaky_slope=0.0)
 
     def test_type_errors_reported(self):
         with pytest.raises(ConfigError, match="expected an integer"):
@@ -268,6 +272,32 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 2
         assert "Is a directory" in err and str(ckpt) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_work_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        wd = tmp_path / "run"
+        wd.write_text("")
+        rc = main(["preprocess", "--events", str(DATA / "toy_events.csv"), "--work-dir", str(wd)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(wd / "corpus") in err and "Not a directory" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_evaluate_checkpoint_with_unsupported_setting_exits_2(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"], ["train"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        ckpt = wd / "checkpoints" / "model.ckpt"
+        header, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"]["share_hop_weights"] = True
+        edited = wd / "edited.ckpt"
+        edited.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(edited)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "share_hop_weights" in err and str(edited) in err
         assert len(err.strip().splitlines()) == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):

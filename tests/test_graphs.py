@@ -219,5 +219,43 @@ class TestGlobalGraph:
         path = tmp_path / "graph.tsv"
         write_global_graph(path, g)
         g2 = read_global_graph(path)
-        assert g2.neighbors_map == g.neighbors_map
+        for table, table2 in ((g.nbr, g2.nbr), (g.weight, g2.weight)):
+            assert table2.dtype == table.dtype == np.int64 and np.array_equal(table2, table)
         assert (g2.num_items, g2.epsilon, g2.top_n) == (4, 2, 12)
+        assert g2.neighbors(1) == [(2, 2), (3, 1), (4, 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tables_hold_brute_force_lists_and_survive_the_file(tmp_path_factory, data):
+    n_items = data.draw(st.integers(1, 12))
+    seqs = data.draw(st.lists(st.lists(st.integers(1, n_items), min_size=1, max_size=10),
+                              min_size=1, max_size=15))
+    epsilon, top_n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    g = build_global_graph(*csr(seqs), epsilon=epsilon, top_n=top_n, num_items=n_items)
+    assert g.nbr.shape == g.weight.shape == (n_items + 1, top_n)
+
+    path = tmp_path_factory.mktemp("graph") / "global_graph.tsv"
+    write_global_graph(path, g)
+    g2 = read_global_graph(path)
+    for table, table2 in ((g.nbr, g2.nbr), (g.weight, g2.weight)):
+        assert table2.dtype == table.dtype == np.int64 and np.array_equal(table2, table)
+    assert (g2.num_items, g2.epsilon, g2.top_n) == (n_items, epsilon, top_n)
+
+    assert not g.nbr[0].any() and not g.weight[0].any()
+    filled = g.nbr > 0
+    # filled slots come first and every empty slot weighs 0: `nbr > 0` is the whole mask
+    assert np.array_equal(filled, np.arange(top_n) < filled.sum(axis=1, keepdims=True))
+    assert np.all(g.weight[~filled] == 0) and np.all(g.weight[filled] > 0)
+
+    lists = {}
+    for pair, w in brute_force_pair_weights(seqs, epsilon).items():
+        a, b = tuple(pair)
+        lists.setdefault(a, []).append((b, w))
+        lists.setdefault(b, []).append((a, w))
+    for item in range(1, n_items + 1):
+        expect = sorted(lists.get(item, []), key=lambda nw: (-nw[1], nw[0]))[:top_n]
+        k = len(expect)
+        assert g.nbr[item, :k].tolist() == [n for n, _ in expect]
+        assert g.weight[item, :k].tolist() == [w for _, w in expect]
+        assert not filled[item, k:].any()

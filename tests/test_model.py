@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
 from sessrec.graphs import GlobalGraph, build_global_graph, csr
-from sessrec.model import (ModelConfig, NextItemModel, load_checkpoint,
+from sessrec.model import (LEAKY_SLOPE, ModelConfig, NextItemModel, load_checkpoint,
                            model_gradcheck, save_checkpoint, toy_batch)
 
 # -- scalar helpers for desk-calculation oracles (no numpy on purpose) --------
@@ -38,9 +39,19 @@ def single_batch(prefix, label, graph, k_hops, **collate_kw):
     return collate([pack_example(prefix, label, graph, k_hops)], **collate_kw)
 
 
+def graph_of(lists, num_items, top_n=12):
+    """A GlobalGraph whose table rows hold the given item -> [(neighbor, weight)] lists."""
+    nbr = np.zeros((num_items + 1, top_n), dtype=np.int64)
+    weight = np.zeros_like(nbr)
+    for item, entries in lists.items():
+        for j, (n, w) in enumerate(entries):
+            nbr[item, j], weight[item, j] = n, w
+    return GlobalGraph(nbr, weight, num_items, epsilon=1, top_n=top_n)
+
+
 class TestGlobalLayer:
     def _pair_graph(self, weight=3):
-        return GlobalGraph({1: [(2, weight)], 2: [(1, weight)]}, num_items=2, epsilon=1, top_n=12)
+        return graph_of({1: [(2, weight)], 2: [(1, weight)]}, num_items=2)
 
     def test_single_neighbor_gets_weight_one(self):
         model = make_model(2, embedding_dim=4, k_hops=1)
@@ -52,8 +63,7 @@ class TestGlobalLayer:
 
     def test_identical_neighbors_split_evenly(self):
         # two neighbors with identical embeddings and identical edge weights
-        graph = GlobalGraph({1: [(2, 5), (3, 5)], 2: [(1, 5)], 3: [(1, 5)]},
-                            num_items=3, epsilon=1, top_n=12)
+        graph = graph_of({1: [(2, 5), (3, 5)], 2: [(1, 5)], 3: [(1, 5)]}, num_items=3)
         model = make_model(3, embedding_dim=4, k_hops=1)
         emb = model.params["item_embeddings"]
         emb.value[3] = emb.value[2]
@@ -99,7 +109,7 @@ class TestGlobalLayer:
         assert np.allclose(out2.fused.value[0], np.array(hg), atol=1e-12)
 
     def test_isolated_node_uses_zero_neighborhood(self):
-        graph = GlobalGraph({1: [(2, 1)], 2: [(1, 1)]}, num_items=3, epsilon=1, top_n=12)
+        graph = graph_of({1: [(2, 1)], 2: [(1, 1)]}, num_items=3)
         model = make_model(3, embedding_dim=4, k_hops=1, use_session_layer=False)
         batch = single_batch((3,), 1, graph, 1)  # item 3 has no neighbors
         out = model.forward(batch)
@@ -119,7 +129,6 @@ def reference_global_rows(model, pack):
     """Dense numpy evaluation of the global layer over every frontier row of
     one unpadded pack, hop by hop; returns the session rows' final vectors."""
     p = {name: model.params[name].value for name in model.params.names()}
-    slope = model.config.leaky_slope
     emb = p["item_embeddings"]
     h = emb[pack.frontier_items]
     s = emb[pack.frontier_items[pack.alias]].mean(axis=0)
@@ -133,7 +142,7 @@ def reference_global_rows(model, pack):
                 js = pack.nbr_idx[i][pack.nbr_mask[i]]
                 x = np.concatenate([s * h[js], pack.nbr_wt[i][pack.nbr_mask[i]][:, None]], axis=1)
                 pre = x @ W1.T
-                e = np.where(pre >= 0, pre, slope * pre) @ q1
+                e = np.where(pre >= 0, pre, LEAKY_SLOPE * pre) @ q1
                 a = np.exp(e - e.max())
                 h_nbr = (a / a.sum()) @ h[js]
             out[i] = np.maximum(W2 @ np.concatenate([h[i], h_nbr]), 0.0)
@@ -163,22 +172,21 @@ class TestGlobalLayerReference:
     def test_session_rows_match_dense_reference(self):
         graph, prefixes = self._corpus(41)
         for k in (1, 2):
-            for shared in (False, True):
-                for use_session in (True, False):
-                    model = make_model(30, max_len=8, embedding_dim=6, k_hops=k, share_hop_weights=shared,
-                                       use_session_layer=use_session, seed=k)
-                    for prm in model.params:
-                        prm.value *= 4.0  # leave the near-linear init regime
-                    packs = [pack_example(pf, 1, graph, k) for pf in prefixes]
-                    batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
-                                    pad_frontier=max(p.frontier_size for p in packs) + 9)
-                    h_g = global_rows(model, batch)
-                    if not use_session:
-                        assert np.array_equal(model.forward(batch).fused.value, h_g)
-                    for b, pack in enumerate(packs):
-                        expect = reference_global_rows(model, pack)
-                        assert np.allclose(h_g[b, : pack.num_nodes], expect, rtol=0, atol=1e-12), \
-                            f"k_hops={k} shared={shared} session={use_session} example {b}"
+            for use_session in (True, False):
+                model = make_model(30, max_len=8, embedding_dim=6, k_hops=k,
+                                   use_session_layer=use_session, seed=k)
+                for prm in model.params:
+                    prm.value *= 4.0  # leave the near-linear init regime
+                packs = [pack_example(pf, 1, graph, k) for pf in prefixes]
+                batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
+                                pad_frontier=max(p.frontier_size for p in packs) + 9)
+                h_g = global_rows(model, batch)
+                if not use_session:
+                    assert np.array_equal(model.forward(batch).fused.value, h_g)
+                for b, pack in enumerate(packs):
+                    expect = reference_global_rows(model, pack)
+                    assert np.allclose(h_g[b, : pack.num_nodes], expect, rtol=0, atol=1e-12), \
+                        f"k_hops={k} session={use_session} example {b}"
 
     def test_mixed_batch_matches_single_forwards(self):
         graph, _ = self._corpus(43)
@@ -238,7 +246,7 @@ class TestSessionLayer:
 
 class TestFuse:
     def _two_branch_model(self, **kw):
-        graph = GlobalGraph({1: [(2, 1)], 2: [(1, 1)]}, num_items=2, epsilon=1, top_n=12)
+        graph = graph_of({1: [(2, 1)], 2: [(1, 1)]}, num_items=2)
         model = make_model(2, embedding_dim=3, k_hops=1, **kw)
         batch = single_batch((1, 2), 1, graph, 1)
         return model, batch
@@ -400,11 +408,6 @@ class TestSessionEncode:
         s2 = model.forward(single_batch((3, 2, 1), 1, None, 0)).session_vec.value
         assert not np.allclose(s1, s2)
 
-    def test_normalized_attention_variant_sums_to_one(self):
-        model = make_model(3, embedding_dim=4, k_hops=0, normalize_step_attention=True, seed=11)
-        out = model.forward(single_batch((1, 2, 3), 1, None, 0))
-        assert np.isclose(out.step_weights.value[0].sum(), 1.0)
-
 
 class TestPredictAndLoss:
     def test_identical_embeddings_equal_probabilities(self):
@@ -519,25 +522,13 @@ class TestWholeModel:
         assert not np.isclose(beta[0], beta[2])
         assert np.array_equal(out.seq_vectors.value[0, 0], out.seq_vectors.value[0, 2])
 
-    def test_share_hop_weights_registers_single_set(self):
-        shared = make_model(5, embedding_dim=4, k_hops=2, share_hop_weights=True)
-        separate = make_model(5, embedding_dim=4, k_hops=2)
-        assert "global_att_proj" in shared.params
-        assert "global_att_proj_hop1" in separate.params and "global_att_proj_hop2" in separate.params
-
     def test_gradcheck_self_attention_and_none_modes(self):
         for mode in ("self_attention", "none"):
             cfg = ModelConfig(embedding_dim=8, k_hops=1, position_mode=mode, dropout_global=0.0)
             assert model_gradcheck(cfg) < 1e-4
 
-    def test_gradcheck_without_session_layer_and_normalized_attention(self):
+    def test_gradcheck_without_session_layer(self):
         cfg = ModelConfig(embedding_dim=8, k_hops=1, use_session_layer=False, dropout_global=0.0)
-        assert model_gradcheck(cfg) < 1e-4
-        cfg2 = ModelConfig(embedding_dim=8, k_hops=1, normalize_step_attention=True, dropout_global=0.0)
-        assert model_gradcheck(cfg2) < 1e-4
-
-    def test_gradcheck_shared_hop_weights(self):
-        cfg = ModelConfig(embedding_dim=8, k_hops=2, share_hop_weights=True, dropout_global=0.0)
         assert model_gradcheck(cfg) < 1e-4
 
     def test_single_precision_stays_float32(self):
@@ -606,4 +597,32 @@ class TestCheckpoint:
         path = tmp_path / "not_a_ckpt"
         path.write_bytes(b'{"magic": "something-else"}\n')
         with pytest.raises(ValueError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _edit_header(path, **settings):
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"].update(settings)
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+    def test_version_1_header_with_retired_settings_at_their_fixed_values_loads(self, tmp_path):
+        cfg = ModelConfig(embedding_dim=3, k_hops=2, dropout_global=0.0)
+        model = NextItemModel(5, 4, cfg, seed=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        self._edit_header(path, leaky_slope=0.2, share_hop_weights=False, normalize_step_attention=False)
+        loaded = load_checkpoint(path)
+        assert loaded.config == cfg
+        batch, _ = toy_batch(cfg)
+        assert np.array_equal(loaded.forward(batch).logits.value, model.forward(batch).logits.value)
+
+    @pytest.mark.parametrize("settings", [{"leaky_slope": 0.1}, {"share_hop_weights": True},
+                                          {"normalize_step_attention": True}, {"hidden_units": 4}])
+    def test_other_settings_in_the_header_rejected(self, tmp_path, settings):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, make_model(3, embedding_dim=2, k_hops=1))
+        self._edit_header(path, **settings)
+        (key,) = settings
+        with pytest.raises(ValueError, match=f"unsupported model settings.*{key}"):
             load_checkpoint(path)
