@@ -14,9 +14,19 @@ Two numerical ground rules shape the op set:
   so `masked_softmax`, `weighted_sum` and `masked_sum` accumulate those
   axes sequentially (adding an exact +0.0 is the identity).
 * BLAS matmul kernels change the order of partial sums depending on the row
-  count, which also breaks that guarantee.  `matmul` therefore defaults to a
-  row-stable einsum path; callers whose row count never varies (e.g. scoring
-  against the full item table) can opt back into BLAS for speed.
+  count (OpenBLAS tiles rows, and edge tiles and one-row products take other
+  kernels), which also breaks that guarantee.  `matmul` therefore defaults to
+  a row-stable path: the rows of `a` are zero-padded to whole blocks of
+  `_ROW_BLOCK` rows and every BLAS call multiplies one (`_ROW_BLOCK`, K)
+  block, so the call's shape never depends on the row count.  A block of
+  identical rows must also give identical output rows, which fails where a
+  block is not a multiple of the kernel's row tile or, with several BLAS
+  threads, where the threads' row ranges treat the last columns differently;
+  a probe checks this once per (K, N, dtypes, layout of `b`) and a shape that
+  fails it runs on einsum instead.  The scoring head opts out
+  (`row_stable=False`): its logits can differ in the last bits between batch
+  sizes, but blocking its (B, d) x (d, m) product takes twice as long as
+  plain BLAS at B=100.
 """
 
 from __future__ import annotations
@@ -245,13 +255,62 @@ def neg(a):
     return _make(-a.value, (a,), backward, "neg")
 
 
+_ROW_BLOCK = 96  # a multiple of every row tile OpenBLAS uses (4, 8, 12, 16, 24, 32)
+_PROBE_ROWS = 8  # two summation orders can round alike by chance, so probe several rows
+_BLOCKS_STABLE = {}  # (K, N, a dtype, b dtype, layout of b) -> probe verdict
+
+
+def _blas_operand(b):
+    """`b` (K, N) and the layout numpy's matmul hands BLAS: 'N' (row-major) or
+    'T' (column-major).  Other strides are copied to row-major first, since
+    numpy would copy them in an order of its own."""
+    item = b.itemsize
+    if b.strides[1] == item and b.strides[0] >= b.shape[1] * item:
+        return b, "N"
+    if b.strides[0] == item and b.strides[1] >= b.shape[0] * item:
+        return b, "T"
+    return np.ascontiguousarray(b), "N"
+
+
+def _probe_blocks(K, N, a_dtype, b_dtype, layout):
+    """True when blocks of (_ROW_BLOCK, K), each one random row repeated, times
+    a random (K, N) `b` of this layout give identical rows within each block."""
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((_PROBE_ROWS, 1, K)).astype(a_dtype)
+    b = rng.standard_normal((K, N) if layout == "N" else (N, K)).astype(b_dtype)
+    out = np.matmul(np.repeat(rows, _ROW_BLOCK, axis=1), b if layout == "N" else b.T)
+    return bool((out == out[:, :1]).all())
+
+
+def _row_stable_product(av, bv):
+    """av @ bv whose every row has the same bits whatever the row count of
+    `av` (see the module docstring)."""
+    bv, layout = _blas_operand(bv)
+    K, N = bv.shape
+    key = (K, N, av.dtype, bv.dtype, layout)
+    stable = _BLOCKS_STABLE.get(key)
+    if stable is None:
+        stable = _BLOCKS_STABLE[key] = _probe_blocks(*key)
+    if not stable:
+        return np.einsum("mk,kn->mn", av, bv)
+    M = av.shape[0]
+    blocks = -(-M // _ROW_BLOCK)
+    if M % _ROW_BLOCK or not av.flags.c_contiguous:
+        padded = np.zeros((blocks * _ROW_BLOCK, K), dtype=av.dtype)
+        padded[:M] = av
+        av = padded
+    out = np.matmul(av.reshape(blocks, _ROW_BLOCK, K), bv)
+    return out.reshape(blocks * _ROW_BLOCK, N)[:M]
+
+
 def matmul(a, b, transpose_b=False, row_stable=True):
     """2-D matrix product a @ b (or a @ b.T).
 
-    `row_stable=True` routes through einsum so each output row is computed
-    identically regardless of how many rows `a` has; required whenever the
-    row count depends on batch padding.  BLAS (`row_stable=False`) is faster
-    and fine when the row count is invariant.
+    `row_stable=True` computes each output row identically whatever the row
+    count of `a`, as padded batches require: fixed-shape BLAS blocks where
+    the shape passed its probe, einsum where it did not.  Plain BLAS
+    (`row_stable=False`) is for products whose rows may differ in the last
+    bits between row counts.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -260,11 +319,8 @@ def matmul(a, b, transpose_b=False, row_stable=True):
     inner_b = b.shape[1] if transpose_b else b.shape[0]
     if inner_a != inner_b:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape} (transpose_b={transpose_b})")
-    if row_stable:
-        subscripts = "mk,nk->mn" if transpose_b else "mk,kn->mn"
-        out = np.einsum(subscripts, a.value, b.value)
-    else:
-        out = a.value @ (b.value.T if transpose_b else b.value)
+    bv = b.value.T if transpose_b else b.value
+    out = _row_stable_product(a.value, bv) if row_stable else a.value @ bv
 
     def backward(g):
         if transpose_b:
@@ -465,8 +521,13 @@ def _expand_to(mask, shape):
 
 
 def leaky_relu(a, slope=0.2):
+    """max(a, slope * a), which equals where(a >= 0, a, slope * a) bit for bit
+    (signed zeros, infinities and NaN included) for a slope in (0, 1)."""
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     a = _as_tensor(a)
-    out = np.where(a.value >= 0, a.value, slope * a.value)
+    out = np.asarray(slope * a.value)  # a 0-d product is a scalar
+    np.maximum(a.value, out, out=out)
 
     def backward(g):
         return (np.where(a.value >= 0, g, slope * g),)

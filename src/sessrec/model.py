@@ -278,6 +278,9 @@ class NextItemModel:
     def predict(self, session_vec):
         """Logits (B, m) over all items, scored against the initial embeddings."""
         cand = ad.narrow(self.params["item_embeddings"], 0, 1, self.num_items)
+        # plain BLAS: at B=100, row-stable blocks take twice as long (the item
+        # table is packed again for each 96-row block), so a row's logits may
+        # change in the last bits with the batch's row count
         return ad.matmul(session_vec, cand, transpose_b=True, row_stable=False)
 
     # -- end-to-end -----------------------------------------------------------
@@ -419,6 +422,9 @@ def load_checkpoint(path) -> NextItemModel:
         raise ValueError(f"{path} is not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
+    missing = sorted({"sha256", "config", "params", "num_items", "max_len", "seed"} - set(header))
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise ValueError(f"{path}: checkpoint payload fails its integrity check")
     config = {k: v for k, v in header["config"].items() if k not in _RETIRED or v != _RETIRED[k]}

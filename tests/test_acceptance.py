@@ -194,6 +194,31 @@ def test_c06_masking_equivalence():
     report(6, "padded-batch forward of one example is bit-identical for 50 random examples")
 
 
+def test_c06_masking_equivalence_single_precision():
+    rng = np.random.default_rng(2025)
+    num_items = 40
+    sessions = random_corpus(rng, 60, num_items)
+    graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
+    for k_hops in (1, 2):
+        cfg = ModelConfig(embedding_dim=16, k_hops=k_hops, dropout_global=0.0, precision="single")
+        model = NextItemModel(num_items, max_len=12, config=cfg, seed=32)
+        for trial in range(25):
+            l = int(rng.integers(1, 11))
+            prefix = tuple(int(x) for x in rng.integers(1, num_items + 1, size=l))
+            pack = pack_example(prefix, int(rng.integers(1, num_items + 1)), graph, k_hops)
+            single = collate([pack])
+            padded = collate([pack],
+                             pad_len=pack.length + int(rng.integers(1, 8)),
+                             pad_nodes=pack.num_nodes + int(rng.integers(1, 6)),
+                             pad_frontier=pack.frontier_size + int(rng.integers(1, 25)))
+            a = model.forward(single)
+            b = model.forward(padded)
+            assert a.logits.value.dtype == np.float32
+            assert np.array_equal(a.session_vec.value, b.session_vec.value), f"k={k_hops} trial {trial}"
+            assert np.array_equal(a.logits.value, b.logits.value), f"k={k_hops} trial {trial}"
+    report(6, "single precision: padded-batch forward is bit-identical for 50 random examples")
+
+
 def test_c07_softmax_normalization():
     rng = np.random.default_rng(808)
     num_items = 25

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessrec import autodiff as ad
 
@@ -17,6 +19,24 @@ class TestForwardOps:
     def test_leaky_relu_definition(self):
         out = ad.leaky_relu(t([-1.0, 2.0, 0.0]), slope=0.2)
         assert np.allclose(out.value, [-0.2, 2.0, 0.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_matches_where_bit_for_bit(self, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, info.tiny, -info.tiny,
+                   info.smallest_subnormal, -info.smallest_subnormal, -3 * info.smallest_subnormal,
+                   info.max, -info.max, 1.0, -1.0]
+        x = np.concatenate([np.array(special), np.random.default_rng(5).normal(size=200)]).astype(dtype)
+        for slope in (0.2, 0.01, 0.99):
+            out = ad.leaky_relu(ad.constant(x), slope).value
+            expect = np.where(x >= 0, x, dtype(slope) * x)
+            assert out.dtype == dtype
+            assert np.array_equal(out.view(np.uint8), expect.view(np.uint8))
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            ad.leaky_relu(t([1.0]), slope)
 
     def test_dropout_eval_mode_is_exact_identity(self):
         x = t([[0.5, -1.5], [2.0, 0.0]])
@@ -272,6 +292,68 @@ class TestSoftmaxLoss:
             ad.softmax_loss(t(np.zeros((2, 3))), np.array([0, 1]), "hinge")
         with pytest.raises(ad.ShapeError):
             ad.softmax_loss(t(np.zeros((2, 3))), np.array([0]), "binary")
+
+
+def _operands(rng, m, k, n, transpose_b, dtype):
+    a = rng.standard_normal((m, k)).astype(dtype)
+    b = rng.standard_normal((n, k) if transpose_b else (k, n)).astype(dtype)
+    return a, b
+
+
+def _product(a, b, transpose_b):
+    return ad.matmul(ad.constant(a), ad.constant(b), transpose_b=transpose_b).value
+
+
+class TestRowStableMatmul:
+    """Each row of a row-stable product has the same bits whatever its batch."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.one_of(st.integers(1, 300), st.sampled_from([96, 192, 288])),
+           k=st.integers(1, 130), n=st.integers(1, 130), transpose_b=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]), strided=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_alone_and_among_random_rows(self, m, k, n, transpose_b, dtype, strided, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _operands(rng, m, k, n, transpose_b, dtype)
+        if strided:  # `a` is copied even at whole blocks; no stride of `b` is unit
+            a = np.concatenate([a, a], axis=1)[:, :k]
+            b = np.stack([b, b], axis=-1)[..., 0]
+        out = _product(a, b, transpose_b)
+        assert out.shape == (m, n) and out.dtype == dtype
+        for i in range(m):
+            assert np.array_equal(_product(a[i:i + 1], b, transpose_b)[0], out[i]), f"row {i} alone"
+        # every row of `a` at a random position among random rows
+        others = rng.standard_normal((int(rng.integers(0, 300)), k)).astype(dtype)
+        mixed = np.concatenate([a, others])
+        order = rng.permutation(len(mixed))
+        mixed_out = _product(mixed[order], b, transpose_b)
+        where = np.argsort(order)[:m]
+        assert np.array_equal(mixed_out[where], out)
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shape_that_fails_its_probe_runs_on_einsum(self, monkeypatch, transpose_b, dtype):
+        monkeypatch.setattr(ad, "_BLOCKS_STABLE", {})
+        monkeypatch.setattr(ad, "_probe_blocks", lambda *key: False)
+        a, b = _operands(np.random.default_rng(11), 130, 37, 29, transpose_b, dtype)
+        expect = np.einsum("mk,nk->mn" if transpose_b else "mk,kn->mn", a, b)
+        assert np.array_equal(_product(a, b, transpose_b), expect)
+        assert list(ad._BLOCKS_STABLE.values()) == [False]
+
+    @pytest.mark.parametrize("transpose_b", [False, True])
+    def test_gradcheck_through_blocks(self, monkeypatch, transpose_b):
+        monkeypatch.setattr(ad, "_BLOCKS_STABLE", {})
+        monkeypatch.setattr(ad, "_probe_blocks", lambda *key: True)
+        m, k, n = 100, 4, 3  # two blocks, the second one padded
+        b_shape = (n, k) if transpose_b else (k, n)
+
+        def f(x):
+            a = ad.reshape(ad.narrow(x, 0, 0, m * k), (m, k))
+            b = ad.reshape(ad.narrow(x, 0, m * k, k * n), b_shape)
+            return ad.sum_all(ad.tanh(ad.matmul(a, b, transpose_b=transpose_b)))
+
+        x = np.random.default_rng(12).normal(size=m * k + k * n)
+        assert ad.gradcheck(f, x) < 1e-8
 
 
 class TestDeterminism:

@@ -283,6 +283,23 @@ class TestPipeline:
         assert str(wd / "corpus") in err and "Not a directory" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_evaluate_checkpoint_header_missing_keys_exits_2(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        bare = wd / "bare.ckpt"
+        bare.write_bytes(b'{"magic": "sessrec-checkpoint", "version": 1}\n')
+        partial = wd / "partial.ckpt"
+        partial.write_bytes(b'{"magic": "sessrec-checkpoint", "version": 1, "sha256": "00", '
+                            b'"num_items": 5, "max_len": 4, "seed": 1}\n\x00')
+        capsys.readouterr()
+        for path, missing in ((bare, ("config", "params", "sha256")), (partial, ("config", "params"))):
+            rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(path)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert str(path) in err and all(key in err for key in missing)
+            assert len(err.strip().splitlines()) == 1
+
     def test_evaluate_checkpoint_with_unsupported_setting_exits_2(self, pipeline_cfg, capsys):
         cfg, events, wd = pipeline_cfg
         for cmd in (["preprocess", "--events", str(events)], ["build-graph"], ["train"]):

@@ -204,6 +204,25 @@ class TestGlobalLayerReference:
             # the scoring matmul runs on BLAS, whose rows change with the row count
             assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-12)
 
+    def test_mixed_batch_matches_single_forwards_single_precision(self):
+        graph, _ = self._corpus(43)
+        rng = np.random.default_rng(46)
+        for k in (1, 2):
+            for aggregation in ("sum", "gate", "max", "concat"):
+                model = make_model(30, max_len=10, embedding_dim=8, k_hops=k, aggregation=aggregation,
+                                   precision="single", seed=47)
+                packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
+                         for n in (1, 6, 2, 9, 3, 1, 4)]
+                out = model.forward(collate(packs))
+                assert out.fused.value.dtype == np.float32
+                for b, pack in enumerate(packs):
+                    alone = model.forward(collate([pack]))
+                    n = pack.num_nodes
+                    assert np.array_equal(out.fused.value[b, :n], alone.fused.value[0])
+                    assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
+                    # the scoring head runs on plain BLAS: equal to float32 rounding only
+                    assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
+
 
 class TestSessionLayer:
     def test_self_loop_only_is_passthrough(self):
