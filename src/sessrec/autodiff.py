@@ -11,8 +11,9 @@ Two numerical ground rules shape the op set:
 * Reductions along axes that may be padded (node or position axes of a
   batch) must produce bit-identical results whether or not trailing padded
   entries are present.  numpy's pairwise summation does not guarantee this,
-  so `masked_softmax`, `weighted_sum` and `masked_sum` accumulate those
-  axes sequentially (adding an exact +0.0 is the identity).
+  so `masked_softmax` and `weighted_sum` accumulate those axes
+  sequentially (adding an exact +0.0 is the identity).  A masked sum is a
+  `weighted_sum` with unit weights.
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
@@ -105,12 +106,11 @@ class Tensor:
 class Parameter(Tensor):
     """A named trainable leaf tensor."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name, value, trainable=True):
+    def __init__(self, name, value):
         super().__init__(np.asarray(value), requires_grad=True, op="param")
         self.name = name
-        self.trainable = trainable
 
 
 class ParameterStore:
@@ -119,10 +119,10 @@ class ParameterStore:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def register(self, name, value, trainable=True) -> Parameter:
+    def register(self, name, value) -> Parameter:
         if name in self._params:
             raise ValueError(f"parameter {name!r} registered twice")
-        p = Parameter(name, value, trainable)
+        p = Parameter(name, value)
         self._params[name] = p
         return p
 
@@ -142,7 +142,8 @@ class ParameterStore:
         return list(self._params.keys())
 
     def trainable(self):
-        return [p for p in self._params.values() if p.trainable]
+        """Every parameter (all of them train)."""
+        return list(self._params.values())
 
     def zero_grads(self):
         for p in self._params.values():
@@ -152,6 +153,13 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state):
+        """Replace every parameter's value; `state` must hold exactly the
+        registered names."""
+        missing = sorted(set(self._params) - set(state))
+        unknown = sorted(set(state) - set(self._params))
+        if missing or unknown:
+            raise ValueError(f"parameters do not match the model (missing: {', '.join(missing) or 'none'}; "
+                             f"unknown: {', '.join(unknown) or 'none'})")
         for name, arr in state.items():
             p = self._params[name]
             if p.value.shape != np.asarray(arr).shape:
@@ -244,15 +252,6 @@ def mul(a, b):
         return _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)
 
     return _make(out, (a, b), backward, "mul")
-
-
-def neg(a):
-    a = _as_tensor(a)
-
-    def backward(g):
-        return (-g,)
-
-    return _make(-a.value, (a,), backward, "neg")
 
 
 _ROW_BLOCK = 96  # a multiple of every row tile OpenBLAS uses (4, 8, 12, 16, 24, 32)
@@ -476,45 +475,14 @@ def weighted_sum(w, v, valid=None):
     out = acc if acc is not None else np.zeros(w.shape[:-1] + v.shape[-1:], dtype=vv.dtype)
 
     def backward(g):
-        gw = np.einsum("...d,...jd->...j", g, vv)
+        gw = np.einsum("...d,...jd->...j", g, vv) if w.requires_grad else None  # None for a mask
         gv = wv[..., None] * g[..., None, :]
         if valid is not None:
-            gw = np.where(valid, gw, 0.0)
+            gw = None if gw is None else np.where(valid, gw, 0.0)
             gv = np.where(valid[..., None], gv, 0.0)
         return gw, _unbroadcast(gv, v.shape)
 
     return _make(out, (w, v), backward, "weighted_sum")
-
-
-def masked_sum(a, mask, axis):
-    """Sum along `axis` keeping only `mask` entries; sequential, padding-stable."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    ax = axis % a.ndim
-    J = a.shape[ax]
-    av = a.value
-    acc = None
-    for j in range(J):
-        term = np.take(av, j, axis=ax)
-        m = np.take(mask, j, axis=ax)
-        term = np.where(_expand_to(m, term.shape), term, 0.0)
-        acc = term if acc is None else acc + term
-    out = acc
-
-    def backward(g):
-        g2 = np.expand_dims(g, ax)
-        full = np.broadcast_to(g2, a.shape)
-        return (np.where(_expand_to(mask, a.shape), full, 0.0),)
-
-    return _make(out, (a,), backward, "masked_sum")
-
-
-def _expand_to(mask, shape):
-    """Right-pad mask with singleton axes until it broadcasts to `shape`."""
-    m = mask
-    while m.ndim < len(shape):
-        m = m[..., None]
-    return np.broadcast_to(m, shape)
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -793,18 +761,6 @@ def _toposort(root):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return list(reversed(order))
-
-
-def format_graph(root, max_nodes=200):
-    """Text dump of the op graph below `root` (debugging aid)."""
-    lines = []
-    for i, node in enumerate(reversed(_toposort(root))):
-        if i >= max_nodes:
-            lines.append(f"... ({max_nodes} node limit)")
-            break
-        parents = ", ".join(p.op for p in node.parents)
-        lines.append(f"{node.op:<16} shape={node.value.shape} <- [{parents}]")
-    return "\n".join(lines)
 
 
 # -- gradient checking -------------------------------------------------------

@@ -22,11 +22,11 @@ from .config import ConfigError, RunConfig, dump_config, load_config
 from .corpus import (TEST, CorpusError, build_examples, filter_corpus, parse_sessions,
                      read_events, read_examples, read_sessions, temporal_split,
                      write_examples, write_sessions, write_vocab)
-from .evaluation import evaluate_model, render_table, rows_to_jsonl, run_ablations
+from .evaluation import evaluate_model, render_table, rows_to_jsonl
 from .graphs import build_global_graph, read_global_graph, write_global_graph
 from .model import (AGGREGATIONS, LOSS_MODES, POSITION_MODES, ModelConfig, load_checkpoint,
                     model_gradcheck, save_checkpoint)
-from .train import TrainingError, train_model
+from .train import TrainingError, run_ablations, train_model
 
 STAGE_DIRS = {"preprocess": "corpus", "build-graph": "graphs", "train": "checkpoints",
               "evaluate": "reports", "ablate": "reports"}
@@ -328,11 +328,12 @@ def _build_parser():
 
 
 def _model_flags(p):
+    # values are checked once, by ModelConfig, so a bad one exits 2 with one line
     p.add_argument("--hops", type=int, dest="k_hops")
-    p.add_argument("--aggregation", choices=AGGREGATIONS)
-    p.add_argument("--position-mode", dest="position_mode", choices=POSITION_MODES)
+    p.add_argument("--aggregation", help="one of " + ", ".join(AGGREGATIONS))
+    p.add_argument("--position-mode", dest="position_mode", help="one of " + ", ".join(POSITION_MODES))
     p.add_argument("--dropout", type=float, dest="dropout_global")
-    p.add_argument("--loss-mode", dest="loss_mode", choices=LOSS_MODES)
+    p.add_argument("--loss-mode", dest="loss_mode", help="one of " + ", ".join(LOSS_MODES))
 
 
 def _overrides_from_args(args) -> dict:

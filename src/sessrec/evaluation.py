@@ -1,4 +1,4 @@
-"""Ranking metrics and the configuration-grid experiment harness."""
+"""Ranking metrics and evaluation reports."""
 
 from __future__ import annotations
 
@@ -75,39 +75,6 @@ def evaluate_packs(model, packs, batch_size=100, label="", fingerprint="") -> Ev
 def evaluate_model(model, examples, global_graph, batch_size=100, label="", fingerprint="") -> EvalReport:
     packs = [pack_example(e.prefix, e.label, global_graph, model.config.k_hops) for e in examples]
     return evaluate_packs(model, packs, batch_size, label=label, fingerprint=fingerprint)
-
-
-def run_ablations(examples, num_items, max_len, global_graph, base_model_cfg, base_train_cfg,
-                  grid, fingerprint="", log=None):
-    """Train and evaluate one model per grid entry with a shared seed.
-
-    `grid` is a list of (label, model_overrides, train_overrides).  A failing
-    entry is recorded and the rest of the grid continues.  Returns a list of
-    dicts with either a `report` or an `error` per entry.
-    """
-    import dataclasses
-
-    from .train import train_model  # deferred: train imports this module
-
-    test_examples = [e for e in examples if e.split == "test"]
-    rows = []
-    for label, model_over, train_over in grid:
-        try:
-            model_cfg = dataclasses.replace(base_model_cfg, **model_over)
-            train_cfg = dataclasses.replace(base_train_cfg, **train_over)
-            result = train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg)
-            report = evaluate_model(result.model, test_examples, global_graph,
-                                    batch_size=train_cfg.batch_size, label=label,
-                                    fingerprint=fingerprint)
-            report.extra["val_mrr20"] = result.best_val_mrr20
-            rows.append({"label": label, "report": report})
-            if log:
-                log(f"{label}: P@20={report.p20:.2f} MRR@20={report.mrr20:.2f}")
-        except Exception as exc:  # record and continue with the rest of the grid
-            rows.append({"label": label, "error": f"{type(exc).__name__}: {exc}"})
-            if log:
-                log(f"{label}: failed ({exc})")
-    return rows
 
 
 def render_table(rows):

@@ -266,7 +266,8 @@ class NextItemModel:
             z = ad.tanh(ad.add(ad.matmul(cat, self.params["enc_pos_proj"], transpose_b=True),
                                self.params["enc_pos_bias"]))
             z = ad.reshape(z, (B, L, d))
-            mean_vec = ad.mul(ad.masked_sum(seq_vectors, batch.pos_mask, axis=1), inv_len)  # (B, d)
+            positions = ad.constant(batch.pos_mask, dtype=cfg.dtype)
+            mean_vec = ad.mul(ad.weighted_sum(positions, seq_vectors, valid=batch.pos_mask), inv_len)  # (B, d)
             keys = ad.reshape(ad.matmul(ad.reshape(z, (B * L, d)), w_item, transpose_b=True), (B, L, d))
             query = ad.reshape(ad.matmul(mean_vec, w_sess, transpose_b=True), (B, 1, d))
             inner = ad.sigmoid(ad.add(ad.add(keys, query), att_bias))
@@ -291,13 +292,14 @@ class NextItemModel:
         emb = self.params["item_embeddings"]
 
         h0_frontier = ad.gather(emb, batch.items)                    # (B, P_K, d)
-        h0_positions = ad.batched_gather(h0_frontier, batch.alias)   # (B, L, d)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
 
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
-            session_feat = ad.mul(ad.masked_sum(h0_positions, batch.pos_mask, axis=1), inv_len)
+            h0_positions = ad.batched_gather(h0_frontier, batch.alias)   # (B, L, d)
+            positions = ad.constant(batch.pos_mask, dtype=cfg.dtype)
+            session_feat = ad.mul(ad.weighted_sum(positions, h0_positions, valid=batch.pos_mask), inv_len)
             h_global, global_attn = self.global_layer_forward(h0_frontier, batch, session_feat)
 
         h_session = None
@@ -435,7 +437,14 @@ def load_checkpoint(path) -> NextItemModel:
     model = NextItemModel(header["num_items"], header["max_len"], ModelConfig(**config), seed=header["seed"])
     state = {}
     for ent in header["params"]:
+        try:
+            dtype = np.dtype(ent["dtype"])
+        except TypeError:  # the sha256 covers the payload, not the header
+            raise ValueError(f"{path}: parameter {ent['name']} has unknown dtype {ent['dtype']!r}") from None
         raw = payload[ent["offset"]: ent["offset"] + ent["nbytes"]]
-        state[ent["name"]] = np.frombuffer(raw, dtype=ent["dtype"]).reshape(ent["shape"]).copy()
-    model.load_state_dict(state)
+        state[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+    try:
+        model.load_state_dict(state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model

@@ -1,16 +1,17 @@
 """Mini-batch training: Adam with step learning-rate decay, L2 coupling,
-validation-based checkpoint selection and early stopping."""
+validation-based checkpoint selection and early stopping; and the
+configuration-grid experiment harness."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .batching import collate, pack_example
-from .evaluation import evaluate_packs
+from .evaluation import evaluate_model, evaluate_packs
 from .model import NextItemModel
 
 
@@ -225,3 +226,32 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
     if best_state is not None:
         model.load_state_dict(best_state)
     return result
+
+
+def run_ablations(examples, num_items, max_len, global_graph, base_model_cfg, base_train_cfg,
+                  grid, fingerprint="", log=None):
+    """Train and evaluate one model per grid entry with a shared seed.
+
+    `grid` is a list of (label, model_overrides, train_overrides).  A failing
+    entry is recorded and the rest of the grid continues.  Returns a list of
+    dicts with either a `report` or an `error` per entry.
+    """
+    test_examples = [e for e in examples if e.split == "test"]
+    rows = []
+    for label, model_over, train_over in grid:
+        try:
+            model_cfg = replace(base_model_cfg, **model_over)
+            train_cfg = replace(base_train_cfg, **train_over)
+            result = train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg)
+            report = evaluate_model(result.model, test_examples, global_graph,
+                                    batch_size=train_cfg.batch_size, label=label,
+                                    fingerprint=fingerprint)
+            report.extra["val_mrr20"] = result.best_val_mrr20
+            rows.append({"label": label, "report": report})
+            if log:
+                log(f"{label}: P@20={report.p20:.2f} MRR@20={report.mrr20:.2f}")
+        except Exception as exc:  # record and continue with the rest of the grid
+            rows.append({"label": label, "error": f"{type(exc).__name__}: {exc}"})
+            if log:
+                log(f"{label}: failed ({exc})")
+    return rows

@@ -317,6 +317,46 @@ class TestPipeline:
         assert "share_hop_weights" in err and str(edited) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edit, names", [
+        ("drop", ("enc_att_bias",)),
+        ("extra", ("extra_table",)),
+        ("dtype", ("enc_att_bias", "float33")),
+    ])
+    def test_evaluate_checkpoint_params_not_matching_the_model_exit_2(self, pipeline_cfg, capsys, edit, names):
+        # the sha256 covers the payload only, so an edited parameter list passes it
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        meta = json.loads((wd / "corpus" / "meta.json").read_text())
+        ckpt = wd / "saved.ckpt"
+        save_checkpoint(ckpt, NextItemModel(meta["num_items"], meta["max_prefix_len"],
+                                            ModelConfig(embedding_dim=6, k_hops=1)))
+        header, payload = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        entry = next(e for e in header["params"] if e["name"] == "enc_att_bias")
+        if edit == "drop":
+            header["params"].remove(entry)
+        elif edit == "extra":
+            header["params"].append({**entry, "name": "extra_table"})
+        else:
+            entry["dtype"] = "float33"
+        edited = wd / "edited.ckpt"
+        edited.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(edited)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(edited) in err and all(name in err for name in names)
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--aggregation", "--position-mode", "--loss-mode"])
+    def test_bad_model_flag_value_exits_2_with_one_line(self, capsys, flag):
+        rc = main(["gradcheck", flag, "bogus"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: invalid configuration:") and flag[2:].replace("-", "_") in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("graph: {epsilon: 0}\n")

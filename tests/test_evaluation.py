@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from sessrec.evaluation import (EvalReport, metrics, rank_of, render_table,
-                                rows_to_jsonl, run_ablations)
+from sessrec.evaluation import EvalReport, metrics, rank_of, render_table, rows_to_jsonl
 from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig
-from sessrec.train import TrainConfig
+from sessrec.train import TrainConfig, run_ablations
 
 from conftest import examples_from_sessions, pattern_sessions
 

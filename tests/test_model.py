@@ -155,7 +155,8 @@ def global_rows(model, batch):
     h0_f = ad.gather(emb, batch.items)
     h0_pos = ad.batched_gather(h0_f, batch.alias)
     inv_len = ad.constant((1.0 / batch.lengths)[:, None])
-    s = ad.mul(ad.masked_sum(h0_pos, batch.pos_mask, axis=1), inv_len)
+    positions = ad.constant(batch.pos_mask, dtype=np.float64)
+    s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
     h_g, _ = model.global_layer_forward(h0_f, batch, s)
     return h_g.value
 
@@ -276,7 +277,8 @@ class TestFuse:
         h0_f = ad.gather(emb, batch.items)
         h0_pos = ad.batched_gather(h0_f, batch.alias)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None])
-        s = ad.mul(ad.masked_sum(h0_pos, batch.pos_mask, axis=1), inv_len)
+        positions = ad.constant(batch.pos_mask, dtype=np.float64)
+        s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
         h_gf, _ = model.global_layer_forward(h0_f, batch, s)
         h_g = ad.narrow(h_gf, 1, 0, batch.rel.shape[1])
         h0_n = ad.narrow(h0_f, 1, 0, batch.rel.shape[1])
