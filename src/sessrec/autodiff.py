@@ -152,14 +152,18 @@ class ParameterStore:
     def state_dict(self):
         return {name: p.value.copy() for name, p in self._params.items()}
 
-    def load_state_dict(self, state):
-        """Replace every parameter's value; `state` must hold exactly the
-        registered names."""
-        missing = sorted(set(self._params) - set(state))
-        unknown = sorted(set(state) - set(self._params))
+    def match_names(self, names):
+        """Raise `ValueError` unless `names` are exactly the registered names."""
+        missing = sorted(set(self._params) - set(names))
+        unknown = sorted(set(names) - set(self._params))
         if missing or unknown:
             raise ValueError(f"parameters do not match the model (missing: {', '.join(missing) or 'none'}; "
                              f"unknown: {', '.join(unknown) or 'none'})")
+
+    def load_state_dict(self, state):
+        """Replace every parameter's value; `state` must hold exactly the
+        registered names."""
+        self.match_names(state)
         for name, arr in state.items():
             p = self._params[name]
             if p.value.shape != np.asarray(arr).shape:
@@ -248,8 +252,10 @@ def mul(a, b):
     _check_broadcast("mul", a, b)
     out = a.value * b.value
 
-    def backward(g):
-        return _unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)
+    def backward(g):  # None for an operand that needs no gradient, e.g. a constant
+        ga = _unbroadcast(g * b.value, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.value, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _make(out, (a, b), backward, "mul")
 

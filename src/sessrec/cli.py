@@ -278,9 +278,17 @@ def cmd_gradcheck(cfg: RunConfig, full: bool, threshold: float) -> int:
 # -- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag or flag value as one `error:` line with exit 2, like
+    every other input error, instead of the usage text; subcommand parsers
+    are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="sessrec",
-                                     description="Session-based recommender pipeline")
+    parser = _Parser(prog="sessrec", description="Session-based recommender pipeline")
     parser.add_argument("--version", action="version", version=f"sessrec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,6 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .batching import collate, pack_example
 
+SHORT_SESSION = 5  # prefixes of at most this many items form the `short` bucket
+
 
 def rank_of(scores, label: int) -> int:
     """1-based rank of `label` (an item index in 1..m) under descending score,
@@ -42,34 +44,48 @@ class EvalReport:
     example_count: int
     fingerprint: str = ""
     extra: dict = field(default_factory=dict)
+    by_length: dict = field(default_factory=dict)  # bucket -> (P@20, MRR@20, examples)
 
     def row(self):
+        per_length = {f"{key}_{bucket}": value for bucket, figures in self.by_length.items()
+                      for key, value in zip(("P@20", "MRR@20", "examples"), figures)}
         return {"label": self.label, "P@10": self.p10, "P@20": self.p20,
                 "MRR@10": self.mrr10, "MRR@20": self.mrr20,
                 "examples": self.example_count, "fingerprint": self.fingerprint,
-                **self.extra}
+                **per_length, **self.extra}
 
 
 def ranks_for_packs(model, packs, batch_size=100):
-    """Label ranks for packed examples, evaluated without building a tape.
+    """Label ranks for packed examples, evaluated without building a tape,
+    returned in the order of `packs`.
 
-    Ranks come from the logits: the softmax is monotone, so it is skipped."""
-    ranks = []
+    Batches are cut from the packs stably sorted by (session-graph nodes,
+    frontier size), so each batch pads its layers to sizes close to its
+    own examples' instead of to the largest in a stretch of stored order;
+    each rank is written back to its pack's position.  Ranks come from the
+    logits: the softmax is monotone, so it is skipped."""
+    order = sorted(range(len(packs)), key=lambda i: (packs[i].num_nodes, packs[i].frontier_size))
+    ranks = [0] * len(packs)
     with ad.no_grad():
-        for start in range(0, len(packs), batch_size):
-            chunk = packs[start: start + batch_size]
-            batch = collate(chunk)
-            out = model.forward(batch, train_mode=False)
-            for row, p in zip(out.logits.value, chunk):
-                ranks.append(rank_of(row, p.label))
+        for start in range(0, len(order), batch_size):
+            chunk = order[start: start + batch_size]
+            out = model.forward(collate([packs[i] for i in chunk]), train_mode=False)
+            for row, i in zip(out.logits.value, chunk):
+                ranks[i] = rank_of(row, packs[i].label)
     return ranks
 
 
 def evaluate_packs(model, packs, batch_size=100, label="", fingerprint="") -> EvalReport:
+    """P@10/20 and MRR@10/20 over all packs, and P@20 and MRR@20 per
+    session-length bucket (`short`: at most `SHORT_SESSION` items; a bucket
+    without examples is left out)."""
     ranks = ranks_for_packs(model, packs, batch_size)
     p10, mrr10 = metrics(ranks, 10)
     p20, mrr20 = metrics(ranks, 20)
-    return EvalReport(label, p10, p20, mrr10, mrr20, len(ranks), fingerprint)
+    ranks_arr, short = np.asarray(ranks), np.array([p.length <= SHORT_SESSION for p in packs])
+    by_length = {bucket: (*metrics(ranks_arr[sel], 20), int(sel.sum()))
+                 for bucket, sel in (("short", short), ("long", ~short)) if sel.any()}
+    return EvalReport(label, p10, p20, mrr10, mrr20, len(ranks), fingerprint, by_length=by_length)
 
 
 def evaluate_model(model, examples, global_graph, batch_size=100, label="", fingerprint="") -> EvalReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -435,14 +436,31 @@ def load_checkpoint(path) -> NextItemModel:
         raise ValueError(f"{path}: unsupported model settings in the checkpoint: "
                          + ", ".join(f"{k}={config[k]!r}" for k in unsupported))
     model = NextItemModel(header["num_items"], header["max_len"], ModelConfig(**config), seed=header["seed"])
-    state = {}
-    for ent in header["params"]:
+    entries = header["params"]
+    try:
+        model.params.match_names([ent["name"] for ent in entries])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # the sha256 covers the payload, not the header: each entry must hold one
+    # parameter in the model's dtype, the entries back to back as saved
+    want, end = np.dtype(model.config.dtype), 0
+    for ent in entries:
+        name = ent["name"]
         try:
             dtype = np.dtype(ent["dtype"])
-        except TypeError:  # the sha256 covers the payload, not the header
-            raise ValueError(f"{path}: parameter {ent['name']} has unknown dtype {ent['dtype']!r}") from None
-        raw = payload[ent["offset"]: ent["offset"] + ent["nbytes"]]
-        state[ent["name"]] = np.frombuffer(raw, dtype=dtype).reshape(ent["shape"]).copy()
+        except TypeError:
+            raise ValueError(f"{path}: parameter {name} has unknown dtype {ent['dtype']!r}") from None
+        if dtype != want:
+            raise ValueError(f"{path}: parameter {name} is stored as {dtype}, the model holds {want}")
+        if ent["nbytes"] != math.prod(ent["shape"]) * dtype.itemsize:
+            raise ValueError(f"{path}: parameter {name} has {ent['nbytes']} bytes for shape {ent['shape']}")
+        if ent["offset"] != end:
+            raise ValueError(f"{path}: parameter {name} starts at byte {ent['offset']}, not {end}")
+        end += ent["nbytes"]
+    if end != len(payload):
+        raise ValueError(f"{path}: the last parameter, {name}, ends at byte {end} of a {len(payload)}-byte payload")
+    state = {ent["name"]: np.frombuffer(payload[ent["offset"]: ent["offset"] + ent["nbytes"]], dtype=want)
+             .reshape(ent["shape"]).copy() for ent in entries}
     try:
         model.load_state_dict(state)
     except ValueError as exc:

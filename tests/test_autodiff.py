@@ -240,6 +240,17 @@ class TestGradcheck:
 
         assert ad.gradcheck(f, rng.normal(size=24)) < 1e-8
 
+    def test_mul_returns_no_gradient_for_a_constant_operand(self):
+        # as the global layer multiplies constant edge weights into a parameter row
+        rng = np.random.default_rng(15)
+        c, w = ad.constant(rng.normal(size=(2, 3, 1))), t(rng.normal(size=(5,)))
+        g = rng.normal(size=(2, 3, 5))
+        assert ad.mul(c, w)._backward(g)[0] is None
+        assert ad.mul(w, c)._backward(g)[1] is None
+        expect = (g * c.value).sum(axis=(0, 1))
+        assert np.array_equal(ad.mul(c, w)._backward(g)[1], expect)
+        assert np.array_equal(ad.mul(w, c)._backward(g)[0], expect)
+
     def test_nonfinite_rejected(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):

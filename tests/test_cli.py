@@ -317,13 +317,9 @@ class TestPipeline:
         assert "share_hop_weights" in err and str(edited) in err
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("edit, names", [
-        ("drop", ("enc_att_bias",)),
-        ("extra", ("extra_table",)),
-        ("dtype", ("enc_att_bias", "float33")),
-    ])
-    def test_evaluate_checkpoint_params_not_matching_the_model_exit_2(self, pipeline_cfg, capsys, edit, names):
-        # the sha256 covers the payload only, so an edited parameter list passes it
+    def _evaluate_edited_header(self, pipeline_cfg, capsys, edit):
+        """Exit code and stderr of `evaluate` on a saved checkpoint whose header
+        `edit` changed; the sha256 covers the payload only, so the edit passes it."""
         cfg, events, wd = pipeline_cfg
         for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
             assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
@@ -333,20 +329,47 @@ class TestPipeline:
                                             ModelConfig(embedding_dim=6, k_hops=1)))
         header, payload = ckpt.read_bytes().split(b"\n", 1)
         header = json.loads(header)
-        entry = next(e for e in header["params"] if e["name"] == "enc_att_bias")
-        if edit == "drop":
-            header["params"].remove(entry)
-        elif edit == "extra":
-            header["params"].append({**entry, "name": "extra_table"})
-        else:
-            entry["dtype"] = "float33"
+        edit(header["params"])
         edited = wd / "edited.ckpt"
         edited.write_bytes(json.dumps(header).encode() + b"\n" + payload)
         capsys.readouterr()
         rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(edited)])
         err = capsys.readouterr().err
+        assert str(edited) in err
+        return rc, err
+
+    @pytest.mark.parametrize("edit, names", [
+        ("drop", ("enc_att_bias",)),
+        ("extra", ("extra_table",)),
+        ("dtype", ("enc_att_bias", "float33")),
+    ])
+    def test_evaluate_checkpoint_params_not_matching_the_model_exit_2(self, pipeline_cfg, capsys, edit, names):
+        def change(entries):
+            entry = next(e for e in entries if e["name"] == "enc_att_bias")
+            if edit == "drop":
+                entries.remove(entry)
+            elif edit == "extra":
+                entries.append({**entry, "name": "extra_table"})
+            else:
+                entry["dtype"] = "float33"
+
+        rc, err = self._evaluate_edited_header(pipeline_cfg, capsys, change)
         assert rc == 2
-        assert str(edited) in err and all(name in err for name in names)
+        assert all(name in err for name in names)
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dtype", "int64", "item_embeddings is stored as int64"),
+        ("offset", 8, "item_embeddings starts at byte 8"),
+    ])
+    def test_evaluate_checkpoint_with_edited_entry_layout_exits_2(self, pipeline_cfg, capsys, key, value, message):
+        # either edit used to load the payload's bytes as garbage values
+        def change(entries):
+            entries[0][key] = value
+
+        rc, err = self._evaluate_edited_header(pipeline_cfg, capsys, change)
+        assert rc == 2
+        assert message in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("flag", ["--aggregation", "--position-mode", "--loss-mode"])
@@ -355,6 +378,16 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: invalid configuration:") and flag[2:].replace("-", "_") in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["gradcheck", "--hops", "x"], ["gradcheck", "--dropout", "abc"],
+                                      ["train", "--epochs", "x"], ["gradcheck", "--threshold", "x"]])
+    def test_flag_value_of_the_wrong_type_exits_2_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(f"error: argument {argv[1]}: invalid") and repr(argv[2]) in err
         assert len(err.strip().splitlines()) == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):

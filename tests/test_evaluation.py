@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sessrec.evaluation import EvalReport, metrics, rank_of, render_table, rows_to_jsonl
+from sessrec import evaluation
+from sessrec.batching import collate, pack_example
+from sessrec.evaluation import (EvalReport, evaluate_packs, metrics, rank_of, ranks_for_packs,
+                                render_table, rows_to_jsonl)
 from sessrec.graphs import build_global_graph, csr
-from sessrec.model import ModelConfig
+from sessrec.model import ModelConfig, NextItemModel
 from sessrec.train import TrainConfig, run_ablations
 
-from conftest import examples_from_sessions, pattern_sessions
+from conftest import examples_from_sessions, pattern_sessions, random_corpus
 
 
 def oracle_rank(scores, label):
@@ -108,3 +113,82 @@ class TestAblationHarness:
         assert "P@20" in table and "sum" in table and "error" in table
         jsonl = rows_to_jsonl(rows)
         assert len(jsonl.strip().splitlines()) == 2
+
+
+@st.composite
+def shuffled_packs(draw):
+    """Packs of every prefix of a toy corpus, in a drawn order."""
+    k_hops = draw(st.integers(0, 2))
+    n_items = draw(st.integers(2, 20))
+    sessions = draw(st.lists(st.lists(st.integers(1, n_items), min_size=2, max_size=8),
+                             min_size=1, max_size=10))
+    graph = build_global_graph(*csr(sessions), epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
+    examples = draw(st.permutations([(s[:k], s[k]) for s in sessions for k in range(1, len(s))]))
+    packs = [pack_example(prefix, label, graph, k_hops) for prefix, label in examples]
+    return k_hops, n_items, packs, draw(st.integers(1, 7))
+
+
+class TestRanksForPacks:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_packs())
+    def test_ranks_come_back_in_stored_order(self, case):
+        k_hops, n_items, packs, batch_size = case
+        model = NextItemModel(n_items, 7, ModelConfig(embedding_dim=8, k_hops=k_hops))
+        alone = [ranks_for_packs(model, [p], batch_size=1)[0] for p in packs]
+        assert ranks_for_packs(model, packs, batch_size) == alone
+
+    def test_batches_are_cut_in_padded_size_order(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        sessions = random_corpus(rng, 30, 40, max_len=8)
+        graph = build_global_graph(*csr(sessions), epsilon=2, top_n=4, num_items=40)
+        packs = [pack_example(s[:k], s[k], graph, 2) for s in sessions for k in range(1, len(s))]
+        keys = [(p.num_nodes, p.frontier_size) for p in packs]
+        assert keys != sorted(keys)  # stored order alone would not pass
+        batches = []
+
+        def spy(chunk):
+            batches.append([(p.num_nodes, p.frontier_size) for p in chunk])
+            return collate(chunk)
+
+        monkeypatch.setattr(evaluation, "collate", spy)
+        model = NextItemModel(40, 7, ModelConfig(embedding_dim=8, k_hops=2))
+        ranks_for_packs(model, packs, batch_size=9)
+        arrived = [key for batch in batches for key in batch]
+        assert arrived == sorted(keys)
+        assert all(len(batch) == 9 for batch in batches[:-1]) and 1 <= len(batches[-1]) <= 9
+
+
+class TestLengthBuckets:
+    def _packs(self):
+        rng = np.random.default_rng(4)
+        sessions = random_corpus(rng, 20, 15, min_len=2, max_len=10)
+        graph = build_global_graph(*csr(sessions), epsilon=2, top_n=4, num_items=15)
+        return [pack_example(s[:k], s[k], graph, 1) for s in sessions for k in range(1, len(s))]
+
+    def test_short_and_long_metrics_over_their_own_ranks(self):
+        packs = self._packs()
+        model = NextItemModel(15, 9, ModelConfig(embedding_dim=8, k_hops=1))
+        ranks = np.array(ranks_for_packs(model, packs, batch_size=10))
+        short = np.array([p.length <= 5 for p in packs])
+        assert short.any() and not short.all()
+        row = evaluate_packs(model, packs, batch_size=10).row()
+        for bucket, sel in (("short", short), ("long", ~short)):
+            p20, mrr20 = metrics(ranks[sel], 20)
+            assert (row[f"P@20_{bucket}"], row[f"MRR@20_{bucket}"]) == (p20, mrr20)
+            assert row[f"examples_{bucket}"] == int(sel.sum())
+        assert row["examples"] == len(packs) and (row["P@20"], row["MRR@20"]) == metrics(ranks, 20)
+
+    def test_bucket_without_examples_is_left_out(self):
+        packs = [p for p in self._packs() if p.length <= 5]
+        model = NextItemModel(15, 9, ModelConfig(embedding_dim=8, k_hops=1))
+        row = evaluate_packs(model, packs, batch_size=10).row()
+        assert row["examples_short"] == len(packs)
+        assert not any(key.endswith("_long") for key in row)
+
+    def test_rendered_table_keeps_its_columns(self):
+        report = EvalReport("sum", 50.0, 60.0, 20.0, 21.0, 123, "fp",
+                            by_length={"short": (70.0, 30.0, 100), "long": (17.0, 5.0, 23)})
+        assert render_table([{"label": "sum", "report": report}]) == render_table(
+            [{"label": "sum", "report": EvalReport("sum", 50.0, 60.0, 20.0, 21.0, 123, "fp")}])
+        row = report.row()
+        assert (row["P@20_long"], row["MRR@20_long"], row["examples_long"]) == (17.0, 5.0, 23)
