@@ -1,11 +1,12 @@
 """Packing of (prefix, label) examples into padded batch arrays, and the
 session graphs built from them.
 
-Each example is packed once (`pack_example`) and reused across epochs.  A
-pack's node list starts with the session's unique items in first-occurrence
-order (so session-graph node slot == frontier slot) followed by the
-global-graph receptive field, breadth-first layer by layer up to `k_hops`
-hops; `layer_end[j]` ends the rows within j hops.  Only the rows within
+Training packs each batch (`pack_example`) when it draws it, so it holds one
+batch of packs at a time; evaluation holds one pass's packs, to batch them by
+padded size.  A pack's node list starts with the session's unique items in
+first-occurrence order (so session-graph node slot == frontier slot) followed
+by the global-graph receptive field, breadth-first layer by layer up to
+`k_hops` hops; `layer_end[j]` ends the rows within j hops.  Only the rows within
 `k_hops - 1` hops get neighbor rows, copied from their `GlobalGraph` table
 rows (`top_n` wide, mask `nbr > 0`, neighbors mapped to frontier slots): the
 outermost layer's own neighbors fall outside the packed frontier and its

@@ -299,32 +299,32 @@ def _build_parser():
 
     p = sub.add_parser("preprocess", help="events file -> filtered, split, augmented examples")
     common(p)
-    p.add_argument("--events", help="raw clickstream file: session_id,item_id,timestamp")
-    p.add_argument("--delimiter", help="field delimiter (default: auto , or tab)")
-    p.add_argument("--min-item-freq", type=int, dest="min_item_freq")
-    p.add_argument("--test-window-days", type=float, dest="test_window_days")
+    p.add_argument("--events", dest="paths.events", help="raw clickstream file: session_id,item_id,timestamp")
+    p.add_argument("--delimiter", dest="corpus.delimiter", help="field delimiter (default: auto , or tab)")
+    p.add_argument("--min-item-freq", type=int, dest="corpus.min_item_freq")
+    p.add_argument("--test-window-days", type=float, dest="corpus.test_window_days")
 
     p = sub.add_parser("build-graph", help="train sessions -> pruned co-occurrence graph")
     common(p)
-    p.add_argument("--epsilon", type=int, help="co-occurrence window size")
-    p.add_argument("--top-n", type=int, dest="top_n", help="neighbors kept per item")
+    p.add_argument("--epsilon", type=int, dest="graph.epsilon", help="co-occurrence window size")
+    p.add_argument("--top-n", type=int, dest="graph.top_n", help="neighbors kept per item")
 
     p = sub.add_parser("train", help="fit the model on preprocessed artifacts")
     common(p)
     _model_flags(p)
-    p.add_argument("--epochs", type=int, dest="max_epochs")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--epochs", type=int, dest="train.max_epochs")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
 
     p = sub.add_parser("evaluate", help="rank the test examples with a trained checkpoint")
     common(p)
-    p.add_argument("--checkpoint", help="checkpoint path (default: <work-dir>/checkpoints/model.ckpt)")
+    p.add_argument("--checkpoint", dest="paths.checkpoint", help="default: <work-dir>/checkpoints/model.ckpt")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("ablate", help="train/evaluate a named configuration grid")
     common(p)
     _model_flags(p)
     p.add_argument("--grid", choices=sorted(ABLATION_GRIDS), required=True)
-    p.add_argument("--epochs", type=int, dest="max_epochs")
+    p.add_argument("--epochs", type=int, dest="train.max_epochs")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model gradients")
@@ -337,25 +337,21 @@ def _build_parser():
 
 def _model_flags(p):
     # values are checked once, by ModelConfig, so a bad one exits 2 with one line
-    p.add_argument("--hops", type=int, dest="k_hops")
-    p.add_argument("--aggregation", help="one of " + ", ".join(AGGREGATIONS))
-    p.add_argument("--position-mode", dest="position_mode", help="one of " + ", ".join(POSITION_MODES))
-    p.add_argument("--dropout", type=float, dest="dropout_global")
-    p.add_argument("--loss-mode", dest="loss_mode", help="one of " + ", ".join(LOSS_MODES))
+    p.add_argument("--hops", type=int, dest="model.k_hops")
+    p.add_argument("--aggregation", dest="model.aggregation", help="one of " + ", ".join(AGGREGATIONS))
+    p.add_argument("--position-mode", dest="model.position_mode", help="one of " + ", ".join(POSITION_MODES))
+    p.add_argument("--dropout", type=float, dest="model.dropout_global")
+    p.add_argument("--loss-mode", dest="model.loss_mode", help="one of " + ", ".join(LOSS_MODES))
 
 
 def _overrides_from_args(args) -> dict:
-    get = lambda name: getattr(args, name, None)
-    overrides = {
-        "corpus": {k: get(k) for k in ("delimiter", "min_item_freq", "test_window_days")},
-        "graph": {"epsilon": get("epsilon"), "top_n": get("top_n")},
-        "model": {k: get(k) for k in ("k_hops", "aggregation", "position_mode",
-                                      "dropout_global", "loss_mode")},
-        "train": {k: get(k) for k in ("max_epochs", "batch_size")},
-        "paths": {"events": get("events"), "checkpoint": get("checkpoint")},
-    }
-    if get("seed") is not None:
-        overrides["seed"] = args.seed
+    """Nested config overrides from the run seed and every flag whose dest is a
+    `section.key` path; `load_config` skips the flags left unset (None)."""
+    overrides = {"seed": args.seed}
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section:
+            overrides.setdefault(section, {})[key] = value
     return overrides
 
 

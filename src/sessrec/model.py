@@ -208,11 +208,12 @@ class NextItemModel:
             raise ValueError("fuse: both representation branches are disabled")
         if h_global is None:
             return h_session
-        drop = lambda t: ad.dropout(t, cfg.dropout_global, train_mode, rng)
+        # every aggregation, the gate's input included, sees the dropped global branch
+        h_global = ad.dropout(h_global, cfg.dropout_global, train_mode, rng)
         if h_session is None:
-            return drop(h_global)
+            return h_global
         if cfg.aggregation == "sum":
-            return ad.add(drop(h_global), h_session)
+            return ad.add(h_global, h_session)
         if cfg.aggregation == "max":
             return ad.maximum(h_global, h_session)
         B, N, d = h_global.shape

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .batching import collate, pack_example
-from .evaluation import evaluate_model, evaluate_packs
+from .evaluation import evaluate_model
 from .model import NextItemModel
 
 
@@ -180,9 +180,7 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
         raise TrainingError("validation split is empty")
 
     model = NextItemModel(num_items, max_len, model_cfg, seed=train_cfg.seed)
-    train_packs = [pack_example(e.prefix, e.label, global_graph, model_cfg.k_hops) for e in train_examples]
-    valid_packs = [pack_example(e.prefix, e.label, global_graph, model_cfg.k_hops) for e in valid_examples]
-    lengths = np.array([p.length for p in train_packs])
+    lengths = np.array([len(e.prefix) for e in train_examples])
     optimizer = Adam(model.params.trainable())
 
     result = TrainResult(model)
@@ -194,7 +192,8 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
         rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0xE90C, epoch]))
         loss_sum = 0.0
         for idxs in _epoch_batches(lengths, train_cfg.batch_size, rng):
-            batch = collate([train_packs[i] for i in idxs])
+            batch = collate([pack_example(train_examples[i].prefix, train_examples[i].label,
+                                          global_graph, model_cfg.k_hops) for i in idxs])
             model.params.zero_grads()
             out = model.forward(batch, train_mode=True, rng=rng)
             loss = model.loss(out.logits, batch.labels)
@@ -202,9 +201,9 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
             couple_l2(model.params.trainable(), train_cfg.l2)
             optimizer.step(lr)
             loss_sum += float(loss.value) * len(idxs)
-        train_loss = loss_sum / len(train_packs)
+        train_loss = loss_sum / len(train_examples)
 
-        val = evaluate_packs(model, valid_packs, train_cfg.batch_size)
+        val = evaluate_model(model, valid_examples, global_graph, train_cfg.batch_size)
         stats = EpochStats(epoch, lr, train_loss, val.p20, val.mrr20, time.perf_counter() - t0)
         result.history.append(stats)
         if log:

@@ -41,6 +41,18 @@ class TestRankOf:
             label = int(rng.integers(1, m + 1))
             assert rank_of(scores, label) == oracle_rank(scores.tolist(), label)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_batch_matches_row_by_row(self, data):
+        b, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 30))
+        scores = np.array(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                                             min_size=b, max_size=b)), dtype=np.float64)  # forces ties
+        labels = np.array(data.draw(st.lists(st.integers(1, m), min_size=b, max_size=b)))
+        ranks = rank_of(scores, labels)
+        assert ranks.shape == (b,)
+        assert ranks.tolist() == [rank_of(row, y) for row, y in zip(scores, labels)]
+        assert ranks.tolist() == [oracle_rank(row.tolist(), y) for row, y in zip(scores, labels)]
+
 
 class TestMetrics:
     def test_rank_one(self):

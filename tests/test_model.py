@@ -331,6 +331,15 @@ class TestFuse:
         assert np.allclose(resid[~zeroed], (h_g * scale)[~zeroed], atol=1e-12)
         assert zeroed.any()
 
+    @pytest.mark.parametrize("aggregation", ["gate", "max", "concat"])
+    def test_dropout_reaches_every_aggregation(self, aggregation):
+        model, batch = self._two_branch_model(aggregation=aggregation, dropout_global=0.6)
+        h_g, h_s = (ad.constant(h) for h in self._branches(model, batch))
+        trained = model.fuse(h_g, h_s, train_mode=True, rng=np.random.default_rng(0))
+        dropped = ad.dropout(h_g, 0.6, True, np.random.default_rng(0))
+        assert np.array_equal(trained.value, model.fuse(dropped, h_s).value)
+        assert not np.array_equal(trained.value, model.fuse(h_g, h_s).value)
+
 
 class TestSessionEncode:
     def test_length_one_session_scales_single_vector(self):

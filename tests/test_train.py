@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from sessrec import autodiff as ad
+from sessrec import train
 from sessrec.corpus import Example
 from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig
@@ -186,3 +189,27 @@ class TestTrainLoop:
         assert len(lines) == 2
         # epoch, lr, loss, P@20, MRR@20, seconds
         assert all(len(line.split("\t")) == 6 for line in lines)
+
+    def test_at_most_one_batch_of_train_packs_is_alive(self, monkeypatch):
+        examples, n_items, graph = tiny_training_inputs()
+        tcfg = TrainConfig(batch_size=8, max_epochs=2, patience=2, seed=5)
+        assert sum(e.split == "train" for e in examples) > 2 * tcfg.batch_size
+        live, made, collated = [0], [0], []
+        pack_example, collate = train.pack_example, train.collate
+
+        def counting_pack(*args):
+            pack = pack_example(*args)
+            live[0] += 1
+            made[0] += 1
+            weakref.finalize(pack, lambda: live.__setitem__(0, live[0] - 1))
+            return pack
+
+        def checking_collate(packs):
+            collated.append(live[0])
+            return collate(packs)
+
+        monkeypatch.setattr(train, "pack_example", counting_pack)
+        monkeypatch.setattr(train, "collate", checking_collate)
+        train_model(examples, n_items, 4, graph, ModelConfig(embedding_dim=8, k_hops=1), tcfg)
+        assert made[0] > tcfg.batch_size and collated
+        assert max(collated) <= tcfg.batch_size
