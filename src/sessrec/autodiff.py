@@ -5,6 +5,16 @@ computed value, references to its parent tensors, and a closure that maps the
 output gradient to parent gradients.  `backward()` walks the graph once in
 reverse topological order and accumulates gradients additively, so fan-out
 works without any bookkeeping by the caller; only leaves keep a `grad`.
+`narrow` and `gather` applied to a leaf add their gradient straight into the
+leaf's `grad`, allocated once, instead of passing a leaf-sized array on.
+
+Every scatter-add of a backward pass (`gather`, `batched_gather` and the
+global layer's two fused ops) goes through `_scatter_add`: one `np.bincount`
+over the rows that occur sums each row's terms in the order they occur,
+which in float64 equals `np.add.at` bit for bit.  The global layer's
+neighbour attention is two ops, `neighbor_scores` and `neighbor_mix`, which
+give the same bits as the generic chains they replace: the tape keeps one
+(B, R, W, d + 1) array where the chains kept five and a (B, R, W, d) copy.
 
 Two numerical ground rules shape the op set:
 
@@ -94,10 +104,15 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def accumulate_grad(self, g):
+    def grad_buffer(self):
+        """The gradient array, zero-filled on first use, to add into in place."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
-        self.grad += g
+        return self.grad
+
+    def accumulate_grad(self, g):
+        grad = self.grad_buffer()
+        grad += g
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -379,11 +394,49 @@ def narrow(a, axis, start, length):
     out = a.value[idx]
 
     def backward(g):
+        if a._backward is None:  # a leaf: add into its gradient, pass nothing on
+            a.grad_buffer()[idx] += g
+            return (None,)
         full = np.zeros_like(a.value)
         full[idx] = g
         return (full,)
 
     return _make(out, (a,), backward, "narrow")
+
+
+def _check_rows(op, idx, n):
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"{op}: index out of range for {n} rows")
+
+
+def _scatter_add(out, rows, vals):
+    """out[rows[i]] += vals[i] for every i; returns `out` (R, d).
+
+    `rows` is an int array of any shape and `vals` is rows.shape + (d,).  The
+    rows that occur are found with `np.unique`, one `np.bincount` over the
+    keys (rank of the row) * d + column sums every (row, column)'s terms in
+    float64 in the order they occur, and the sums are added into `out`.  So
+    in float64, into a zero-filled `out`, the result equals
+    `np.add.at(out, rows, vals)` bit for bit, with no buffer the size of `out`.
+    """
+    rows = rows.ravel()
+    if not rows.size:
+        return out
+    d = out.shape[1]
+    used, inv = np.unique(rows, return_inverse=True)
+    keys = (inv.reshape(-1, 1) * d + np.arange(d)).ravel()
+    sums = np.bincount(keys, weights=vals.reshape(-1), minlength=used.size * d)
+    out[used] += sums.reshape(used.size, d)
+    return out
+
+
+def _rows_grad(table, rows, g):
+    """Gradient of the row lookup table[rows] (table 2-D): added straight into
+    the gradient of a leaf `table`, which gets no flow (None), or returned."""
+    if table._backward is None:
+        _scatter_add(table.grad_buffer(), rows, g)
+        return None
+    return _scatter_add(np.zeros_like(table.value), rows, g)
 
 
 def gather(table, idx):
@@ -392,14 +445,11 @@ def gather(table, idx):
     idx = np.asarray(idx)
     if table.ndim != 2:
         raise ShapeError(f"gather: table must be 2-D, got {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"gather: index out of range for table with {table.shape[0]} rows")
+    _check_rows("gather", idx, table.shape[0])
     out = table.value[idx]
 
     def backward(g):
-        gt = np.zeros_like(table.value)
-        np.add.at(gt, idx.ravel(), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        return (_rows_grad(table, idx, g),)
 
     return _make(out, (table,), backward, "gather")
 
@@ -411,18 +461,90 @@ def batched_gather(x, idx):
     if x.ndim != 3 or idx.shape[0] != x.shape[0]:
         raise ShapeError(f"batched_gather: x {x.shape} vs idx {idx.shape}")
     B, R, d = x.shape
-    flat_idx = idx.reshape(B, -1)
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= R):
-        raise IndexError(f"batched_gather: index out of range for {R} rows")
-    b_idx = np.repeat(np.arange(B), flat_idx.shape[1])
-    out = x.value[b_idx, flat_idx.ravel()].reshape(idx.shape + (d,))
+    _check_rows("batched_gather", idx, R)
+    rows = idx.reshape(B, -1) + (R * np.arange(B))[:, None]  # rows of x as (B * R, d)
+    out = x.value.reshape(B * R, d)[rows].reshape(idx.shape + (d,))
 
     def backward(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, (b_idx, flat_idx.ravel()), g.reshape(-1, d))
-        return (gx,)
+        return (_scatter_add(np.zeros((B * R, d), dtype=x.value.dtype), rows, g).reshape(B, R, d),)
 
     return _make(out, (x,), backward, "batched_gather")
+
+
+def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
+    """Neighbour attention scores vec . LeakyReLU(z[idx] + wt * w1b), summed
+    over the last axis: z (R, D), idx int array of rows of z, wt (idx.shape),
+    w1b and vec (D,) -> idx.shape.
+
+    The forward makes the numpy calls of the chain gather, mul, add,
+    leaky_relu, mul, reduce_sum in its order, so the scores equal the chain's
+    bit for bit.  The tape keeps one idx.shape + (D,) array, the activation,
+    whose sign is the LeakyReLU mask, where the chain kept five.
+    """
+    if not 0.0 < slope < 1.0:
+        raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
+    z, w1b, vec = _as_tensor(z), _as_tensor(w1b), _as_tensor(vec)
+    idx = np.asarray(idx)
+    wt = np.asarray(wt, dtype=z.dtype)
+    D = z.shape[1] if z.ndim == 2 else None
+    if D is None or w1b.shape != (D,) or vec.shape != (D,) or wt.shape != idx.shape:
+        raise ShapeError(f"neighbor_scores: z {z.shape}, idx {idx.shape}, wt {wt.shape}, "
+                         f"w1b {w1b.shape}, vec {vec.shape}")
+    _check_rows("neighbor_scores", idx, z.shape[0])
+    act = z.value[idx]
+    act += wt[..., None] * w1b.value
+    np.maximum(act, slope * act, out=act)
+    out = (act * vec.value).sum(axis=-1)
+
+    def backward(g):
+        gact = g[..., None] * vec.value
+        # the LeakyReLU mask: max(x, slope x) is negative where x is (bar an x whose slope x underflows)
+        np.multiply(gact, slope, out=gact, where=act < 0)
+        gz = _rows_grad(z, idx, gact) if z.requires_grad else None
+        gw1b = wt.reshape(-1) @ gact.reshape(-1, D) if w1b.requires_grad else None
+        gvec = g.reshape(-1) @ act.reshape(-1, D) if vec.requires_grad else None
+        return gz, gw1b, gvec
+
+    return _make(out, (z, w1b, vec), backward, "neighbor_scores")
+
+
+def neighbor_mix(alpha, h, idx):
+    """sum_w alpha[b, r, w] * h[b, idx[b, r, w]] accumulated over w in order:
+    alpha (B, R, W), h (B, R_in, d), idx (B, R, W) rows of h -> (B, R, d).
+
+    Equals weighted_sum(alpha, batched_gather(h, idx)) bit for bit, and so is
+    padding-stable, without the (B, R, W, d) gathered copy: the backward
+    gathers the rows again, one w at a time.
+    """
+    alpha, h = _as_tensor(alpha), _as_tensor(h)
+    idx = np.asarray(idx)
+    if h.ndim != 3 or idx.ndim != 3 or alpha.shape != idx.shape or idx.shape[0] != h.shape[0]:
+        raise ShapeError(f"neighbor_mix: alpha {alpha.shape}, h {h.shape}, idx {idx.shape}")
+    B, R_in, d = h.shape
+    W = idx.shape[2]
+    _check_rows("neighbor_mix", idx, R_in)
+    rows = idx + (R_in * np.arange(B))[:, None, None]  # rows of h as (B * R_in, d)
+    hv, av = h.value.reshape(B * R_in, d), alpha.value
+    out = np.zeros(idx.shape[:2] + (d,), dtype=hv.dtype) if W == 0 else None
+    for w in range(W):
+        term = av[..., w:w + 1] * hv[rows[..., w]]
+        if out is None:
+            out = term
+        else:
+            out += term
+
+    def backward(g):
+        galpha = gh = None
+        if alpha.requires_grad:
+            galpha = np.empty(av.shape, dtype=g.dtype)
+            for w in range(W):
+                galpha[..., w] = np.einsum("...d,...d->...", g, hv[rows[..., w]])
+        if h.requires_grad:
+            gh = _scatter_add(np.zeros((B * R_in, d), dtype=hv.dtype), rows,
+                              av[..., None] * g[..., None, :]).reshape(h.shape)
+        return galpha, gh
+
+    return _make(out, (alpha, h), backward, "neighbor_mix")
 
 
 # -- reductions -------------------------------------------------------------
@@ -726,6 +848,11 @@ def backward(root, seed=None):
     reachable leaf's `grad`, so calling twice without resetting doubles
     the gradients (fan-out within one pass accumulates as well).
     Intermediate tensors pass their gradients on without storing them.
+    A leaf's `grad` is allocated once, zero-filled, and every contribution
+    is added into it: the sum of the gradients passed to the leaf, and the
+    writes of `narrow` and `gather` ops on the leaf, which return no
+    gradient to pass.  Gradients meeting at one tensor are summed in the
+    order the reverse topological walk reaches their ops.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")

@@ -106,7 +106,7 @@ class NextItemModel:
         dt = cfg.dtype
 
         def gauss(name, shape):
-            return self.params.register(name, rng.normal(0.0, 0.1, size=shape).astype(dt))
+            return self.params.register(name, rng.normal(0.0, 0.1, size=shape).astype(dt, copy=False))
 
         gauss("item_embeddings", (self.num_items + 1, d))  # row 0 is padding
         if cfg.k_hops >= 1:
@@ -147,8 +147,11 @@ class NextItemModel:
         K - t hops, the prefix [0, P_{K-t}), reading its inputs from
         [0, P_{K-t+1}).  A neighbor's score q1^T LeakyReLU(W1 [(s * h_j) || w_ij])
         is factored as gathered per-row projections (s * h_j) W1a^T plus
-        w_ij W1b, with W1 = [W1a | W1b].  `session_feat` (B, d) is the mean
-        of the session's initial item embeddings and stays fixed across hops.
+        w_ij W1b, with W1 = [W1a | W1b]; `ad.neighbor_scores` computes it in
+        one tape op, and `ad.neighbor_mix` sums the attention-weighted
+        neighbor vectors without a gathered (B, R, W, d) copy.
+        `session_feat` (B, d) is the mean of the session's initial item
+        embeddings and stays fixed across hops.
 
         Returns the session rows' final vectors (B, N, d) and, per hop t,
         the neighbor attention (B, P_{K-t}, W).
@@ -166,14 +169,12 @@ class NextItemModel:
             agg = self.params[f"global_agg{suffix}"]
             nbr_idx = batch.nbr_idx[:, :rows]
             flat_idx = nbr_idx + (rows_in * np.arange(B))[:, None, None]
-            wt = ad.constant(batch.nbr_wt[:, :rows, :, None], dtype=cfg.dtype)   # (B, R, W, 1)
             z = ad.matmul(ad.reshape(ad.mul(h, s_b), (B * rows_in, d)),
                           ad.narrow(proj, 1, 0, d), transpose_b=True)           # (B*R_in, d+1)
             w1b = ad.reshape(ad.narrow(proj, 1, d, 1), (d + 1,))
-            pre = ad.add(ad.gather(z, flat_idx), ad.mul(wt, w1b))                # (B, R, W, d+1)
-            scores = ad.reduce_sum(ad.mul(ad.leaky_relu(pre, LEAKY_SLOPE), vec), axis=-1)
+            scores = ad.neighbor_scores(z, flat_idx, batch.nbr_wt[:, :rows], w1b, vec, LEAKY_SLOPE)
             alpha = ad.masked_softmax(scores, batch.nbr_mask[:, :rows], axis=-1)
-            h_nbr = ad.weighted_sum(alpha, ad.batched_gather(h, nbr_idx))      # (B, R, d); zero rows when isolated
+            h_nbr = ad.neighbor_mix(alpha, h, nbr_idx)                         # (B, R, d); zero rows when isolated
             cat = ad.reshape(ad.concat([ad.narrow(h, 1, 0, rows), h_nbr], axis=-1), (B * rows, 2 * d))
             h = ad.reshape(ad.relu(ad.matmul(cat, agg, transpose_b=True)), (B, rows, d))
             attn.append(alpha)

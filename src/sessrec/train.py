@@ -116,14 +116,19 @@ def _row_size(arr):
 
 def couple_l2(params, l2: float):
     """Apply the L2 penalty as grad += l2 * param in place, then reject
-    non-finite grads."""
+    non-finite grads; a block of rows at a time, so no temporary is the size
+    of a parameter."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)
-        if l2:
-            p.grad += l2 * p.value
-        if not np.all(np.isfinite(p.grad)):
-            raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
+        grad, value = np.atleast_1d(p.grad), np.atleast_1d(p.value)
+        rows = max(1, _ADAM_BLOCK // _row_size(value))
+        for start in range(0, len(grad), rows):
+            g = grad[start:start + rows]
+            if l2:
+                g += l2 * value[start:start + rows]
+            if not np.isfinite(g).all():
+                raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
 
 
 @dataclass

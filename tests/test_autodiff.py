@@ -241,7 +241,7 @@ class TestGradcheck:
         assert ad.gradcheck(f, rng.normal(size=24)) < 1e-8
 
     def test_mul_returns_no_gradient_for_a_constant_operand(self):
-        # as the global layer multiplies constant edge weights into a parameter row
+        # a constant (edge weights) times a parameter row
         rng = np.random.default_rng(15)
         c, w = ad.constant(rng.normal(size=(2, 3, 1))), t(rng.normal(size=(5,)))
         g = rng.normal(size=(2, 3, 5))
@@ -255,6 +255,148 @@ class TestGradcheck:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 ad.gradcheck(lambda x: ad.sum_all(ad.log(x)), np.array([0.0, 1.0]))
+
+
+def _neighbor_case(seed, B, R_in, R, W, D, dtype, pad):
+    """Random global-layer inputs: z (B * R_in, D) projections, h (B, R_in,
+    D - 1) vectors, per-row neighbour indices, weights and mask.  Masked
+    slots hold index 0 and weight 0, as `collate` pads them; row 0 of each
+    batch entry is all masked.  `pad` appends that many masked slots."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, R_in, size=(B, R, W))
+    wt = rng.integers(1, 5, size=(B, R, W)).astype(np.float64)
+    mask = rng.random((B, R, W)) < 0.7
+    mask[:, 0] = False
+    idx, wt = np.where(mask, idx, 0), np.where(mask, wt, 0.0)
+    if pad:
+        idx, wt = (np.concatenate([a, np.zeros((B, R, pad), a.dtype)], axis=2) for a in (idx, wt))
+        mask = np.concatenate([mask, np.zeros((B, R, pad), bool)], axis=2)
+    vals = {name: rng.normal(size=shape).astype(dtype) for name, shape in (
+        ("z", (B * R_in, D)), ("h", (B, R_in, D - 1)), ("w1b", (D,)), ("vec", (D,)),
+        ("scores", (B, R, W + pad)))}
+    flat = idx + (R_in * np.arange(B))[:, None, None]
+    return vals, idx, flat, wt, mask
+
+
+def _old_scores(z, flat, wt, w1b, vec):
+    """The generic chain `neighbor_scores` replaces."""
+    pre = ad.add(ad.gather(z, flat), ad.mul(ad.constant(wt[..., None], dtype=z.dtype), w1b))
+    return ad.reduce_sum(ad.mul(ad.leaky_relu(pre, 0.2), vec), axis=-1)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestNeighborOps:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), B=st.integers(1, 3), R_in=st.integers(1, 6),
+           W=st.integers(1, 5), D=st.integers(2, 6), pad=st.integers(0, 3),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_forwards_equal_the_generic_chains_bit_for_bit(self, seed, B, R_in, W, D, pad, dtype):
+        R = max(1, R_in - 1)
+        vals, idx, flat, wt, mask = _neighbor_case(seed, B, R_in, R, W, D, dtype, pad)
+        z, w1b, vec, h = (ad.Tensor(vals[k], requires_grad=True) for k in ("z", "w1b", "vec", "h"))
+        new = ad.neighbor_scores(z, flat, wt, w1b, vec, 0.2)
+        assert _bits(new.value) == _bits(_old_scores(z, flat, wt, w1b, vec).value)
+        alpha = ad.masked_softmax(ad.Tensor(vals["scores"], requires_grad=True), mask)
+        mixed = ad.neighbor_mix(alpha, h, idx)
+        assert _bits(mixed.value) == _bits(ad.weighted_sum(alpha, ad.batched_gather(h, idx)).value)
+        assert not mixed.value[:, 0].any()  # all-masked rows mix to zero
+        if pad:  # masked slots appended to every row change no bit
+            unpadded = ad.neighbor_mix(ad.narrow(alpha, 2, 0, W), h, idx[..., :W])
+            assert _bits(mixed.value) == _bits(unpadded.value)
+
+    @pytest.mark.parametrize("W", [1, 4])
+    def test_gradients_match_the_generic_chains(self, W):
+        vals, idx, flat, wt, mask = _neighbor_case(3, 2, 5, 4, W, 6, np.float64, 0)
+        grads = []
+        for fused in (True, False):
+            z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
+            if fused:
+                scores = ad.neighbor_scores(z, flat, wt, w1b, vec, 0.2)
+            else:
+                scores = _old_scores(z, flat, wt, w1b, vec)
+            alpha = ad.masked_softmax(scores, mask)
+            if fused:
+                mixed = ad.neighbor_mix(alpha, h, idx)
+            else:
+                mixed = ad.weighted_sum(alpha, ad.batched_gather(h, idx))
+            ad.backward(ad.add(ad.sum_all(ad.tanh(mixed)), ad.sum_all(ad.tanh(scores))))
+            grads.append([x.grad for x in (z, w1b, vec, h)])
+        for new, old in zip(*grads):
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("wrt", ["z", "w1b", "vec"])
+    def test_gradcheck_neighbor_scores(self, wrt):
+        vals, idx, flat, wt, mask = _neighbor_case(5, 2, 4, 3, 3, 5, np.float64, 0)
+
+        def f(x):
+            args = {k: ad.constant(vals[k]) for k in ("z", "w1b", "vec")}
+            args[wrt] = x
+            return ad.sum_all(ad.tanh(ad.neighbor_scores(args["z"], flat, wt, args["w1b"], args["vec"], 0.2)))
+
+        assert ad.gradcheck(f, vals[wrt]) < 1e-8
+
+    @pytest.mark.parametrize("wrt", ["alpha", "h"])
+    def test_gradcheck_neighbor_mix(self, wrt):
+        vals, idx, flat, wt, mask = _neighbor_case(6, 2, 4, 3, 3, 5, np.float64, 0)
+        args = {"alpha": vals["scores"], "h": vals["h"]}
+
+        def f(x):
+            a = {k: ad.constant(v) for k, v in args.items()}
+            a[wrt] = x
+            return ad.sum_all(ad.tanh(ad.neighbor_mix(a["alpha"], a["h"], idx)))
+
+        assert ad.gradcheck(f, args[wrt]) < 1e-8
+
+    def test_out_of_range_index_raises_index_error(self):
+        vals, idx, flat, wt, mask = _neighbor_case(7, 2, 4, 3, 3, 5, np.float64, 0)
+        z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
+        for bad in (np.full_like(flat, len(vals["z"])), np.full_like(flat, -1)):
+            with pytest.raises(IndexError):
+                ad.neighbor_scores(z, bad, wt, w1b, vec)
+            with pytest.raises(IndexError):
+                ad.gather(z, bad)
+        for bad in (np.full_like(idx, 4), np.full_like(idx, -1)):
+            with pytest.raises(IndexError):
+                ad.neighbor_mix(t(vals["scores"]), h, bad)
+
+    def test_shape_errors_name_the_shapes(self):
+        vals, idx, flat, wt, mask = _neighbor_case(9, 2, 4, 3, 3, 5, np.float64, 0)
+        z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
+        for bad in ((z.value[0], flat, wt, w1b, vec), (z, flat, wt[..., 1:], w1b, vec),
+                    (z, flat, wt, w1b, t(vals["vec"][1:]))):
+            with pytest.raises(ad.ShapeError, match="neighbor_scores"):
+                ad.neighbor_scores(*bad)
+        for bad in ((t(vals["scores"][..., 1:]), h, idx), (t(vals["scores"]), t(vals["h"][0]), idx)):
+            with pytest.raises(ad.ShapeError, match="neighbor_mix"):
+                ad.neighbor_mix(*bad)
+
+    @pytest.mark.parametrize("rows_shape", [(0,), (7,), (2, 3, 4)])
+    def test_scatter_add_equals_add_at(self, rows_shape):
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 3, size=rows_shape)  # three target rows: most repeat
+        vals = rng.normal(size=rows_shape + (5,))
+        expect = np.zeros((6, 5))
+        np.add.at(expect, rows.ravel(), vals.reshape(-1, 5))
+        out = np.zeros((6, 5))
+        assert ad._scatter_add(out, rows, vals) is out
+        assert _bits(out) == _bits(expect)
+        # into a filled array, each row's terms are summed first, then added
+        start = rng.normal(size=(6, 5))
+        np.testing.assert_allclose(ad._scatter_add(start.copy(), rows, vals), start + expect, rtol=1e-15)
+
+    def test_leaf_gather_and_narrow_write_the_leaf_gradient_once(self):
+        # both add into the leaf's one gradient array; nothing flows on
+        table = t(np.arange(12.0).reshape(4, 3))
+        loss = ad.add(ad.sum_all(ad.gather(table, [[1, 1], [3, 0]])),
+                      ad.sum_all(ad.narrow(table, 0, 1, 2)))
+        ad.backward(loss)
+        assert np.array_equal(table.grad, [[1.0] * 3, [3.0] * 3, [1.0] * 3, [1.0] * 3])
+        grad = table.grad
+        ad.backward(loss)  # a second pass adds into the same array
+        assert table.grad is grad and np.array_equal(grad[1], [6.0] * 3)
 
 
 def _logsumexp(v):

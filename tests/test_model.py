@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -596,6 +597,25 @@ class TestWholeModel:
             assert np.isfinite(loss.value)
             for p in model.params.trainable():
                 assert np.all(np.isfinite(p.grad)), p.name
+
+
+    def test_backward_allocates_at_most_two_item_table_sized_buffers(self):
+        # the head's gradient of the candidate rows and the table's `.grad`:
+        # `narrow` (head) and `gather` (session items) add into `.grad`
+        # instead of each building a zero-filled table to sum into a third
+        cfg = ModelConfig(embedding_dim=100, k_hops=1, dropout_global=0.0)
+        batch, _ = toy_batch(cfg)
+        model = NextItemModel(40_000, max_len=4, config=cfg, seed=3)
+        table = model.params["item_embeddings"].value.nbytes
+        out = model.forward(batch)
+        loss = model.loss(out.logits, batch.labels)
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * table, f"backward peak {peak / table:.2f} item tables"
 
 
 class TestCheckpoint:
