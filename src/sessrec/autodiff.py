@@ -5,9 +5,14 @@ computed value, references to its parent tensors, and a closure that maps the
 output gradient to parent gradients.  `backward()` walks the graph once in
 reverse topological order and accumulates gradients additively, so fan-out
 works without any bookkeeping by the caller; only leaves keep a `grad`.
-`narrow` and `gather` applied to a leaf add their gradient straight into the
-leaf's `grad`, allocated once, instead of passing a leaf-sized array on.
+`narrow`, `gather` and `score_loss` applied to a leaf write their gradient
+straight into the leaf's `grad`, allocated once, instead of passing a
+leaf-sized array on.
 
+The scoring head and its loss are one op, `score_loss`: one BLAS product of
+the session vectors with the item table, turned in place into the
+exponentials the loss needs, and a backward that streams blocks of item
+columns, so neither a (B, m) logits gradient nor an (m, d) product exists.
 Every scatter-add of a backward pass (`gather`, `batched_gather` and the
 global layer's two fused ops) goes through `_scatter_add`: one `np.bincount`
 over the rows that occur sums each row's terms in the order they occur,
@@ -27,17 +32,17 @@ Two numerical ground rules shape the op set:
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
-  a row-stable path: the rows of `a` are zero-padded to whole blocks of
-  `_ROW_BLOCK` rows and every BLAS call multiplies one (`_ROW_BLOCK`, K)
-  block, so the call's shape never depends on the row count.  A block of
-  identical rows must also give identical output rows, which fails where a
-  block is not a multiple of the kernel's row tile or, with several BLAS
-  threads, where the threads' row ranges treat the last columns differently;
-  a probe checks this once per (K, N, dtypes, layout of `b`) and a shape that
-  fails it runs on einsum instead.  The scoring head opts out
-  (`row_stable=False`): its logits can differ in the last bits between batch
-  sizes, but blocking its (B, d) x (d, m) product takes twice as long as
-  plain BLAS at B=100.
+  a row-stable path: the rows of `a` are zero-padded to whole blocks and
+  every BLAS call multiplies one block of a fixed height, so the call's
+  shape never depends on the row count.  A block of identical rows must also
+  give identical output rows, which fails where a block is not a multiple of
+  the kernel's row tile or, with several BLAS threads, where the threads' row
+  ranges treat the last columns differently; a probe picks, once per (K, N,
+  dtypes, layout of `b`), the first height of `_ROW_BLOCKS` that passes, and
+  a shape that passes none runs on einsum instead.  The scoring head opts out
+  (`row_stable=False`, and `score_loss` likewise): its logits can differ in
+  the last bits between batch sizes, but blocking its (B, d) x (d, m)
+  product takes twice as long as plain BLAS at B=100.
 """
 
 from __future__ import annotations
@@ -275,9 +280,12 @@ def mul(a, b):
     return _make(out, (a, b), backward, "mul")
 
 
-_ROW_BLOCK = 96  # a multiple of every row tile OpenBLAS uses (4, 8, 12, 16, 24, 32)
+# Block heights tried in turn, each a multiple of the 12 rows OpenBLAS's dgemm
+# tiles by; with several threads a smaller block can pass where a larger one
+# is split between threads that round its last columns differently.
+_ROW_BLOCKS = (96, 48, 24)
 _PROBE_ROWS = 8  # two summation orders can round alike by chance, so probe several rows
-_BLOCKS_STABLE = {}  # (K, N, a dtype, b dtype, layout of b) -> probe verdict
+_BLOCKS_STABLE = {}  # (K, N, a dtype, b dtype, layout of b) -> block rows, 0 for einsum
 
 
 def _blas_operand(b):
@@ -292,13 +300,13 @@ def _blas_operand(b):
     return np.ascontiguousarray(b), "N"
 
 
-def _probe_blocks(K, N, a_dtype, b_dtype, layout):
-    """True when blocks of (_ROW_BLOCK, K), each one random row repeated, times
-    a random (K, N) `b` of this layout give identical rows within each block."""
+def _probe_blocks(K, N, a_dtype, b_dtype, layout, block):
+    """True when blocks of (block, K), each one random row repeated, times a
+    random (K, N) `b` of this layout give identical rows within each block."""
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((_PROBE_ROWS, 1, K)).astype(a_dtype)
     b = rng.standard_normal((K, N) if layout == "N" else (N, K)).astype(b_dtype)
-    out = np.matmul(np.repeat(rows, _ROW_BLOCK, axis=1), b if layout == "N" else b.T)
+    out = np.matmul(np.repeat(rows, block, axis=1), b if layout == "N" else b.T)
     return bool((out == out[:, :1]).all())
 
 
@@ -308,19 +316,19 @@ def _row_stable_product(av, bv):
     bv, layout = _blas_operand(bv)
     K, N = bv.shape
     key = (K, N, av.dtype, bv.dtype, layout)
-    stable = _BLOCKS_STABLE.get(key)
-    if stable is None:
-        stable = _BLOCKS_STABLE[key] = _probe_blocks(*key)
-    if not stable:
+    block = _BLOCKS_STABLE.get(key)
+    if block is None:
+        block = _BLOCKS_STABLE[key] = next((r for r in _ROW_BLOCKS if _probe_blocks(*key, r)), 0)
+    if not block:
         return np.einsum("mk,kn->mn", av, bv)
     M = av.shape[0]
-    blocks = -(-M // _ROW_BLOCK)
-    if M % _ROW_BLOCK or not av.flags.c_contiguous:
-        padded = np.zeros((blocks * _ROW_BLOCK, K), dtype=av.dtype)
+    blocks = -(-M // block)
+    if M % block or not av.flags.c_contiguous:
+        padded = np.zeros((blocks * block, K), dtype=av.dtype)
         padded[:M] = av
         av = padded
-    out = np.matmul(av.reshape(blocks, _ROW_BLOCK, K), bv)
-    return out.reshape(blocks * _ROW_BLOCK, N)[:M]
+    out = np.matmul(av.reshape(blocks, block, K), bv)
+    return out.reshape(blocks * block, N)[:M]
 
 
 def matmul(a, b, transpose_b=False, row_stable=True):
@@ -666,8 +674,8 @@ def sigmoid(a):
     return _make(out, (a,), backward, "sigmoid")
 
 
-# No model code calls `log` or `clamp` since the loss moved into
-# `softmax_loss`; perfbench/tracing.py reports per-op metrics for both by name,
+# No model code calls `log` or `clamp` since the loss became one op
+# (`score_loss`); perfbench/tracing.py reports per-op metrics for both by name,
 # so they stay until that op list changes.
 def log(a):
     a = _as_tensor(a)
@@ -742,8 +750,17 @@ def softmax(a, axis=-1):
     return _make(out, (a,), backward, "softmax")
 
 
-def softmax_loss(logits, labels, mode):
-    """Per-example loss (B,) of softmax(logits) against the columns `labels` (B,).
+# Item columns per block of `score_loss`'s backward; its forward works on row
+# blocks of as many elements.  At B=100 a block is 1.6 MB in float64, against
+# 33 MB for the (B, m) logits at m=41k.
+_HEAD_BLOCK = 2048
+
+
+def score_loss(s, table, labels, mode):
+    """Per-example loss (B,) of softmax(z), z = s @ table[1:]^T, against the
+    columns `labels` (B,) of z: the scoring head and its loss in one op.
+    Row 0 of `table` is the padding row; it is not scored and its gradient
+    is zero.
 
     `categorical` is -log p_y = logsumexp(z) - z_y, with gradient p - onehot.
     `binary` is -[log p_y + sum_{j != y} log(1 - p_j)]: the label's own miss
@@ -753,56 +770,117 @@ def softmax_loss(logits, labels, mode):
     a_j = p_j / (1 - p_j) for a miss and a_y = -1; the j* terms also come from
     the excluded sum, so a saturated softmax (1 - p_j* rounding to 0) keeps a
     finite loss and gradient.
+
+    The forward is one BLAS product, turned in place into e = exp(z - max z);
+    the tape keeps e and a few numbers per row (S, the excluded sum, j*, and
+    in `binary` mode the sum of a over j != j*).  The backward rebuilds p and
+    the logit gradient from e, `_HEAD_BLOCK` columns at a time, adds each
+    block's product with its table rows into the gradient of `s` and writes
+    its product with `s` into the table's gradient rows, so no (B, m)
+    gradient or (m, d) product is formed.  Every row sum runs over a whole
+    row, so the losses do not depend on the block size; each row of the
+    table's gradient is one product over the batch, and the gradient of `s`
+    is summed over blocks.
     """
-    logits = _as_tensor(logits)
+    s, table = _as_tensor(s), _as_tensor(table)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != logits.shape[:1]:
-        raise ShapeError(f"softmax_loss: logits {logits.shape} vs labels {labels.shape}")
+    if s.ndim != 2 or table.ndim != 2 or s.shape[1] != table.shape[1] or labels.shape != s.shape[:1]:
+        raise ShapeError(f"score_loss: s {s.shape}, table {table.shape}, labels {labels.shape}")
     if mode not in ("binary", "categorical"):
-        raise ValueError(f"softmax_loss: unknown mode {mode!r}")
-    z = logits.value
-    rows = np.arange(z.shape[0])
-    top = z.argmax(axis=1)
-    mx = z[rows, top]
-    p = z - mx[:, None]
-    np.exp(p, out=p)
-    p[rows, top] = 0.0
-    excl = p.sum(axis=1)                          # sum_{k != j*} e^(z_k - z_j*)
-    s = 1.0 + excl
-    p /= s[:, None]
+        raise ValueError(f"score_loss: unknown mode {mode!r}")
+    sv, cand = s.value, table.value[1:]
+    B, m = sv.shape[0], cand.shape[0]
+    rows = np.arange(B)
+    e = sv @ cand.T                               # the logits z, made e in place
+    top = e.argmax(axis=1)
+    mx = e[rows, top]
+    out = e[rows, labels] - mx                    # z_y - z_j*
+    e -= mx[:, None]
+    np.exp(e, out=e)
+    e[rows, top] = 0.0
+    excl = e.sum(axis=1)                          # sum_{k != j*} e^(z_k - z_j*)
+    total = 1.0 + excl                            # S
     log_s = np.log1p(excl)
     off = top != labels                           # rows whose top logit is a miss
-    out = log_s - (z[rows, labels] - mx)          # -log p_y
+    out = log_s - out                             # -log p_y
+    keep = _GRAD_ENABLED and (s.requires_grad or table.requires_grad)
     if mode == "binary":
-        miss = np.negative(p)
-        np.log1p(miss, out=miss)                  # log(1 - p_j); 0 at j* for now
-        miss[rows[off], top[off]] = np.log(excl[off]) - log_s[off]
-        miss[rows, labels] = 0.0
-        out = out - miss.sum(axis=1)
-    p[rows, top] = 1.0 / s
+        rest = np.empty_like(excl) if keep else None
+        step = max(1, B * _HEAD_BLOCK // max(m, 1))
+        for r0 in range(0, B, step):
+            r = slice(r0, min(B, r0 + step))
+            i, t, y, o = rows[:r.stop - r0], top[r], labels[r], off[r]
+            p = e[r] / total[r, None]             # p_j* is 0 while e_j* is
+            if keep:
+                a = 1.0 - p
+                a[i, t] = 1.0
+                np.divide(p, a, out=a)            # p_j / (1 - p_j)
+                a[i, y] = -1.0
+                a[i, t] = 0.0
+                rest[r] = a.sum(axis=1)           # sum of a over j != j*
+            np.negative(p, out=p)
+            np.log1p(p, out=p)                    # log(1 - p_j); 0 at j* for now
+            p[i[o], t[o]] = np.log(excl[r][o]) - log_s[r][o]
+            p[i, y] = 0.0
+            out[r] -= p.sum(axis=1)
+    e[rows, top] = 1.0
+    if keep and mode == "binary":
+        a_top = np.full_like(excl, -1.0)          # a_j*: the label's -1, or 1 / excluded sum
+        a_top[off] = 1.0 / excl[off]
+        coef = a_top + rest                       # sum of a over every j
+        # a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the label;
+        # forming a_j* - p_j* sum(a) instead would cancel
+        top_grad = np.where(off, 1.0, -excl) / total - (1.0 / total) * rest
+
+    def block_grad(g, c0, c1):
+        """The logit gradient of columns [c0, c1), times g."""
+        p = e[:, c0:c1] / total[:, None]
+        at_y = (labels >= c0) & (labels < c1)
+        y = labels[at_y] - c0
+        if mode == "categorical":
+            p *= g[:, None]
+            p[at_y, y] -= g[at_y]
+            return p
+        at_t = (top >= c0) & (top < c1)
+        t = top[at_t] - c0
+        a = 1.0 - p
+        a[at_t, t] = 1.0
+        np.divide(p, a, out=a)
+        a[at_y, y] = -1.0
+        np.multiply(p, coef[:, None], out=p)
+        np.subtract(a, p, out=p)
+        p[at_t, t] = top_grad[at_t]
+        p *= g[:, None]
+        return p
+
+    bounds = list(range(0, m, _HEAD_BLOCK)) + [m]
+    if len(bounds) > 2 and m - bounds[-2] == 1:
+        del bounds[-2]  # a one-column block would run on gemv, which rounds unlike gemm
 
     def backward(g):
-        if mode == "categorical":
-            grad = p * g[:, None]
-            grad[rows, labels] -= g
-            return (grad,)
-        a = 1.0 - p
-        a[rows, top] = 1.0
-        np.divide(p, a, out=a)                    # p_j / (1 - p_j), j != j*
-        a[rows[off], top[off]] = 1.0 / excl[off]  # p_j* / (1 - p_j*) = 1 / excluded sum
-        a[rows, labels] = -1.0
-        a_top = a[rows, top].copy()
-        a[rows, top] = 0.0
-        rest = a.sum(axis=1)                      # sum of a over j != j*
-        grad = p * (a_top + rest)[:, None]
-        np.subtract(a, grad, out=grad)
-        # column j*: a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the
-        # label; forming a_j* - p_j* sum(a) instead would cancel
-        grad[rows, top] = np.where(off, 1.0, -excl) / s - p[rows, top] * rest
-        grad *= g[:, None]
-        return (grad,)
+        leaf = table._backward is None
+        gs = np.zeros_like(sv) if s.requires_grad else None
+        gt, fresh = None, False
+        if table.requires_grad:
+            if leaf and table.grad is not None:
+                gt = table.grad
+            else:
+                gt, fresh = np.empty_like(table.value), True
+                gt[0] = 0.0
+                if leaf:
+                    table.grad = gt
+        for c0, c1 in zip(bounds, bounds[1:]):
+            grad = block_grad(g, c0, c1)
+            if gs is not None:
+                gs += grad @ cand[c0:c1]
+            if gt is not None:
+                if fresh:
+                    np.matmul(grad.T, sv, out=gt[1 + c0:1 + c1])
+                else:
+                    gt[1 + c0:1 + c1] += grad.T @ sv
+        return gs, None if leaf else gt
 
-    return _make(out, (logits,), backward, "softmax_loss")
+    return _make(out, (s, table), backward, "score_loss")
 
 
 def masked_softmax(a, mask, axis=-1):
@@ -850,8 +928,9 @@ def backward(root, seed=None):
     Intermediate tensors pass their gradients on without storing them.
     A leaf's `grad` is allocated once, zero-filled, and every contribution
     is added into it: the sum of the gradients passed to the leaf, and the
-    writes of `narrow` and `gather` ops on the leaf, which return no
-    gradient to pass.  Gradients meeting at one tensor are summed in the
+    writes of `narrow`, `gather` and `score_loss` ops on the leaf, which
+    return no gradient to pass (`score_loss` writes, rather than adds, a
+    `grad` it allocates).  Gradients meeting at one tensor are summed in the
     order the reverse topological walk reaches their ops.
     """
     if root.size != 1:

@@ -6,7 +6,9 @@ the running session's mean embedding), and a session level that attends
 over the session graph with one weight vector per edge relation.  Fused
 per-position vectors are pooled into a session vector with position-aware
 soft attention, and candidates are scored against the initial embedding
-table; the softmax over those logits is folded into the loss.
+table.  `forward` stops at the session vector: training scores it and takes
+the loss in one op (`autodiff.score_loss`), and evaluation ranks from the
+logits of `predict`, which `ForwardResult.logits` computes when read.
 
 All forward math runs on the autodiff tape.  Reductions along padded axes
 use the padding-stable ops, so a padded batch reproduces unpadded forwards
@@ -19,7 +21,8 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,13 +72,18 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    logits: ad.Tensor          # (B, m) pre-softmax scores
     session_vec: ad.Tensor     # (B, d)
     fused: ad.Tensor           # (B, N, d) fused item vectors per session node
     seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
     global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention
     session_attn: ad.Tensor | None  # (B, N, N)
+    predict: Callable = field(repr=False)  # the model's scoring head
+
+    @property
+    def logits(self):
+        """(B, m) pre-softmax scores, computed from the session vector when read."""
+        return self.predict(self.session_vec)
 
     @property
     def probs(self):
@@ -280,7 +288,12 @@ class NextItemModel:
         return session_vec, beta
 
     def predict(self, session_vec):
-        """Logits (B, m) over all items, scored against the initial embeddings."""
+        """Logits (B, m) over all items, scored against the initial embeddings.
+
+        Evaluation ranks from these; training never forms them, since `loss`
+        scores the session vectors inside its loss op.  The product is the
+        one `autodiff.score_loss` runs, so both see the same logits.
+        """
         cand = ad.narrow(self.params["item_embeddings"], 0, 1, self.num_items)
         # plain BLAS: at B=100, row-stable blocks take twice as long (the item
         # table is packed again for each 96-row block), so a row's logits may
@@ -314,31 +327,32 @@ class NextItemModel:
         fused = self.fuse(h_global, h_session, train_mode, rng)      # (B, N, d)
         seq_vectors = ad.batched_gather(fused, batch.alias)          # (B, L, d)
         session_vec, beta = self.session_encode(seq_vectors, batch, inv_len)
-        logits = self.predict(session_vec)
-        return ForwardResult(logits, session_vec, fused, seq_vectors,
-                             beta, global_attn, session_attn)
+        return ForwardResult(session_vec, fused, seq_vectors, beta, global_attn, session_attn,
+                             self.predict)
 
-    def loss(self, logits, labels):
-        """Scalar loss (mean over the batch) of the softmax of `logits`.
+    def loss(self, session_vec, labels):
+        """Scalar loss (mean over the batch) of the softmax of the logits of
+        `session_vec` (B, d) against the item indices `labels`.
 
         `binary` mode sums a per-item binary cross entropy over the whole
         vocabulary against the one-hot target; `categorical` is the negative
-        log probability of the label.  Both are computed from the logits in
-        one op (`autodiff.softmax_loss`), so a saturated softmax stays finite.
+        log probability of the label.  Scoring and loss are one op
+        (`autodiff.score_loss`), so a saturated softmax stays finite and no
+        (B, m) logits or gradient array is kept.
         """
-        per_example = self.example_losses(logits, labels)
+        per_example = self.example_losses(session_vec, labels)
         out = ad.mean_all(per_example)
         if not np.isfinite(out.value):
             raise FloatingPointError("non-finite loss")
         return out
 
-    def example_losses(self, logits, labels):
-        if logits.ndim == 1:
-            logits = ad.reshape(logits, (1, logits.shape[0]))
+    def example_losses(self, session_vec, labels):
+        if session_vec.ndim == 1:
+            session_vec = ad.reshape(session_vec, (1, session_vec.shape[0]))
         labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        if np.any((labels < 1) | (labels > logits.shape[1])):
+        if np.any((labels < 1) | (labels > self.num_items)):
             raise ValueError("labels must be item indices in [1, m]")
-        return ad.softmax_loss(logits, labels - 1, self.config.loss_mode)
+        return ad.score_loss(session_vec, self.params["item_embeddings"], labels - 1, self.config.loss_mode)
 
     # -- state ------------------------------------------------------------------
 
@@ -374,8 +388,7 @@ def model_gradcheck(config: ModelConfig, step=1e-5, seed=3):
     model = NextItemModel(num_items, max_len=4, config=config, seed=seed)
 
     def build_loss():
-        out = model.forward(batch, train_mode=False)
-        return model.loss(out.logits, batch.labels)
+        return model.loss(model.forward(batch, train_mode=False).session_vec, batch.labels)
 
     return ad.gradcheck_params(build_loss, model.params.trainable(), step=step)
 

@@ -190,8 +190,12 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
 
     result = TrainResult(model)
     best_state = None
+    best_is_current = False  # the parameters are the best so far and no copy holds them
     stale_epochs = 0
     for epoch in range(train_cfg.max_epochs):
+        if best_is_current:  # this epoch changes them: keep a copy
+            best_state = None  # drop the older copy before taking this one
+            best_state = model.state_dict()
         t0 = time.perf_counter()
         lr = effective_lr(train_cfg, epoch)
         rng = np.random.default_rng(np.random.SeedSequence([train_cfg.seed, 0xE90C, epoch]))
@@ -199,13 +203,7 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
         for idxs in _epoch_batches(lengths, train_cfg.batch_size, rng):
             batch = collate([pack_example(train_examples[i].prefix, train_examples[i].label,
                                           global_graph, model_cfg.k_hops) for i in idxs])
-            model.params.zero_grads()
-            out = model.forward(batch, train_mode=True, rng=rng)
-            loss = model.loss(out.logits, batch.labels)
-            ad.backward(loss)
-            couple_l2(model.params.trainable(), train_cfg.l2)
-            optimizer.step(lr)
-            loss_sum += float(loss.value) * len(idxs)
+            loss_sum += _train_step(model, optimizer, batch, rng, lr, train_cfg.l2) * len(idxs)
         train_loss = loss_sum / len(train_examples)
 
         val = evaluate_model(model, valid_examples, global_graph, train_cfg.batch_size)
@@ -214,10 +212,10 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
         if log:
             log(stats.line())
 
-        if val.mrr20 > result.best_val_mrr20:
+        best_is_current = val.mrr20 > result.best_val_mrr20
+        if best_is_current:
             result.best_val_mrr20 = val.mrr20
             result.best_epoch = epoch
-            best_state = model.state_dict()
             stale_epochs = 0
         else:
             stale_epochs += 1
@@ -227,9 +225,22 @@ def train_model(examples, num_items, max_len, global_graph, model_cfg, train_cfg
         if stale_epochs >= train_cfg.patience:
             break
 
-    if best_state is not None:
+    if best_state is not None and not best_is_current:
         model.load_state_dict(best_state)
+    model.params.zero_grads()
     return result
+
+
+def _train_step(model, optimizer, batch, rng, lr, l2):
+    """One Adam step on `batch`; returns the batch's mean loss.  The step's
+    tape and logit-sized arrays are released when it returns, not kept
+    through the next batch's forward."""
+    model.params.zero_grads()
+    loss = model.loss(model.forward(batch, train_mode=True, rng=rng).session_vec, batch.labels)
+    ad.backward(loss)
+    couple_l2(model.params.trainable(), l2)
+    optimizer.step(lr)
+    return float(loss.value)
 
 
 def run_ablations(examples, num_items, max_len, global_graph, base_model_cfg, base_train_cfg,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_head
 from sessrec import autodiff as ad
 
 
@@ -429,12 +430,19 @@ def _softmax_loss_inputs(lead):
     return z, labels
 
 
+def _softmax_loss(x, labels, mode):
+    """`score_loss` of the logits `x` themselves: the scored table rows are
+    the unit vectors, so s @ table[1:]^T is s, exactly."""
+    m = x.shape[1]
+    return ad.score_loss(x, ad.constant(np.vstack([np.zeros((1, m)), np.eye(m)])), labels, mode)
+
+
 class TestSoftmaxLoss:
     @pytest.mark.parametrize("mode", ["binary", "categorical"])
     @pytest.mark.parametrize("lead", [0.0, 20.0])
     def test_matches_log_softmax_reference(self, mode, lead):
         z, labels = _softmax_loss_inputs(lead)
-        got = ad.softmax_loss(ad.constant(z), labels, mode).value
+        got = _softmax_loss(ad.constant(z), labels, mode).value
         assert np.allclose(got, _softmax_loss_reference(z, labels, mode), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["binary", "categorical"])
@@ -442,21 +450,105 @@ class TestSoftmaxLoss:
     def test_gradcheck(self, mode, lead):
         z, labels = _softmax_loss_inputs(lead)
         w = np.linspace(0.5, 2.0, labels.size)  # distinct upstream gradient per row
-        f = lambda x: ad.sum_all(ad.mul(ad.softmax_loss(x, labels, mode), w))
+        f = lambda x: ad.sum_all(ad.mul(_softmax_loss(x, labels, mode), w))
         assert ad.gradcheck(f, z) < 1e-8
 
     def test_categorical_gradient_is_p_minus_onehot(self):
         z, labels = _softmax_loss_inputs(0.0)
         x = t(z)
-        ad.backward(ad.sum_all(ad.softmax_loss(x, labels, "categorical")))
+        ad.backward(ad.sum_all(_softmax_loss(x, labels, "categorical")))
         onehot = np.eye(z.shape[1])[labels]
         assert np.allclose(x.grad, ad.softmax(t(z)).value - onehot, atol=1e-15)
 
     def test_rejects_unknown_mode_and_bad_shapes(self):
         with pytest.raises(ValueError, match="mode"):
-            ad.softmax_loss(t(np.zeros((2, 3))), np.array([0, 1]), "hinge")
+            ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((4, 3))), np.array([0, 1]), "hinge")
         with pytest.raises(ad.ShapeError):
-            ad.softmax_loss(t(np.zeros((2, 3))), np.array([0]), "binary")
+            ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((4, 3))), np.array([0]), "binary")
+        with pytest.raises(ad.ShapeError):
+            ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((4, 2))), np.array([0, 1]), "binary")
+
+
+def _score_loss_inputs(dtype, lead=60.0):
+    """s (7, 16) and table (1 + 14, 16) whose logits z = s @ table[1:]^T put,
+    with blocks of 4 columns, the top logit and the label in the last, partial
+    block (columns 12-13): row 2's top column 13 leads by `lead` and is its
+    label, row 3's top column 12 leads by `lead` and misses its label, row 1's
+    label is column 12; row 0's label is its top column."""
+    rng = np.random.default_rng(23)
+    s = rng.normal(size=(7, 16))
+    s[3] -= s[2] * (s[3] @ s[2]) / (s[2] @ s[2])  # rows 2 and 3 orthogonal
+    table = rng.normal(size=(15, 16)) * 0.3
+    table[1 + 13] = s[2] * lead / (s[2] @ s[2])
+    table[1 + 12] = s[3] * lead / (s[3] @ s[3])
+    s, table = s.astype(dtype), table.astype(dtype)
+    labels = np.array([0, 12, 13, 0, 5, 9, 2])
+    labels[0] = (s[0] @ table[1:].T).argmax()
+    return s, table, labels
+
+
+class TestScoreLoss:
+    """`score_loss` against the whole-array loss it streams (tests/reference_head.py)."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_HEAD_BLOCK", 4)  # 14 columns: blocks of 4, 4, 4 and 2
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lead", [0.0, 60.0])
+    def test_losses_equal_oracle_bit_for_bit(self, mode, dtype, lead):
+        s, table, labels = _score_loss_inputs(dtype, lead)
+        z = s @ table[1:].T
+        if lead:
+            assert z[2].argmax() == 13 and z[3].argmax() == 12
+            assert np.exp(np.float32(-lead)) > 0 and np.float32(1) + np.exp(np.float32(-lead)) == 1
+        got = ad.score_loss(ad.constant(s), ad.constant(table), labels, mode).value
+        expect, _ = reference_head.softmax_loss(z, labels, mode)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expect)
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("lead", [0.0, 60.0])
+    def test_gradients_match_oracle_chain(self, mode, lead):
+        s, table, labels = _score_loss_inputs(np.float64, lead)
+        w = np.linspace(0.5, 2.0, labels.size)
+        _, grad = reference_head.softmax_loss(s @ table[1:].T, labels, mode)
+        gz = grad(w)
+        sp, tp = ad.Parameter("s", s), ad.Parameter("table", table)
+        ad.backward(ad.sum_all(ad.mul(ad.score_loss(sp, tp, labels, mode), w)))
+
+        def rel(got, expect):
+            return np.abs(got - expect).max() / np.abs(expect).max()
+
+        assert rel(sp.grad, gz @ table[1:]) < 1e-12
+        assert rel(tp.grad[1:], gz.T @ s) < 1e-12
+        assert np.array_equal(tp.grad[0], np.zeros(16))  # the padding row
+        first = tp.grad.copy()
+        ad.backward(ad.sum_all(ad.mul(ad.score_loss(sp, tp, labels, mode), w)))
+        assert np.array_equal(tp.grad, 2 * first)  # a second pass adds into `.grad`
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    def test_gradcheck_through_s_and_table(self, mode):
+        B, d, m = 4, 3, 10  # blocks of 4, 4 and 2 columns
+        rng = np.random.default_rng(29)
+        labels = np.array([0, 9, 8, 3])
+
+        def f(x):
+            s = ad.reshape(ad.narrow(x, 0, 0, B * d), (B, d))
+            table = ad.reshape(ad.narrow(x, 0, B * d, (m + 1) * d), (m + 1, d))
+            w = np.linspace(0.5, 2.0, B)
+            return ad.sum_all(ad.mul(ad.score_loss(s, table, labels, mode), w))
+
+        assert ad.gradcheck(f, rng.normal(size=(B + m + 1) * d)) < 1e-8
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    def test_gradcheck_into_leaf_gradients(self, mode):
+        s, table, labels = _score_loss_inputs(np.float64, lead=3.0)
+        params = [ad.Parameter("s", s), ad.Parameter("table", table)]
+        loss = lambda: ad.sum_all(ad.score_loss(params[0], params[1], labels, mode))
+        assert ad.gradcheck_params(loss, params) < 1e-8
 
 
 def _operands(rng, m, k, n, transpose_b, dtype):
@@ -504,6 +596,24 @@ class TestRowStableMatmul:
         expect = np.einsum("mk,nk->mn" if transpose_b else "mk,kn->mn", a, b)
         assert np.array_equal(_product(a, b, transpose_b), expect)
         assert list(ad._BLOCKS_STABLE.values()) == [False]
+
+    def test_shape_refused_at_96_rows_runs_on_48_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BLOCKS_STABLE", {})
+        tried = []
+
+        def probe(*key):
+            tried.append(key[-1])
+            return key[-1] != 96
+
+        monkeypatch.setattr(ad, "_probe_blocks", probe)
+        a, b = _operands(np.random.default_rng(13), 130, 7, 5, False, np.float64)
+        out = _product(a, b, False)
+        assert tried == [96, 48]
+        assert list(ad._BLOCKS_STABLE.values()) == [48]
+        assert np.allclose(out, a @ b, rtol=1e-12, atol=1e-12)
+        for m in (1, 47, 48, 49, 97):
+            assert np.array_equal(_product(a[:m], b, False), out[:m]), f"{m} rows"
+        assert tried == [96, 48]  # the verdict is kept per shape
 
     @pytest.mark.parametrize("transpose_b", [False, True])
     def test_gradcheck_through_blocks(self, monkeypatch, transpose_b):

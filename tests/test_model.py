@@ -8,7 +8,7 @@ import pytest
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
 from sessrec.graphs import GlobalGraph, build_global_graph, csr
-from sessrec.model import (LEAKY_SLOPE, ModelConfig, NextItemModel, load_checkpoint,
+from sessrec.model import (LEAKY_SLOPE, TOY_SESSIONS, ModelConfig, NextItemModel, load_checkpoint,
                            model_gradcheck, save_checkpoint, toy_batch)
 
 # -- scalar helpers for desk-calculation oracles (no numpy on purpose) --------
@@ -440,6 +440,13 @@ class TestSessionEncode:
         assert not np.allclose(s1, s2)
 
 
+def loss_of_logits(model, logits, labels):
+    """`model.loss` of a session vector whose logits are `logits` exactly: the
+    item rows of the table become the unit vectors (embedding_dim == num_items)."""
+    model.params["item_embeddings"].value[1:] = np.eye(model.num_items)
+    return model.loss(ad.constant(logits), labels)
+
+
 class TestPredictAndLoss:
     def test_identical_embeddings_equal_probabilities(self):
         model = make_model(3, embedding_dim=2, k_hops=0)
@@ -478,40 +485,40 @@ class TestPredictAndLoss:
         assert np.array_equal(np.argsort(-base, axis=-1), np.argsort(-shifted, axis=-1))
 
     def test_loss_zero_on_exact_onehot(self):
-        model = make_model(4, embedding_dim=2, k_hops=0)
-        logits = ad.constant(np.array([[-1e3, 0.0, -1e3, -1e3]]))
-        assert abs(model.loss(logits, [2]).item()) < 1e-6
+        model = make_model(4, embedding_dim=4, k_hops=0)
+        logits = np.array([[-1e3, 0.0, -1e3, -1e3]])
+        assert abs(loss_of_logits(model, logits, [2]).item()) < 1e-6
 
     def test_binary_loss_uniform_two_items(self):
         model = make_model(2, embedding_dim=2, k_hops=0)
-        logits = ad.constant(np.log([[0.5, 0.5]]))
+        logits = np.log([[0.5, 0.5]])
         for label in (1, 2):
-            assert np.isclose(model.loss(logits, [label]).item(), 2 * math.log(2), atol=1e-9)
+            assert np.isclose(loss_of_logits(model, logits, [label]).item(), 2 * math.log(2), atol=1e-9)
 
     def test_categorical_loss_uniform(self):
         m = 7
-        model = make_model(m, embedding_dim=2, k_hops=0, loss_mode="categorical")
-        logits = ad.constant(np.log(np.full((1, m), 1.0 / m)))
-        assert np.isclose(model.loss(logits, [3]).item(), math.log(m), atol=1e-9)
+        model = make_model(m, embedding_dim=m, k_hops=0, loss_mode="categorical")
+        logits = np.log(np.full((1, m), 1.0 / m))
+        assert np.isclose(loss_of_logits(model, logits, [3]).item(), math.log(m), atol=1e-9)
 
     def test_single_vector_loss_accepted(self):
-        model = make_model(3, embedding_dim=2, k_hops=0)
-        logits = ad.constant(np.log([0.2, 0.5, 0.3]))
-        assert model.loss(logits, 2).item() > 0
+        model = make_model(3, embedding_dim=3, k_hops=0)
+        logits = np.log([0.2, 0.5, 0.3])
+        assert loss_of_logits(model, logits, 2).item() > 0
 
     def test_nonfinite_loss_rejected(self):
         model = make_model(2, embedding_dim=2, k_hops=0)
-        logits = ad.constant(np.array([[np.nan, math.log(0.5)]]))
+        logits = np.array([[np.nan, math.log(0.5)]])
         with pytest.raises(FloatingPointError):
-            model.loss(logits, [1])
+            loss_of_logits(model, logits, [1])
 
     def test_bad_label_rejected(self):
-        model = make_model(3, embedding_dim=2, k_hops=0)
-        logits = ad.constant(np.log(np.full((1, 3), 1 / 3)))
+        model = make_model(3, embedding_dim=3, k_hops=0)
+        logits = np.log(np.full((1, 3), 1 / 3))
         with pytest.raises(ValueError):
-            model.loss(logits, [0])
+            loss_of_logits(model, logits, [0])
         with pytest.raises(ValueError):
-            model.loss(logits, [4])
+            loss_of_logits(model, logits, [4])
 
 
 class TestWholeModel:
@@ -570,7 +577,7 @@ class TestWholeModel:
             model = NextItemModel(m, 4, cfg, seed=2)
             out = model.forward(batch)
             assert out.probs.value.dtype == np.float32
-            loss = model.loss(out.logits, batch.labels)
+            loss = model.loss(out.session_vec, batch.labels)
             assert loss.value.dtype == np.float32
             ad.backward(loss)
             assert model.params["item_embeddings"].grad.dtype == np.float32
@@ -592,30 +599,53 @@ class TestWholeModel:
             assert z.dtype == np.float32
             assert abs(z[top - 1] - np.delete(z, top - 1).max() - 50) < 1e-3
             assert out.probs.value[0, top - 1] == 1.0
-            loss = model.loss(out.logits, batch.labels)
+            loss = model.loss(out.session_vec, batch.labels)
             ad.backward(loss)
             assert np.isfinite(loss.value)
             for p in model.params.trainable():
                 assert np.all(np.isfinite(p.grad)), p.name
 
 
-    def test_backward_allocates_at_most_two_item_table_sized_buffers(self):
-        # the head's gradient of the candidate rows and the table's `.grad`:
-        # `narrow` (head) and `gather` (session items) add into `.grad`
-        # instead of each building a zero-filled table to sum into a third
+    def test_backward_allocates_one_item_table_sized_buffer(self):
+        # the table's `.grad`: the head writes its rows a block of items at a
+        # time and `gather` (session items) adds into it, so no (m, d)
+        # product or zero-filled table to sum from is built
         cfg = ModelConfig(embedding_dim=100, k_hops=1, dropout_global=0.0)
         batch, _ = toy_batch(cfg)
         model = NextItemModel(40_000, max_len=4, config=cfg, seed=3)
         table = model.params["item_embeddings"].value.nbytes
         out = model.forward(batch)
-        loss = model.loss(out.logits, batch.labels)
+        loss = model.loss(out.session_vec, batch.labels)
         tracemalloc.start()
         try:
             ad.backward(loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * table, f"backward peak {peak / table:.2f} item tables"
+        assert peak < 1.5 * table, f"backward peak {peak / table:.2f} item tables"
+
+    def test_training_step_at_full_batch_holds_one_logits_sized_array(self):
+        # B=100 against 40,000 items: a (B, m) array is the size of the item
+        # table.  The tape keeps only the head's exponentials; the backward
+        # adds the table's `.grad` and column blocks on top
+        cfg = ModelConfig(embedding_dim=100, k_hops=1, dropout_global=0.0)
+        graph = build_global_graph(*csr(TOY_SESSIONS), 3, 12, num_items=5)
+        prefixes = [(tuple(seq[:k]), seq[k]) for seq in TOY_SESSIONS for k in range(1, len(seq))]
+        batch = collate([pack_example(*prefixes[i % len(prefixes)], graph, 1) for i in range(100)])
+        model = NextItemModel(40_000, max_len=4, config=cfg, seed=3)
+        table = model.params["item_embeddings"].value.nbytes
+        tracemalloc.start()
+        try:
+            out = model.forward(batch, train_mode=True, rng=np.random.default_rng(0))
+            loss = model.loss(out.session_vec, batch.labels)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.6 * table, f"held after forward {held / table:.2f} item tables"
+        assert peak <= 3.0 * table, f"backward peak {peak / table:.2f} item tables"
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ from sessrec import autodiff as ad
 from sessrec import train
 from sessrec.corpus import Example
 from sessrec.graphs import build_global_graph, csr
-from sessrec.model import ModelConfig
+from sessrec.model import ModelConfig, NextItemModel
 from sessrec.train import (Adam, TrainConfig, TrainingError, couple_l2,
                            effective_lr, train_model)
 
@@ -172,6 +172,33 @@ class TestTrainLoop:
         best = snapshots[result.best_epoch]
         for name, arr in best.items():
             assert np.array_equal(result.model.params[name].value, arr)
+
+    def test_returned_model_holds_no_gradients(self):
+        examples, n_items, graph = tiny_training_inputs()
+        tcfg = TrainConfig(batch_size=32, max_epochs=2, patience=2, seed=5)
+        result = train_model(examples, n_items, 4, graph, ModelConfig(embedding_dim=8, k_hops=1), tcfg)
+        assert [p.name for p in result.model.params if p.grad is not None] == []
+
+    def test_single_epoch_run_copies_no_parameters(self, monkeypatch):
+        # the best parameters are copied only when a later epoch would change them
+        calls = []
+
+        def counting(name):
+            original = getattr(NextItemModel, name)
+
+            def method(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            return method
+
+        for name in ("state_dict", "load_state_dict"):
+            monkeypatch.setattr(NextItemModel, name, counting(name))
+        examples, n_items, graph = tiny_training_inputs()
+        tcfg = TrainConfig(batch_size=32, max_epochs=1, patience=1, seed=5)
+        result = train_model(examples, n_items, 4, graph, ModelConfig(embedding_dim=8, k_hops=1), tcfg)
+        assert result.best_epoch == 0
+        assert calls == []
 
     def test_empty_validation_is_error(self):
         sessions = pattern_sessions(n_sessions=10, n_patterns=2, cycle=3, length=3)
