@@ -17,9 +17,12 @@ Every scatter-add of a backward pass (`gather`, `batched_gather` and the
 global layer's two fused ops) goes through `_scatter_add`: one `np.bincount`
 over the rows that occur sums each row's terms in the order they occur,
 which in float64 equals `np.add.at` bit for bit.  The global layer's
-neighbour attention is two ops, `neighbor_scores` and `neighbor_mix`, which
-give the same bits as the generic chains they replace: the tape keeps one
-(B, R, W, d + 1) array where the chains kept five and a (B, R, W, d) copy.
+neighbour attention is two ops on its real rows (2-D, no batch axis),
+`neighbor_scores` and `neighbor_mix`, which give the same bits as the
+generic chains they replace: the tape keeps one (R, W, d + 1) array where
+the chains kept five and an (R, W, d) copy, and `neighbor_scores` runs its
+forward a cache-sized block of rows at a time, keeping that array only when
+a gradient will be taken.
 
 Two numerical ground rules shape the op set:
 
@@ -479,15 +482,23 @@ def batched_gather(x, idx):
     return _make(out, (x,), backward, "batched_gather")
 
 
+# Elements (rows x W x D) per block of `neighbor_scores`' forward: 256 KB in
+# float64, so a block's activation stays in cache between its numpy calls.
+_NBR_BLOCK = 1 << 15
+
+
 def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     """Neighbour attention scores vec . LeakyReLU(z[idx] + wt * w1b), summed
-    over the last axis: z (R, D), idx int array of rows of z, wt (idx.shape),
-    w1b and vec (D,) -> idx.shape.
+    over the last axis: z (R, D), idx (R', ...) int array of rows of z,
+    wt (idx.shape), w1b and vec (D,) -> idx.shape.
 
     The forward makes the numpy calls of the chain gather, mul, add,
-    leaky_relu, mul, reduce_sum in its order, so the scores equal the chain's
-    bit for bit.  The tape keeps one idx.shape + (D,) array, the activation,
-    whose sign is the LeakyReLU mask, where the chain kept five.
+    leaky_relu, mul, reduce_sum in its order, one block of leading-axis rows
+    (`_NBR_BLOCK` elements) at a time; every call is elementwise or sums
+    each element's own D terms, so the scores equal the chain's bit for bit
+    whatever the block.  When a gradient will be taken the tape keeps one
+    idx.shape + (D,) array, the activation, whose sign is the LeakyReLU mask,
+    where the chain kept five; otherwise no array of that size exists.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -499,10 +510,16 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
         raise ShapeError(f"neighbor_scores: z {z.shape}, idx {idx.shape}, wt {wt.shape}, "
                          f"w1b {w1b.shape}, vec {vec.shape}")
     _check_rows("neighbor_scores", idx, z.shape[0])
-    act = z.value[idx]
-    act += wt[..., None] * w1b.value
-    np.maximum(act, slope * act, out=act)
-    out = (act * vec.value).sum(axis=-1)
+    keep = _GRAD_ENABLED and (z.requires_grad or w1b.requires_grad or vec.requires_grad)
+    act = np.empty(idx.shape + (D,), dtype=z.dtype) if keep else None
+    out = np.empty(idx.shape, dtype=np.result_type(z.dtype, vec.dtype))
+    step = max(1, _NBR_BLOCK // max(1, idx[:1].size * D))
+    for r0 in range(0, len(idx), step):
+        r = slice(r0, r0 + step)
+        a = np.take(z.value, idx[r], axis=0, out=act[r] if keep else None, mode="clip")  # z[idx[r]]
+        a += wt[r, ..., None] * w1b.value
+        np.maximum(a, slope * a, out=a)
+        out[r] = (a * vec.value).sum(axis=-1)
 
     def backward(g):
         gact = g[..., None] * vec.value
@@ -517,25 +534,23 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
 
 
 def neighbor_mix(alpha, h, idx):
-    """sum_w alpha[b, r, w] * h[b, idx[b, r, w]] accumulated over w in order:
-    alpha (B, R, W), h (B, R_in, d), idx (B, R, W) rows of h -> (B, R, d).
+    """sum_w alpha[r, w] * h[idx[r, w]] accumulated over w in order:
+    alpha (R, W), h (R_in, d), idx (R, W) rows of h -> (R, d).
 
-    Equals weighted_sum(alpha, batched_gather(h, idx)) bit for bit, and so is
-    padding-stable, without the (B, R, W, d) gathered copy: the backward
+    Equals weighted_sum(alpha, gather(h, idx)) bit for bit, and so is
+    padding-stable, without the (R, W, d) gathered copy: the backward
     gathers the rows again, one w at a time.
     """
     alpha, h = _as_tensor(alpha), _as_tensor(h)
     idx = np.asarray(idx)
-    if h.ndim != 3 or idx.ndim != 3 or alpha.shape != idx.shape or idx.shape[0] != h.shape[0]:
+    if h.ndim != 2 or idx.ndim != 2 or alpha.shape != idx.shape:
         raise ShapeError(f"neighbor_mix: alpha {alpha.shape}, h {h.shape}, idx {idx.shape}")
-    B, R_in, d = h.shape
-    W = idx.shape[2]
-    _check_rows("neighbor_mix", idx, R_in)
-    rows = idx + (R_in * np.arange(B))[:, None, None]  # rows of h as (B * R_in, d)
-    hv, av = h.value.reshape(B * R_in, d), alpha.value
-    out = np.zeros(idx.shape[:2] + (d,), dtype=hv.dtype) if W == 0 else None
+    _check_rows("neighbor_mix", idx, h.shape[0])
+    hv, av = h.value, alpha.value
+    W = idx.shape[1]
+    out = np.zeros((idx.shape[0], hv.shape[1]), dtype=hv.dtype) if W == 0 else None
     for w in range(W):
-        term = av[..., w:w + 1] * hv[rows[..., w]]
+        term = av[:, w:w + 1] * hv[idx[:, w]]
         if out is None:
             out = term
         else:
@@ -546,10 +561,9 @@ def neighbor_mix(alpha, h, idx):
         if alpha.requires_grad:
             galpha = np.empty(av.shape, dtype=g.dtype)
             for w in range(W):
-                galpha[..., w] = np.einsum("...d,...d->...", g, hv[rows[..., w]])
+                galpha[:, w] = np.einsum("rd,rd->r", g, hv[idx[:, w]])
         if h.requires_grad:
-            gh = _scatter_add(np.zeros((B * R_in, d), dtype=hv.dtype), rows,
-                              av[..., None] * g[..., None, :]).reshape(h.shape)
+            gh = _scatter_add(np.zeros_like(hv), idx, av[..., None] * g[:, None, :])
         return galpha, gh
 
     return _make(out, (alpha, h), backward, "neighbor_mix")

@@ -20,6 +20,17 @@ indices are remapped to that layout.  Padded slots index row 0 and are
 masked; the model's reductions guarantee they contribute exact zeros, so a
 padded batch of one example reproduces the unpadded forward bit for bit.
 
+The global layer runs on a second, unpadded layout of the same rows,
+`SessionBatch.rows` (`RealRows`), built from the padded arrays once per
+batch on first read: every example's session nodes, then every example's
+hop-1 rows, then every hop-2 row, so "the rows within j hops" is the prefix
+`[0, T_j)` with no padded row in it.  It holds the rows' items and examples,
+the neighbor table into those rows (masked slots index row 0), and the maps
+from session-node slots and hop rows back to the padded layout.  The padded
+arrays stay: the session layer, the position gathers and the per-hop
+attention the model returns are (B, ...) shaped, and they are what a caller
+sees of a batch.
+
 Session graphs are directed over the session's unique items with four edge
 relations (incoming, outgoing, bidirectional, self).  `collate` builds every
 example's graph from the padded `alias` / `pos_mask` arrays: an edge joins
@@ -30,6 +41,7 @@ relation codes below (padded slots get `REL_NONE`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +113,19 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int) -
     )
 
 
+@dataclass(frozen=True)
+class RealRows:
+    """The global layer's unpadded row layout of a batch (see module docstring)."""
+    items: np.ndarray          # (T_K,) item ids: hop layer by hop layer, example by example
+    ends: tuple                # (T_0, ..., T_K): rows [0, T_j) are within j hops
+    example: np.ndarray        # (T_K,) each row's example
+    nbr_idx: np.ndarray        # (T_{K-1}, W) rows of neighbors, all < T_K; 0 where masked
+    nbr_wt: np.ndarray         # (T_{K-1}, W)
+    nbr_mask: np.ndarray       # (T_{K-1}, W)
+    node_rows: np.ndarray      # (B, N) row of each session-node slot; 0 where padded
+    padded_at: tuple           # per j < K: (T_j,) flat position b * P_j + slot of each row
+
+
 @dataclass
 class SessionBatch:
     items: np.ndarray          # (B, P_K) frontier item ids, layer by layer, 0-padded
@@ -113,6 +138,28 @@ class SessionBatch:
     pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
     labels: np.ndarray         # (B,)
+
+    @cached_property
+    def rows(self) -> RealRows:
+        """The real frontier rows, built from the padded arrays on first read
+        and kept with the batch, so repeated forwards index nothing again."""
+        B, F = self.items.shape
+        ends = self.layer_ends
+        starts = (0,) + ends[:-1]
+        real = self.items > 0  # frontier items are >= 1; padded slots hold 0
+        layers = [np.nonzero(real[:, lo:hi]) for lo, hi in zip(starts, ends)]
+        example = np.concatenate([b for b, _ in layers])
+        slot = np.concatenate([s + lo for (_, s), lo in zip(layers, starts)])
+        row_ends = tuple(int(t) for t in np.cumsum([len(b) for b, _ in layers]))
+        row_of = np.zeros((B, F), dtype=np.int64)  # padded slot -> row (0 where padded)
+        row_of[example, slot] = np.arange(len(example))
+        inner = row_ends[-2] if len(ends) > 1 else 0
+        b_in, s_in = example[:inner], slot[:inner]
+        nbr_mask = self.nbr_mask[b_in, s_in]
+        nbr_idx = np.where(nbr_mask, row_of[b_in[:, None], self.nbr_idx[b_in, s_in]], 0)
+        padded_at = tuple(example[:t] * p + slot[:t] for t, p in zip(row_ends[:-1], ends[:-1]))
+        return RealRows(self.items[example, slot], row_ends, example, nbr_idx, self.nbr_wt[b_in, s_in],
+                        nbr_mask, row_of[:, :ends[0]].copy(), padded_at)
 
 
 def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -331,8 +332,19 @@ def _build_parser():
     common(p)
     _model_flags(p)
     p.add_argument("--full", action="store_true", help="sweep hops x aggregation x position x loss")
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--threshold", type=_threshold, default=1e-4,
+                   help="largest relative error that passes (finite, > 0; default 1e-4)")
     return parser
+
+
+def _threshold(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: the threshold must be a finite number > 0")
+    return value
 
 
 def _model_flags(p):

@@ -10,9 +10,10 @@ table.  `forward` stops at the session vector: training scores it and takes
 the loss in one op (`autodiff.score_loss`), and evaluation ranks from the
 logits of `predict`, which `ForwardResult.logits` computes when read.
 
-All forward math runs on the autodiff tape.  Reductions along padded axes
-use the padding-stable ops, so a padded batch reproduces unpadded forwards
-exactly (see batching module).
+All forward math runs on the autodiff tape.  The global layer runs on the
+batch's real rows only (`SessionBatch.rows`); elsewhere, reductions along
+padded axes use the padding-stable ops, so a padded batch reproduces
+unpadded forwards exactly (see batching module).
 """
 
 from __future__ import annotations
@@ -149,44 +150,54 @@ class NextItemModel:
     def global_layer_forward(self, h_frontier, batch: SessionBatch, session_feat):
         """Hop-stacked neighbor aggregation on the co-occurrence graph.
 
-        `h_frontier` (B, P_K, d) holds the initial vectors of the batch's
-        per-hop layout (see batching module).  Only the session rows' final
-        vectors are consumed, so hop t of K computes just the rows within
-        K - t hops, the prefix [0, P_{K-t}), reading its inputs from
-        [0, P_{K-t+1}).  A neighbor's score q1^T LeakyReLU(W1 [(s * h_j) || w_ij])
-        is factored as gathered per-row projections (s * h_j) W1a^T plus
-        w_ij W1b, with W1 = [W1a | W1b]; `ad.neighbor_scores` computes it in
-        one tape op, and `ad.neighbor_mix` sums the attention-weighted
-        neighbor vectors without a gathered (B, R, W, d) copy.
-        `session_feat` (B, d) is the mean of the session's initial item
-        embeddings and stays fixed across hops.
+        Runs on the batch's real rows only (`batch.rows`, see batching
+        module): `h_frontier` (T_K, d) holds their initial vectors, hop layer
+        by hop layer.  Only the session rows' final vectors are consumed, so
+        hop t of K computes just the rows within K - t hops, the prefix
+        [0, T_{K-t}), reading its inputs from [0, T_{K-t+1}); every op is
+        2-D over rows and row-stable, so a row's bits do not depend on the
+        other rows of the batch.  A neighbor's score
+        q1^T LeakyReLU(W1 [(s * h_j) || w_ij]) is factored as gathered per-row
+        projections (s * h_j) W1a^T plus w_ij W1b, with W1 = [W1a | W1b];
+        `ad.neighbor_scores` computes it in one tape op, and `ad.neighbor_mix`
+        sums the attention-weighted neighbor vectors without a gathered
+        (R, W, d) copy.  `session_feat` (B, d) is the mean of the session's
+        initial item embeddings; one gather per hop hands each row its
+        example's, and it stays fixed across hops.
 
         Returns the session rows' final vectors (B, N, d) and, per hop t,
-        the neighbor attention (B, P_{K-t}, W).
+        the neighbor attention (B, P_{K-t}, W) in the padded layout, zero on
+        padded rows and masked slots.
         """
-        cfg = self.config
-        B, _, d = h_frontier.shape
-        ends = batch.layer_ends
-        s_b = ad.reshape(session_feat, (B, 1, d))
+        rows = batch.rows
+        ends = rows.ends
+        d = h_frontier.shape[1]
         attn = []
         h = h_frontier
         for t, suffix in enumerate(self._hop_suffixes(), start=1):
-            rows_in, rows = ends[-t], ends[-t - 1]
+            rows_in, n = ends[-t], ends[-t - 1]
             proj = self.params[f"global_att_proj{suffix}"]
             vec = self.params[f"global_att_vec{suffix}"]
             agg = self.params[f"global_agg{suffix}"]
-            nbr_idx = batch.nbr_idx[:, :rows]
-            flat_idx = nbr_idx + (rows_in * np.arange(B))[:, None, None]
-            z = ad.matmul(ad.reshape(ad.mul(h, s_b), (B * rows_in, d)),
-                          ad.narrow(proj, 1, 0, d), transpose_b=True)           # (B*R_in, d+1)
+            s = ad.gather(session_feat, rows.example[:rows_in])                  # (T_in, d)
+            z = ad.matmul(ad.mul(h, s), ad.narrow(proj, 1, 0, d), transpose_b=True)  # (T_in, d+1)
             w1b = ad.reshape(ad.narrow(proj, 1, d, 1), (d + 1,))
-            scores = ad.neighbor_scores(z, flat_idx, batch.nbr_wt[:, :rows], w1b, vec, LEAKY_SLOPE)
-            alpha = ad.masked_softmax(scores, batch.nbr_mask[:, :rows], axis=-1)
-            h_nbr = ad.neighbor_mix(alpha, h, nbr_idx)                         # (B, R, d); zero rows when isolated
-            cat = ad.reshape(ad.concat([ad.narrow(h, 1, 0, rows), h_nbr], axis=-1), (B * rows, 2 * d))
-            h = ad.reshape(ad.relu(ad.matmul(cat, agg, transpose_b=True)), (B, rows, d))
-            attn.append(alpha)
-        return h, attn
+            nbr_idx = rows.nbr_idx[:n]
+            scores = ad.neighbor_scores(z, nbr_idx, rows.nbr_wt[:n], w1b, vec, LEAKY_SLOPE)
+            alpha = ad.masked_softmax(scores, rows.nbr_mask[:n], axis=-1)     # (T_out, W)
+            h_nbr = ad.neighbor_mix(alpha, h, nbr_idx)                        # zero rows when isolated
+            cat = ad.concat([ad.narrow(h, 0, 0, n), h_nbr], axis=-1)          # (T_out, 2d)
+            h = ad.relu(ad.matmul(cat, agg, transpose_b=True))
+            attn.append(self._padded_attention(alpha, batch, len(ends) - 1 - t))
+        return ad.gather(h, rows.node_rows), attn
+
+    @staticmethod
+    def _padded_attention(alpha, batch, j):
+        """Attention over the rows within j hops (T_j, W), as (B, P_j, W)."""
+        B, P = batch.items.shape[0], batch.layer_ends[j]
+        out = np.zeros((B * P, alpha.shape[1]), dtype=alpha.dtype)
+        out[batch.rows.padded_at[j]] = alpha.value
+        return ad.constant(out.reshape(B, P, -1))
 
     def session_layer_forward(self, h_nodes, batch: SessionBatch):
         """Relation-typed attention over the session graph.
@@ -307,21 +318,21 @@ class NextItemModel:
         N = batch.rel.shape[1]
         emb = self.params["item_embeddings"]
 
-        h0_frontier = ad.gather(emb, batch.items)                    # (B, P_K, d)
+        h0_nodes = ad.gather(emb, batch.items[:, :N])                # (B, N, d)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
 
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
-            h0_positions = ad.batched_gather(h0_frontier, batch.alias)   # (B, L, d)
+            h0_positions = ad.batched_gather(h0_nodes, batch.alias)      # (B, L, d)
             positions = ad.constant(batch.pos_mask, dtype=cfg.dtype)
             session_feat = ad.mul(ad.weighted_sum(positions, h0_positions, valid=batch.pos_mask), inv_len)
-            h_global, global_attn = self.global_layer_forward(h0_frontier, batch, session_feat)
+            h0_rows = ad.gather(emb, batch.rows.items)                   # (T_K, d) real rows only
+            h_global, global_attn = self.global_layer_forward(h0_rows, batch, session_feat)
 
         h_session = None
         session_attn = None
         if cfg.use_session_layer:
-            h0_nodes = ad.narrow(h0_frontier, 1, 0, N)
             h_session, session_attn = self.session_layer_forward(h0_nodes, batch)
 
         fused = self.fuse(h_global, h_session, train_mode, rng)      # (B, N, d)

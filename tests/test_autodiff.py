@@ -258,30 +258,29 @@ class TestGradcheck:
                 ad.gradcheck(lambda x: ad.sum_all(ad.log(x)), np.array([0.0, 1.0]))
 
 
-def _neighbor_case(seed, B, R_in, R, W, D, dtype, pad):
-    """Random global-layer inputs: z (B * R_in, D) projections, h (B, R_in,
-    D - 1) vectors, per-row neighbour indices, weights and mask.  Masked
-    slots hold index 0 and weight 0, as `collate` pads them; row 0 of each
-    batch entry is all masked.  `pad` appends that many masked slots."""
+def _neighbor_case(seed, R_in, R, W, D, dtype, pad):
+    """Random global-layer inputs in the real-row layout: z (R_in, D)
+    projections, h (R_in, D - 1) vectors, and (R, W) neighbour indices into
+    their rows, weights and mask.  Masked slots hold index 0 and weight 0, as
+    `SessionBatch.rows` sets them; row 0 is all masked.  `pad` appends that
+    many masked slots to every row."""
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, R_in, size=(B, R, W))
-    wt = rng.integers(1, 5, size=(B, R, W)).astype(np.float64)
-    mask = rng.random((B, R, W)) < 0.7
-    mask[:, 0] = False
+    idx = rng.integers(0, R_in, size=(R, W))
+    wt = rng.integers(1, 5, size=(R, W)).astype(np.float64)
+    mask = rng.random((R, W)) < 0.7
+    mask[0] = False
     idx, wt = np.where(mask, idx, 0), np.where(mask, wt, 0.0)
     if pad:
-        idx, wt = (np.concatenate([a, np.zeros((B, R, pad), a.dtype)], axis=2) for a in (idx, wt))
-        mask = np.concatenate([mask, np.zeros((B, R, pad), bool)], axis=2)
+        idx, wt = (np.concatenate([a, np.zeros((R, pad), a.dtype)], axis=1) for a in (idx, wt))
+        mask = np.concatenate([mask, np.zeros((R, pad), bool)], axis=1)
     vals = {name: rng.normal(size=shape).astype(dtype) for name, shape in (
-        ("z", (B * R_in, D)), ("h", (B, R_in, D - 1)), ("w1b", (D,)), ("vec", (D,)),
-        ("scores", (B, R, W + pad)))}
-    flat = idx + (R_in * np.arange(B))[:, None, None]
-    return vals, idx, flat, wt, mask
+        ("z", (R_in, D)), ("h", (R_in, D - 1)), ("w1b", (D,)), ("vec", (D,)), ("scores", (R, W + pad)))}
+    return vals, idx, wt, mask
 
 
-def _old_scores(z, flat, wt, w1b, vec):
+def _old_scores(z, idx, wt, w1b, vec):
     """The generic chain `neighbor_scores` replaces."""
-    pre = ad.add(ad.gather(z, flat), ad.mul(ad.constant(wt[..., None], dtype=z.dtype), w1b))
+    pre = ad.add(ad.gather(z, idx), ad.mul(ad.constant(wt[..., None], dtype=z.dtype), w1b))
     return ad.reduce_sum(ad.mul(ad.leaky_relu(pre, 0.2), vec), axis=-1)
 
 
@@ -291,38 +290,44 @@ def _bits(a):
 
 class TestNeighborOps:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**31), B=st.integers(1, 3), R_in=st.integers(1, 6),
-           W=st.integers(1, 5), D=st.integers(2, 6), pad=st.integers(0, 3),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_forwards_equal_the_generic_chains_bit_for_bit(self, seed, B, R_in, W, D, pad, dtype):
+    @given(seed=st.integers(0, 2**31), R_in=st.integers(1, 15), W=st.integers(1, 5), D=st.integers(2, 6),
+           pad=st.integers(0, 3), block=st.integers(1, 40), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_forwards_equal_the_generic_chains_bit_for_bit(self, seed, R_in, W, D, pad, block, dtype):
         R = max(1, R_in - 1)
-        vals, idx, flat, wt, mask = _neighbor_case(seed, B, R_in, R, W, D, dtype, pad)
+        vals, idx, wt, mask = _neighbor_case(seed, R_in, R, W, D, dtype, pad)
         z, w1b, vec, h = (ad.Tensor(vals[k], requires_grad=True) for k in ("z", "w1b", "vec", "h"))
-        new = ad.neighbor_scores(z, flat, wt, w1b, vec, 0.2)
-        assert _bits(new.value) == _bits(_old_scores(z, flat, wt, w1b, vec).value)
+        new = ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2)
+        assert _bits(new.value) == _bits(_old_scores(z, idx, wt, w1b, vec).value)
+        # row blocks of any size, kept activation or not, change no bit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_NBR_BLOCK", block)
+            assert _bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == _bits(new.value)
+            with ad.no_grad():
+                assert _bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == _bits(new.value)
         alpha = ad.masked_softmax(ad.Tensor(vals["scores"], requires_grad=True), mask)
         mixed = ad.neighbor_mix(alpha, h, idx)
-        assert _bits(mixed.value) == _bits(ad.weighted_sum(alpha, ad.batched_gather(h, idx)).value)
-        assert not mixed.value[:, 0].any()  # all-masked rows mix to zero
+        assert _bits(mixed.value) == _bits(ad.weighted_sum(alpha, ad.gather(h, idx)).value)
+        assert not mixed.value[0].any()  # an all-masked row mixes to zero
         if pad:  # masked slots appended to every row change no bit
-            unpadded = ad.neighbor_mix(ad.narrow(alpha, 2, 0, W), h, idx[..., :W])
+            unpadded = ad.neighbor_mix(ad.narrow(alpha, 1, 0, W), h, idx[:, :W])
             assert _bits(mixed.value) == _bits(unpadded.value)
 
     @pytest.mark.parametrize("W", [1, 4])
-    def test_gradients_match_the_generic_chains(self, W):
-        vals, idx, flat, wt, mask = _neighbor_case(3, 2, 5, 4, W, 6, np.float64, 0)
+    def test_gradients_match_the_generic_chains(self, monkeypatch, W):
+        monkeypatch.setattr(ad, "_NBR_BLOCK", 2 * W * 6)  # blocks of two rows
+        vals, idx, wt, mask = _neighbor_case(3, 10, 8, W, 6, np.float64, 0)
         grads = []
         for fused in (True, False):
             z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
             if fused:
-                scores = ad.neighbor_scores(z, flat, wt, w1b, vec, 0.2)
+                scores = ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2)
             else:
-                scores = _old_scores(z, flat, wt, w1b, vec)
+                scores = _old_scores(z, idx, wt, w1b, vec)
             alpha = ad.masked_softmax(scores, mask)
             if fused:
                 mixed = ad.neighbor_mix(alpha, h, idx)
             else:
-                mixed = ad.weighted_sum(alpha, ad.batched_gather(h, idx))
+                mixed = ad.weighted_sum(alpha, ad.gather(h, idx))
             ad.backward(ad.add(ad.sum_all(ad.tanh(mixed)), ad.sum_all(ad.tanh(scores))))
             grads.append([x.grad for x in (z, w1b, vec, h)])
         for new, old in zip(*grads):
@@ -330,18 +335,18 @@ class TestNeighborOps:
 
     @pytest.mark.parametrize("wrt", ["z", "w1b", "vec"])
     def test_gradcheck_neighbor_scores(self, wrt):
-        vals, idx, flat, wt, mask = _neighbor_case(5, 2, 4, 3, 3, 5, np.float64, 0)
+        vals, idx, wt, mask = _neighbor_case(5, 8, 6, 3, 5, np.float64, 0)
 
         def f(x):
             args = {k: ad.constant(vals[k]) for k in ("z", "w1b", "vec")}
             args[wrt] = x
-            return ad.sum_all(ad.tanh(ad.neighbor_scores(args["z"], flat, wt, args["w1b"], args["vec"], 0.2)))
+            return ad.sum_all(ad.tanh(ad.neighbor_scores(args["z"], idx, wt, args["w1b"], args["vec"], 0.2)))
 
         assert ad.gradcheck(f, vals[wrt]) < 1e-8
 
     @pytest.mark.parametrize("wrt", ["alpha", "h"])
     def test_gradcheck_neighbor_mix(self, wrt):
-        vals, idx, flat, wt, mask = _neighbor_case(6, 2, 4, 3, 3, 5, np.float64, 0)
+        vals, idx, wt, mask = _neighbor_case(6, 8, 6, 3, 5, np.float64, 0)
         args = {"alpha": vals["scores"], "h": vals["h"]}
 
         def f(x):
@@ -352,25 +357,25 @@ class TestNeighborOps:
         assert ad.gradcheck(f, args[wrt]) < 1e-8
 
     def test_out_of_range_index_raises_index_error(self):
-        vals, idx, flat, wt, mask = _neighbor_case(7, 2, 4, 3, 3, 5, np.float64, 0)
+        vals, idx, wt, mask = _neighbor_case(7, 8, 6, 3, 5, np.float64, 0)
         z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
-        for bad in (np.full_like(flat, len(vals["z"])), np.full_like(flat, -1)):
+        for bad in (np.full_like(idx, len(vals["z"])), np.full_like(idx, -1)):
             with pytest.raises(IndexError):
                 ad.neighbor_scores(z, bad, wt, w1b, vec)
             with pytest.raises(IndexError):
                 ad.gather(z, bad)
-        for bad in (np.full_like(idx, 4), np.full_like(idx, -1)):
             with pytest.raises(IndexError):
                 ad.neighbor_mix(t(vals["scores"]), h, bad)
 
     def test_shape_errors_name_the_shapes(self):
-        vals, idx, flat, wt, mask = _neighbor_case(9, 2, 4, 3, 3, 5, np.float64, 0)
+        vals, idx, wt, mask = _neighbor_case(9, 8, 6, 3, 5, np.float64, 0)
         z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
-        for bad in ((z.value[0], flat, wt, w1b, vec), (z, flat, wt[..., 1:], w1b, vec),
-                    (z, flat, wt, w1b, t(vals["vec"][1:]))):
+        for bad in ((z.value[0], idx, wt, w1b, vec), (z, idx, wt[..., 1:], w1b, vec),
+                    (z, idx, wt, w1b, t(vals["vec"][1:]))):
             with pytest.raises(ad.ShapeError, match="neighbor_scores"):
                 ad.neighbor_scores(*bad)
-        for bad in ((t(vals["scores"][..., 1:]), h, idx), (t(vals["scores"]), t(vals["h"][0]), idx)):
+        for bad in ((t(vals["scores"][..., 1:]), h, idx), (t(vals["scores"]), t(vals["h"][0]), idx),
+                    (t(vals["scores"][None]), h, idx[None])):
             with pytest.raises(ad.ShapeError, match="neighbor_mix"):
                 ad.neighbor_mix(*bad)
 

@@ -119,3 +119,55 @@ def test_pack_matches_breadth_first_oracle(data):
         assert pack.nbr_idx[i, :n].tolist() == [slot for slot, _ in row]
         assert pack.nbr_wt[i, :n].tolist() == [float(w) for _, w in row]
         assert not pack.nbr_idx[i, n:].any() and not pack.nbr_wt[i, n:].any()
+
+
+@st.composite
+def layout_cases(draw):
+    k_hops = draw(st.integers(1, 2))
+    n_items = draw(st.integers(2, 25))
+    seqs = st.lists(st.integers(1, n_items), min_size=2, max_size=8)
+    sessions = draw(st.lists(seqs, min_size=1, max_size=15))
+    graph = build_global_graph(*csr(sessions), epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
+    prefixes = draw(st.lists(st.lists(st.integers(1, n_items), min_size=1, max_size=6),
+                             min_size=1, max_size=5))
+    packs = [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]
+    return k_hops, packs, draw(st.integers(0, 3)), draw(st.integers(0, 20))
+
+
+@settings(max_examples=80, deadline=None)
+@given(layout_cases())
+def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case):
+    k_hops, packs, node_extra, frontier_extra = case
+    batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + node_extra,
+                    pad_frontier=max(p.frontier_size for p in packs) + frontier_extra)
+    rows, plain = batch.rows, collate(packs).rows
+    # surplus padding changes nothing but the maps back to padded slots
+    assert rows.ends == plain.ends
+    for name in ("items", "example", "nbr_idx", "nbr_wt", "nbr_mask"):
+        assert np.array_equal(getattr(rows, name), getattr(plain, name)), name
+
+    # hop layer by hop layer, pack by pack, every frontier row exactly once
+    assert rows.ends == tuple(sum(p.layer_end[j] for p in packs) for j in range(k_hops + 1))
+    row_of, items, example = {}, [], []
+    for j in range(k_hops + 1):
+        for b, p in enumerate(packs):
+            lo, hi = (p.layer_end[j - 1] if j else 0), p.layer_end[j]
+            row_of.update({(b, s): len(items) + s - lo for s in range(lo, hi)})
+            items += p.frontier_items[lo:hi].tolist()
+            example += [b] * (hi - lo)
+    assert rows.items.tolist() == items and rows.example.tolist() == example
+
+    W = batch.nbr_idx.shape[2]
+    assert rows.nbr_idx.shape == rows.nbr_wt.shape == rows.nbr_mask.shape == (rows.ends[-2], W)
+    for b, p in enumerate(packs):
+        assert rows.node_rows[b, :p.num_nodes].tolist() == [row_of[b, s] for s in range(p.num_nodes)]
+        for i in range(len(p.nbr_idx)):
+            r, m = row_of[b, i], p.nbr_mask[i]
+            assert np.array_equal(rows.nbr_mask[r], m) and np.array_equal(rows.nbr_wt[r], p.nbr_wt[i])
+            # a valid neighbour names the row of the pack's neighbour slot: same example, same item
+            assert rows.nbr_idx[r][m].tolist() == [row_of[b, s] for s in p.nbr_idx[i][m]]
+            assert np.array_equal(rows.items[rows.nbr_idx[r][m]], p.frontier_items[p.nbr_idx[i][m]])
+            assert not rows.nbr_idx[r][~m].any()
+    # the rows within j hops sit at their padded slots of the (B, P_j) layout
+    for j, at in enumerate(rows.padded_at):
+        assert np.array_equal(batch.items[:, :batch.layer_ends[j]].reshape(-1)[at], rows.items[:rows.ends[j]])

@@ -412,3 +412,13 @@ class TestGradcheckCommand:
     def test_exceeding_threshold_exits_nonzero(self):
         # an unreachably tight threshold forces the failure exit path
         assert main(["gradcheck", "--hops", "1", "--threshold", "1e-16"]) == 1
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_threshold_that_is_not_finite_and_positive_exits_2_with_one_line(self, capsys, value):
+        # -1, 0 and nan used to fail every check and inf to pass every one
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--hops", "1", "--threshold", value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err == (f"error: argument --threshold: invalid value {value!r}: "
+                       "the threshold must be a finite number > 0\n")

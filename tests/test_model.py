@@ -153,12 +153,11 @@ def reference_global_rows(model, pack):
 
 def global_rows(model, batch):
     emb = model.params["item_embeddings"]
-    h0_f = ad.gather(emb, batch.items)
-    h0_pos = ad.batched_gather(h0_f, batch.alias)
+    h0_pos = ad.batched_gather(ad.gather(emb, batch.items[:, :batch.rel.shape[1]]), batch.alias)
     inv_len = ad.constant((1.0 / batch.lengths)[:, None])
     positions = ad.constant(batch.pos_mask, dtype=np.float64)
     s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
-    h_g, _ = model.global_layer_forward(h0_f, batch, s)
+    h_g, _ = model.global_layer_forward(ad.gather(emb, batch.rows.items), batch, s)
     return h_g.value
 
 
@@ -225,6 +224,33 @@ class TestGlobalLayerReference:
                     # the scoring head runs on plain BLAS: equal to float32 rounding only
                     assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
 
+    def test_global_attention_is_padded_per_hop_and_matches_single_forwards(self):
+        # ForwardResult.global_attn keeps the padded (B, P_{K-t}, W) layout
+        # although the global layer runs on the real rows only
+        graph, _ = self._corpus(43)
+        rng = np.random.default_rng(48)
+        for k in (1, 2):
+            model = make_model(30, max_len=10, embedding_dim=8, k_hops=k, seed=49)
+            packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
+                     for n in (1, 6, 2, 9, 3, 1, 4)]
+            batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
+                            pad_frontier=max(p.frontier_size for p in packs) + 7)
+            ends, W = batch.layer_ends, batch.nbr_idx.shape[2]
+            attn = [a.value for a in model.forward(batch).global_attn]
+            assert [a.shape for a in attn] == [(len(packs), ends[k - t], W) for t in range(1, k + 1)]
+            for t, a in enumerate(attn, start=1):
+                mask = batch.nbr_mask[:, :ends[k - t]]
+                assert not a[~mask].any()  # masked slots, padded rows included
+                assert not a[batch.items[:, :ends[k - t]] == 0].any()
+                assert np.allclose(a.sum(-1)[mask.any(-1)], 1.0, rtol=0, atol=1e-12)
+            for b, pack in enumerate(packs):
+                alone = model.forward(collate([pack])).global_attn
+                for t, (a, a1) in enumerate(zip(attn, alone), start=1):
+                    for j in range(k - t + 1):  # the real rows of each layer within k - t hops
+                        lo, hi = (pack.layer_end[j - 1] if j else 0), pack.layer_end[j]
+                        start = ends[j - 1] if j else 0
+                        assert a[b, start: start + hi - lo].tobytes() == a1.value[0, lo:hi].tobytes()
+
 
 class TestSessionLayer:
     def test_self_loop_only_is_passthrough(self):
@@ -275,14 +301,12 @@ class TestFuse:
     def _branches(self, model, batch):
         # recompute both branches exactly as forward does
         emb = model.params["item_embeddings"]
-        h0_f = ad.gather(emb, batch.items)
-        h0_pos = ad.batched_gather(h0_f, batch.alias)
+        h0_n = ad.gather(emb, batch.items[:, :batch.rel.shape[1]])
+        h0_pos = ad.batched_gather(h0_n, batch.alias)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None])
         positions = ad.constant(batch.pos_mask, dtype=np.float64)
         s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
-        h_gf, _ = model.global_layer_forward(h0_f, batch, s)
-        h_g = ad.narrow(h_gf, 1, 0, batch.rel.shape[1])
-        h0_n = ad.narrow(h0_f, 1, 0, batch.rel.shape[1])
+        h_g, _ = model.global_layer_forward(ad.gather(emb, batch.rows.items), batch, s)
         h_s, _ = model.session_layer_forward(h0_n, batch)
         return h_g.value, h_s.value
 
