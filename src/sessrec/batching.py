@@ -12,24 +12,23 @@ rows (`top_n` wide, mask `nbr > 0`, neighbors mapped to frontier slots): the
 outermost layer's own neighbors fall outside the packed frontier and its
 aggregated values are never consumed, so it is isolated by construction.
 
-`collate` pads each layer separately: session nodes to N, hop-1 rows to
-F1, hop-2 rows to F2, any `pad_frontier` surplus going to the outermost
-layer.  The batch-wide layer ends P_0 = N, P_1 = N + F1, ... make "the rows
-within j hops" the exact prefix `[0, P_j)` of every example, and neighbor
-indices are remapped to that layout.  Padded slots index row 0 and are
-masked; the model's reductions guarantee they contribute exact zeros, so a
+`collate` lays each batch out once, from the packs.  The model reads the
+frontier only through `SessionBatch.rows` (`RealRows`), the batch's real rows
+with no padding: every example's session nodes, then every example's hop-1
+rows, then every hop-2 row, so "the rows within j hops" is the prefix
+`[0, T_j)`.  It holds the rows' items and examples, the neighbor table into
+those rows (masked slots index row 0), each session-node slot's row and each
+row's position in the per-hop (B, P_j, W) attention the model returns, whose
+row r of example b is that pack's row r.  Session nodes are gathered through
+`node_rows`, so padded node slots hold row 0's item; the session graph masks
+them, and the model's reductions guarantee they contribute exact zeros, so a
 padded batch of one example reproduces the unpadded forward bit for bit.
 
-The global layer runs on a second, unpadded layout of the same rows,
-`SessionBatch.rows` (`RealRows`), built from the padded arrays once per
-batch on first read: every example's session nodes, then every example's
-hop-1 rows, then every hop-2 row, so "the rows within j hops" is the prefix
-`[0, T_j)` with no padded row in it.  It holds the rows' items and examples,
-the neighbor table into those rows (masked slots index row 0), and the maps
-from session-node slots and hop rows back to the padded layout.  The padded
-arrays stay: the session layer, the position gathers and the per-hop
-attention the model returns are (B, ...) shaped, and they are what a caller
-sees of a batch.
+The other arrays stack the packs' own arrays, each from slot 0 and 0-padded:
+`items` (B, F), the neighbor tables (B, P_{K-1}, W) in pack slots, and
+`alias` (B, L).  P_0 = N is the session-node width and P_j the batch's largest
+`layer_end[j]`; `pad_frontier` widens only `items`.  The model does not read
+`items` or the padded neighbor tables.
 
 Session graphs are directed over the session's unique items with four edge
 relations (incoming, outgoing, bidirectional, self).  `collate` builds every
@@ -41,7 +40,6 @@ relation codes below (padded slots get `REL_NONE`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -113,9 +111,11 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int) -
     )
 
 
+
+
 @dataclass(frozen=True)
 class RealRows:
-    """The global layer's unpadded row layout of a batch (see module docstring)."""
+    """The batch's real frontier rows, with no padding (see module docstring)."""
     items: np.ndarray          # (T_K,) item ids: hop layer by hop layer, example by example
     ends: tuple                # (T_0, ..., T_K): rows [0, T_j) are within j hops
     example: np.ndarray        # (T_K,) each row's example
@@ -123,14 +123,14 @@ class RealRows:
     nbr_wt: np.ndarray         # (T_{K-1}, W)
     nbr_mask: np.ndarray       # (T_{K-1}, W)
     node_rows: np.ndarray      # (B, N) row of each session-node slot; 0 where padded
-    padded_at: tuple           # per j < K: (T_j,) flat position b * P_j + slot of each row
+    padded_at: tuple           # per j < K: (T_j,) flat position b * P_j + pack slot of each row
 
 
 @dataclass
 class SessionBatch:
-    items: np.ndarray          # (B, P_K) frontier item ids, layer by layer, 0-padded
-    layer_ends: tuple          # (P_0, ..., P_K): rows [0, P_j) are within j hops; P_0 = N
-    nbr_idx: np.ndarray        # (B, P_{K-1}, W) row indices of neighbors, all < P_K
+    items: np.ndarray          # (B, F) each pack's frontier item ids from slot 0, 0-padded; F >= N
+    layer_ends: tuple          # (P_0, ..., P_K): P_0 = N, else the batch's largest layer_end[j]
+    nbr_idx: np.ndarray        # (B, P_{K-1}, W) each pack's own neighbor table (pack slots), 0-padded
     nbr_wt: np.ndarray         # (B, P_{K-1}, W)
     nbr_mask: np.ndarray       # (B, P_{K-1}, W)
     rel: np.ndarray            # (B, N, N) session-graph relation codes
@@ -138,37 +138,23 @@ class SessionBatch:
     pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
     labels: np.ndarray         # (B,)
+    rows: RealRows             # the real frontier rows, the only ones the model reads
 
-    @cached_property
-    def rows(self) -> RealRows:
-        """The real frontier rows, built from the padded arrays on first read
-        and kept with the batch, so repeated forwards index nothing again."""
-        B, F = self.items.shape
-        ends = self.layer_ends
-        starts = (0,) + ends[:-1]
-        real = self.items > 0  # frontier items are >= 1; padded slots hold 0
-        layers = [np.nonzero(real[:, lo:hi]) for lo, hi in zip(starts, ends)]
-        example = np.concatenate([b for b, _ in layers])
-        slot = np.concatenate([s + lo for (_, s), lo in zip(layers, starts)])
-        row_ends = tuple(int(t) for t in np.cumsum([len(b) for b, _ in layers]))
-        row_of = np.zeros((B, F), dtype=np.int64)  # padded slot -> row (0 where padded)
-        row_of[example, slot] = np.arange(len(example))
-        inner = row_ends[-2] if len(ends) > 1 else 0
-        b_in, s_in = example[:inner], slot[:inner]
-        nbr_mask = self.nbr_mask[b_in, s_in]
-        nbr_idx = np.where(nbr_mask, row_of[b_in[:, None], self.nbr_idx[b_in, s_in]], 0)
-        padded_at = tuple(example[:t] * p + slot[:t] for t, p in zip(row_ends[:-1], ends[:-1]))
-        return RealRows(self.items[example, slot], row_ends, example, nbr_idx, self.nbr_wt[b_in, s_in],
-                        nbr_mask, row_of[:, :ends[0]].copy(), padded_at)
+
+def _stack(flat, lens, width):
+    """(len(lens), width, ...) array of the consecutive runs of `flat` with
+    lengths `lens`, one per row from slot 0, 0-padded."""
+    out = np.zeros((len(lens), width) + flat.shape[1:], dtype=flat.dtype)
+    out[np.arange(width) < lens[:, None]] = flat
+    return out
 
 
 def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:
-    """Stack packs into padded arrays, each hop layer padded on its own.
+    """Lay out the packs' real rows and stack the packs into padded arrays.
 
     Pad sizes default to batch maxima; `pad_nodes` widens the session layer
-    and `pad_frontier` the total width, its surplus going to the outermost
-    layer.  Passing larger values must not change any example's forward
-    result."""
+    and `pad_frontier` the stacked `items`.  Passing larger values must not
+    change any example's forward result."""
     B = len(packs)
     if B == 0:
         raise ValueError("cannot collate an empty batch")
@@ -176,46 +162,51 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     L = int(lengths.max()) if pad_len is None else pad_len
     if lengths.max() > L:
         raise ValueError(f"pad_len {L} shorter than longest example")
-    sizes = np.diff([p.layer_end for p in packs], axis=1, prepend=0)  # (B, K+1) layer sizes
-    f = sizes.sum(axis=1)
-    widths = sizes.max(axis=0)
+    layer_end = np.array([p.layer_end for p in packs])  # (B, K+1)
+    ends = layer_end.max(axis=0)
     if pad_nodes is not None:
-        if pad_nodes < widths[0]:
+        if pad_nodes < ends[0]:
             raise ValueError(f"pad_nodes {pad_nodes} smaller than the largest session graph")
-        widths[0] = pad_nodes
-    if pad_frontier is not None:
-        if pad_frontier < f.max():
-            raise ValueError(f"pad_frontier {pad_frontier} smaller than the largest frontier")
-        widths[-1] += max(0, pad_frontier - int(widths.sum()))
-    ends = np.cumsum(widths)
-    starts = ends - widths
-    N, F = int(ends[0]), int(ends[-1])
-    inner = int(starts[-1])  # rows that can have neighbors
-    W = packs[0].nbr_idx.shape[1]
+        ends[0] = pad_nodes
+    f = layer_end[:, -1]
+    if pad_frontier is not None and pad_frontier < f.max():
+        raise ValueError(f"pad_frontier {pad_frontier} smaller than the largest frontier")
+    K, N = len(ends) - 1, int(ends[0])
+    F = max(N, int(f.max()) if pad_frontier is None else pad_frontier)
+    n_in = np.array([len(p.nbr_idx) for p in packs])  # each pack's rows within K - 1 hops
+    frontier = np.concatenate([p.frontier_items for p in packs])
+    nbr_idx, nbr_wt, nbr_mask = (np.concatenate([getattr(p, name) for p in packs])
+                                 for name in ("nbr_idx", "nbr_wt", "nbr_mask"))
 
-    items = np.zeros((B, F), dtype=np.int64)
-    nbr_idx = np.zeros((B, inner, W), dtype=np.int64)
-    nbr_wt = np.zeros((B, inner, W), dtype=np.float64)
-    nbr_mask = np.zeros((B, inner, W), dtype=bool)
-    labels = np.array([p.label for p in packs], dtype=np.int64)
-
-    # pack slot -> batch row: each layer moves to the start of its padded block
+    # real rows: each pack's run of slots in hop layer j moves to the rows of layer j,
+    # after the earlier examples' runs of that layer
+    sizes = np.diff(layer_end, axis=1, prepend=0)
+    run_row = (np.cumsum(sizes.T) - sizes.T.ravel()).reshape(K + 1, B).T  # (B, K+1) first rows
     first = np.cumsum(f) - f  # each pack's first slot in the concatenated packs
-    slot = np.arange(f.sum()) - np.repeat(first, f)
-    shift = starts - (np.cumsum(sizes, axis=1) - sizes)
-    row = slot + np.repeat(shift.ravel(), sizes.ravel())
-    b_of = np.repeat(np.arange(B), f)
-    items[b_of, row] = np.concatenate([p.frontier_items for p in packs])
-    has_nbrs = slot < np.repeat([len(p.nbr_idx) for p in packs], f)
-    b_in, row_in = b_of[has_nbrs], row[has_nbrs]
-    pack_nbrs = np.concatenate([p.nbr_idx for p in packs])
-    nbr_idx[b_in, row_in] = row[pack_nbrs + first[b_in, None]]
-    nbr_wt[b_in, row_in] = np.concatenate([p.nbr_wt for p in packs])
-    nbr_mask[b_in, row_in] = np.concatenate([p.nbr_mask for p in packs])
+    shift = run_row - (first[:, None] + layer_end - sizes)
+    row = np.arange(len(frontier)) + np.repeat(shift.ravel(), sizes.ravel())  # slot -> row
+    src = np.empty_like(row)
+    src[row] = np.arange(len(row))  # row -> slot in the concatenated packs
+    example = np.repeat(np.arange(B), f)[src]
+    slot = src - first[example]  # each row's slot in its own pack
+    row_ends = tuple(int(t) for t in np.cumsum(sizes.sum(axis=0)))
+    b_in = example[:n_in.sum()]  # the rows within K - 1 hops, the ones with neighbors
+    at = (np.cumsum(n_in) - n_in)[b_in] + slot[:len(b_in)]  # their rows of the concatenated tables
+    node_slot = np.arange(N)
+    rows = RealRows(
+        items=frontier[src],
+        ends=row_ends,
+        example=example,
+        nbr_idx=np.where(nbr_mask[at], row[nbr_idx[at] + first[b_in, None]], 0),
+        nbr_wt=nbr_wt[at],
+        nbr_mask=nbr_mask[at],
+        node_rows=np.where(node_slot < sizes[:, :1], run_row[:, :1] + node_slot, 0),
+        padded_at=tuple(example[:t] * p + slot[:t] for t, p in zip(row_ends[:-1], ends[:-1])),
+    )
 
     pos_mask = np.arange(L) < lengths[:, None]
-    alias = np.zeros((B, L), dtype=np.int64)
-    alias[pos_mask] = np.concatenate([p.alias for p in packs])
+    alias = _stack(np.concatenate([p.alias for p in packs]), lengths, L)
+    labels = np.array([p.label for p in packs], dtype=np.int64)
 
     # session graphs: E[b, i, j] = 1 when slot j directly follows a different slot i;
     # an edge seen both ways sums to REL_OUT + REL_IN == REL_INOUT
@@ -223,8 +214,9 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     E = np.zeros((B, N, N), dtype=np.int8)
     E[np.nonzero(step)[0], alias[:, :-1][step], alias[:, 1:][step]] = 1
     rel = REL_OUT * E + REL_IN * E.transpose(0, 2, 1)
-    diag = np.arange(N)
-    rel[:, diag, diag] = np.where(diag < sizes[:, :1], REL_SELF, REL_NONE)
+    rel[:, node_slot, node_slot] = np.where(node_slot < sizes[:, :1], REL_SELF, REL_NONE)
 
-    return SessionBatch(items, tuple(int(e) for e in ends), nbr_idx, nbr_wt, nbr_mask, rel, alias,
-                        pos_mask, lengths, labels)
+    inner = int(ends[-2]) if K else 0
+    return SessionBatch(_stack(frontier, f, F), tuple(int(e) for e in ends), _stack(nbr_idx, n_in, inner),
+                        _stack(nbr_wt, n_in, inner), _stack(nbr_mask, n_in, inner), rel, alias, pos_mask,
+                        lengths, labels, rows)

@@ -51,7 +51,8 @@ def write_manifest(stage_dir: Path, stage: str, fingerprint: str, inputs, output
         "tool_version": __version__,
         "config_fingerprint": fingerprint,
         "inputs": {str(p): file_sha256(p) for p in inputs},
-        "outputs": {str(p): file_sha256(p) for p in outputs},
+        # outputs are keyed by their path within the work dir, so the work dir can be moved
+        "outputs": {str(p.relative_to(stage_dir.parent)): file_sha256(p) for p in outputs},
     }
     with open(stage_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -60,19 +61,20 @@ def write_manifest(stage_dir: Path, stage: str, fingerprint: str, inputs, output
 
 def verify_upstream(work_dir: Path, stage: str):
     """Check the upstream stage ran and its outputs still match its manifest."""
-    stage_dir = work_dir / STAGE_DIRS[stage]
-    manifest_path = stage_dir / "manifest.json"
+    manifest_path = work_dir / STAGE_DIRS[stage] / "manifest.json"
     if not manifest_path.exists():
         raise StageError(f"missing artifacts for stage {stage!r}; run `sessrec {stage}` first")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    for path, digest in manifest["outputs"].items():
-        if not Path(path).exists():
+    try:
+        with open(manifest_path) as f:
+            outputs = [(work_dir / name, digest) for name, digest in json.load(f)["outputs"].items()]
+    except (ValueError, KeyError, TypeError, AttributeError):  # not JSON, or no "outputs" table
+        raise StageError(f"{manifest_path} is not a valid manifest; rerun `sessrec {stage}`") from None
+    for path, digest in outputs:
+        if not path.exists():
             raise StageError(f"{path} (declared by stage {stage!r}) is missing; rerun `sessrec {stage}`")
         if file_sha256(path) != digest:
             raise StageError(f"{path} does not match the checksum recorded by stage {stage!r}; "
                              f"rerun `sessrec {stage}`")
-    return manifest
 
 
 def _stage_dir(work_dir: Path, name: str) -> Path:

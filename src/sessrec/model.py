@@ -10,9 +10,9 @@ table.  `forward` stops at the session vector: training scores it and takes
 the loss in one op (`autodiff.score_loss`), and evaluation ranks from the
 logits of `predict`, which `ForwardResult.logits` computes when read.
 
-All forward math runs on the autodiff tape.  The global layer runs on the
-batch's real rows only (`SessionBatch.rows`); elsewhere, reductions along
-padded axes use the padding-stable ops, so a padded batch reproduces
+All forward math runs on the autodiff tape.  The model reads the frontier
+only from the batch's real rows (`SessionBatch.rows`); elsewhere, reductions
+along padded axes use the padding-stable ops, so a padded batch reproduces
 unpadded forwards exactly (see batching module).
 """
 
@@ -77,7 +77,7 @@ class ForwardResult:
     fused: ad.Tensor           # (B, N, d) fused item vectors per session node
     seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
-    global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention
+    global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention by pack row
     session_attn: ad.Tensor | None  # (B, N, N)
     predict: Callable = field(repr=False)  # the model's scoring head
 
@@ -166,8 +166,9 @@ class NextItemModel:
         example's, and it stays fixed across hops.
 
         Returns the session rows' final vectors (B, N, d) and, per hop t,
-        the neighbor attention (B, P_{K-t}, W) in the padded layout, zero on
-        padded rows and masked slots.
+        the neighbor attention (B, P_{K-t}, W), whose row r of example b is
+        that pack's row r (as in `batch.nbr_mask`); it is zero past the
+        pack's `layer_end[K - t]` and on masked slots.
         """
         rows = batch.rows
         ends = rows.ends
@@ -193,8 +194,8 @@ class NextItemModel:
 
     @staticmethod
     def _padded_attention(alpha, batch, j):
-        """Attention over the rows within j hops (T_j, W), as (B, P_j, W)."""
-        B, P = batch.items.shape[0], batch.layer_ends[j]
+        """Attention over the rows within j hops (T_j, W), as (B, P_j, W) by pack row."""
+        B, P = len(batch.lengths), batch.layer_ends[j]
         out = np.zeros((B * P, alpha.shape[1]), dtype=alpha.dtype)
         out[batch.rows.padded_at[j]] = alpha.value
         return ad.constant(out.reshape(B, P, -1))
@@ -288,8 +289,7 @@ class NextItemModel:
             z = ad.tanh(ad.add(ad.matmul(cat, self.params["enc_pos_proj"], transpose_b=True),
                                self.params["enc_pos_bias"]))
             z = ad.reshape(z, (B, L, d))
-            positions = ad.constant(batch.pos_mask, dtype=cfg.dtype)
-            mean_vec = ad.mul(ad.weighted_sum(positions, seq_vectors, valid=batch.pos_mask), inv_len)  # (B, d)
+            mean_vec = self._position_mean(seq_vectors, batch, inv_len)  # (B, d)
             keys = ad.reshape(ad.matmul(ad.reshape(z, (B * L, d)), w_item, transpose_b=True), (B, L, d))
             query = ad.reshape(ad.matmul(mean_vec, w_sess, transpose_b=True), (B, 1, d))
             inner = ad.sigmoid(ad.add(ad.add(keys, query), att_bias))
@@ -297,6 +297,11 @@ class NextItemModel:
         beta = ad.reshape(ad.matmul(ad.reshape(inner, (B * L, d)), att_vec), (B, L))
         session_vec = ad.weighted_sum(beta, seq_vectors, valid=batch.pos_mask)
         return session_vec, beta
+
+    def _position_mean(self, x, batch: SessionBatch, inv_len):
+        """Mean (B, d) of the per-position vectors `x` (B, L, d) over each session's positions."""
+        positions = ad.constant(batch.pos_mask, dtype=self.config.dtype)
+        return ad.mul(ad.weighted_sum(positions, x, valid=batch.pos_mask), inv_len)
 
     def predict(self, session_vec):
         """Logits (B, m) over all items, scored against the initial embeddings.
@@ -315,19 +320,18 @@ class NextItemModel:
 
     def forward(self, batch: SessionBatch, train_mode=False, rng=None) -> ForwardResult:
         cfg = self.config
-        N = batch.rel.shape[1]
         emb = self.params["item_embeddings"]
+        rows = batch.rows
 
-        h0_nodes = ad.gather(emb, batch.items[:, :N])                # (B, N, d)
+        h0_nodes = ad.gather(emb, rows.items[rows.node_rows])        # (B, N, d)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
 
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
             h0_positions = ad.batched_gather(h0_nodes, batch.alias)      # (B, L, d)
-            positions = ad.constant(batch.pos_mask, dtype=cfg.dtype)
-            session_feat = ad.mul(ad.weighted_sum(positions, h0_positions, valid=batch.pos_mask), inv_len)
-            h0_rows = ad.gather(emb, batch.rows.items)                   # (T_K, d) real rows only
+            session_feat = self._position_mean(h0_positions, batch, inv_len)
+            h0_rows = ad.gather(emb, rows.items)                         # (T_K, d)
             h_global, global_attn = self.global_layer_forward(h0_rows, batch, session_feat)
 
         h_session = None

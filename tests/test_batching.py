@@ -1,6 +1,7 @@
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,54 +27,53 @@ def packed_batches(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(packed_batches())
-def test_collate_pads_each_hop_layer_as_a_prefix(case):
+def test_collate_stacks_each_pack_from_slot_0(case):
     k_hops, packs, node_extra, frontier_extra = case
-    sizes = np.array([np.diff(p.layer_end, prepend=0) for p in packs])
-    widths = sizes.max(axis=0)
-    pad_nodes = None if node_extra is None else int(widths[0]) + node_extra
-    pad_frontier = None if frontier_extra is None else max(p.frontier_size for p in packs) + frontier_extra
+    layer_end = np.array([p.layer_end for p in packs])
+    nodes, frontier = int(layer_end[:, 0].max()), int(layer_end[:, -1].max())
+    pad_nodes = None if node_extra is None else nodes + node_extra
+    pad_frontier = None if frontier_extra is None else frontier + frontier_extra
     batch = collate(packs, pad_nodes=pad_nodes, pad_frontier=pad_frontier)
 
+    # P_0 = N, then each hop layer's largest end; pad_frontier widens only `items`
+    N = nodes if pad_nodes is None else pad_nodes
     ends = batch.layer_ends
-    assert len(ends) == k_hops + 1
-    # every layer but the outermost is padded to its own batch maximum; any
-    # pad_frontier surplus lands in the outermost layer
-    expect = widths.copy()
-    if pad_nodes is not None:
-        expect[0] = pad_nodes
-    if pad_frontier is not None:
-        expect[-1] += max(0, pad_frontier - int(expect.sum()))
-    assert list(np.diff(ends, prepend=0)) == list(expect)
-    assert batch.rel.shape[1] == ends[0] and batch.items.shape[1] == ends[-1]
+    assert ends == (N,) + tuple(int(e) for e in layer_end[:, 1:].max(axis=0))
+    assert batch.rel.shape[1] == N
+    assert batch.items.shape[1] == max(N, frontier if pad_frontier is None else pad_frontier)
     inner = ends[-2] if k_hops else 0
     assert batch.nbr_idx.shape[1] == batch.nbr_wt.shape[1] == batch.nbr_mask.shape[1] == inner
 
+    # each pack's own arrays from slot 0, unmapped, then zeros
     for b, p in enumerate(packs):
-        row = {}
-        for j in range(k_hops + 1):
-            lo, hi = (p.layer_end[j - 1] if j else 0), p.layer_end[j]
-            start = ends[j - 1] if j else 0
-            block = batch.items[b, start: ends[j]]
-            assert np.array_equal(block[: hi - lo], p.frontier_items[lo:hi])
-            assert not block[hi - lo:].any()
-            row.update({s: start + s - lo for s in range(lo, hi)})
-        for i in range(len(p.nbr_idx)):
-            r = row[i]
-            m = p.nbr_mask[i]
-            assert np.array_equal(batch.nbr_mask[b, r], m)
-            assert np.array_equal(batch.nbr_wt[b, r], p.nbr_wt[i])
-            got = batch.items[b, batch.nbr_idx[b, r][m]]
-            assert np.array_equal(got, p.frontier_items[p.nbr_idx[i][m]])
-            # a row within j hops only reads rows within j + 1 hops
-            j = next(j for j in range(k_hops + 1) if i < p.layer_end[j])
-            assert np.all(batch.nbr_idx[b, r][m] < ends[j + 1])
-        assert not batch.nbr_mask[b, sorted(set(range(inner)) - set(row.values()))].any()
+        for name, own in (("items", p.frontier_items), ("alias", p.alias), ("nbr_idx", p.nbr_idx),
+                          ("nbr_wt", p.nbr_wt), ("nbr_mask", p.nbr_mask)):
+            stacked = getattr(batch, name)[b]
+            assert np.array_equal(stacked[:len(own)], own) and not stacked[len(own):].any(), name
 
     if k_hops:
         model = NextItemModel(25, 6, ModelConfig(embedding_dim=3, k_hops=k_hops, dropout_global=0.0))
         out = model.forward(batch)
         assert [a.shape for a in out.global_attn] == [(len(packs), ends[k_hops - 1 - t], batch.nbr_idx.shape[2])
                                                       for t in range(k_hops)]
+
+
+def _two_packs():
+    graph = build_global_graph(*csr([[1, 2, 3], [2, 4, 1]]), epsilon=2, top_n=3, num_items=4)
+    return [pack_example((1, 2), 3, graph, 1), pack_example((2, 4, 2), 1, graph, 1)]
+
+
+@pytest.mark.parametrize("packs, pad, message", [
+    ([], {}, "empty batch"),
+    (_two_packs(), {"pad_len": 2}, "pad_len 2 shorter than longest example"),
+    (_two_packs(), {"pad_nodes": 1}, "pad_nodes 1 smaller than the largest session graph"),
+    (_two_packs(), {"pad_frontier": 3}, "pad_frontier 3 smaller than the largest frontier"),
+], ids=["empty", "pad_len", "pad_nodes", "pad_frontier"])
+def test_collate_refuses_an_empty_batch_or_a_pad_below_the_batch_maximum(packs, pad, message):
+    with pytest.raises(ValueError, match=message):
+        collate(packs, **pad)
+    if packs:  # the batch maxima themselves pass
+        collate(packs, pad_len=3, pad_nodes=2, pad_frontier=max(p.frontier_size for p in packs))
 
 
 def bfs_oracle(prefix, graph, k_hops):

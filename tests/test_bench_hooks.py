@@ -79,6 +79,10 @@ def test_traced_toy_pipeline_reports_every_per_layer_metric(tmp_path):
     assert tracer.absent == set()
     listed = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in listed if m["name"] not in metrics] == []
+    # the counters read the stacked batch arrays: every computed global row is
+    # consumed, and the padded arrays hold at least the real rows
+    assert metrics["model.global.consumed_row_ratio"][0] == 1.0
+    assert 0 < metrics["batching.train_fill"][0] <= 1 and 0 < metrics["batching.eval_fill"][0] <= 1
 
 
 @pytest.mark.parametrize("k_hops", [1, 2])

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,38 @@ class TestPipeline:
         rc = main(["build-graph", "--config", str(cfg), "--work-dir", str(wd)])
         assert rc == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_moved_work_dir_is_checked_where_it_now_is(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"], ["train"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        moved = wd.parent / "moved"
+        shutil.copytree(wd, moved)
+        shutil.rmtree(wd)
+        assert main(["evaluate", "--config", str(cfg), "--work-dir", str(moved)]) == 0
+        # a copy of the moved dir, tampered with: checked in the copy, not in `moved`
+        copy = wd.parent / "copy"
+        shutil.copytree(moved, copy)
+        graph = copy / "graphs" / "global_graph.tsv"
+        graph.write_text(graph.read_text() + "1\t2\t3\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--work-dir", str(copy)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(graph) in err and "checksum" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["{not json", "{}", '{"outputs": []}'],
+                             ids=["not-json", "no-outputs", "outputs-list"])
+    def test_malformed_manifest_exits_2_with_one_line(self, pipeline_cfg, capsys, text):
+        cfg, events, wd = pipeline_cfg
+        assert main(["preprocess", "--events", str(events), "--config", str(cfg), "--work-dir", str(wd)]) == 0
+        manifest = wd / "corpus" / "manifest.json"
+        manifest.write_text(text)
+        capsys.readouterr()
+        rc = main(["build-graph", "--config", str(cfg), "--work-dir", str(wd)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(manifest) in err and "not a valid manifest" in err and len(err.strip().splitlines()) == 1
 
     def test_flag_overrides_config(self, pipeline_cfg):
         cfg, events, wd = pipeline_cfg

@@ -153,7 +153,7 @@ def reference_global_rows(model, pack):
 
 def global_rows(model, batch):
     emb = model.params["item_embeddings"]
-    h0_pos = ad.batched_gather(ad.gather(emb, batch.items[:, :batch.rel.shape[1]]), batch.alias)
+    h0_pos = ad.batched_gather(ad.gather(emb, batch.rows.items[batch.rows.node_rows]), batch.alias)
     inv_len = ad.constant((1.0 / batch.lengths)[:, None])
     positions = ad.constant(batch.pos_mask, dtype=np.float64)
     s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
@@ -224,9 +224,9 @@ class TestGlobalLayerReference:
                     # the scoring head runs on plain BLAS: equal to float32 rounding only
                     assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
 
-    def test_global_attention_is_padded_per_hop_and_matches_single_forwards(self):
-        # ForwardResult.global_attn keeps the padded (B, P_{K-t}, W) layout
-        # although the global layer runs on the real rows only
+    def test_global_attention_by_pack_row_matches_single_forwards(self):
+        # ForwardResult.global_attn is (B, P_{K-t}, W) by pack row, like the padded
+        # neighbor tables, although the global layer runs on the real rows only
         graph, _ = self._corpus(43)
         rng = np.random.default_rng(48)
         for k in (1, 2):
@@ -239,17 +239,18 @@ class TestGlobalLayerReference:
             attn = [a.value for a in model.forward(batch).global_attn]
             assert [a.shape for a in attn] == [(len(packs), ends[k - t], W) for t in range(1, k + 1)]
             for t, a in enumerate(attn, start=1):
-                mask = batch.nbr_mask[:, :ends[k - t]]
-                assert not a[~mask].any()  # masked slots, padded rows included
-                assert not a[batch.items[:, :ends[k - t]] == 0].any()
+                # the valid slots of each pack's rows within k - t hops
+                rows = min(a.shape[1], batch.nbr_mask.shape[1])
+                mask = np.zeros(a.shape, dtype=bool)
+                mask[:, :rows] = batch.nbr_mask[:, :rows]
+                mask &= (np.arange(a.shape[1]) < [[p.layer_end[k - t]] for p in packs])[:, :, None]
+                assert not a[~mask].any()
                 assert np.allclose(a.sum(-1)[mask.any(-1)], 1.0, rtol=0, atol=1e-12)
             for b, pack in enumerate(packs):
                 alone = model.forward(collate([pack])).global_attn
                 for t, (a, a1) in enumerate(zip(attn, alone), start=1):
-                    for j in range(k - t + 1):  # the real rows of each layer within k - t hops
-                        lo, hi = (pack.layer_end[j - 1] if j else 0), pack.layer_end[j]
-                        start = ends[j - 1] if j else 0
-                        assert a[b, start: start + hi - lo].tobytes() == a1.value[0, lo:hi].tobytes()
+                    hi = pack.layer_end[k - t]
+                    assert a[b, :hi].tobytes() == a1.value[0, :hi].tobytes()
 
 
 class TestSessionLayer:
@@ -301,7 +302,7 @@ class TestFuse:
     def _branches(self, model, batch):
         # recompute both branches exactly as forward does
         emb = model.params["item_embeddings"]
-        h0_n = ad.gather(emb, batch.items[:, :batch.rel.shape[1]])
+        h0_n = ad.gather(emb, batch.rows.items[batch.rows.node_rows])
         h0_pos = ad.batched_gather(h0_n, batch.alias)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None])
         positions = ad.constant(batch.pos_mask, dtype=np.float64)
