@@ -22,7 +22,8 @@ neighbour attention is two ops on its real rows (2-D, no batch axis),
 generic chains they replace: the tape keeps one (R, W, d + 1) array where
 the chains kept five and an (R, W, d) copy, and `neighbor_scores` runs its
 forward a cache-sized block of rows at a time, keeping that array only when
-a gradient will be taken.
+a gradient will be taken.  The session layer sums its neighbours over its
+edge table with `neighbor_mix` too.
 
 Two numerical ground rules shape the op set:
 
@@ -35,14 +36,16 @@ Two numerical ground rules shape the op set:
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
-  a row-stable path: the rows of `a` are zero-padded to whole blocks and
-  every BLAS call multiplies one block of a fixed height, so the call's
-  shape never depends on the row count.  A block of identical rows must also
-  give identical output rows, which fails where a block is not a multiple of
-  the kernel's row tile or, with several BLAS threads, where the threads' row
-  ranges treat the last columns differently; a probe picks, once per (K, N,
-  dtypes, layout of `b`), the first height of `_ROW_BLOCKS` that passes, and
-  a shape that passes none runs on einsum instead.  The scoring head opts out
+  a row-stable path: every BLAS call multiplies one block of `a`'s rows of a
+  fixed height, so the call's shape never depends on the row count.  The
+  whole blocks run on a view of `a`, writing straight into the output, and
+  only the last, partial block is copied and zero-padded to full height.  A
+  block of identical rows must also give identical output rows, which fails
+  where a block is not a multiple of the kernel's row tile or, with several
+  BLAS threads, where the threads' row ranges treat the last columns
+  differently; a probe picks, once per (K, N, dtypes, layout of `b`), the
+  first height of `_ROW_BLOCKS` that passes, and a shape that passes none
+  runs on einsum instead.  The scoring head opts out
   (`row_stable=False`, and `score_loss` likewise): its logits can differ in
   the last bits between batch sizes, but blocking its (B, d) x (d, m)
   product takes twice as long as plain BLAS at B=100.
@@ -325,13 +328,16 @@ def _row_stable_product(av, bv):
     if not block:
         return np.einsum("mk,kn->mn", av, bv)
     M = av.shape[0]
-    blocks = -(-M // block)
-    if M % block or not av.flags.c_contiguous:
-        padded = np.zeros((blocks * block, K), dtype=av.dtype)
-        padded[:M] = av
-        av = padded
-    out = np.matmul(av.reshape(blocks, block, K), bv)
-    return out.reshape(blocks * block, N)[:M]
+    whole = M - M % block
+    out = np.empty((M, N), dtype=np.result_type(av, bv))
+    if whole:
+        np.matmul(np.ascontiguousarray(av[:whole]).reshape(-1, block, K), bv,
+                  out=out[:whole].reshape(-1, block, N))
+    if whole < M:  # the last, partial block, zero-padded to full height
+        last = np.zeros((block, K), dtype=av.dtype)
+        last[:M - whole] = av[whole:]
+        out[whole:] = np.matmul(last, bv)[:M - whole]
+    return out
 
 
 def matmul(a, b, transpose_b=False, row_stable=True):
@@ -676,11 +682,10 @@ def tanh(a):
 def sigmoid(a):
     a = _as_tensor(a)
     v = a.value
-    out = np.empty_like(v)
     pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.exp(np.where(pos, -v, v))  # never above 1; a NaN passes through with its sign
+    den = 1.0 + e
+    out = np.where(pos, 1.0 / den, e / den)
 
     def backward(g):
         return (g * out * (1.0 - out),)

@@ -46,13 +46,20 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(stage_dir: Path, stage: str, fingerprint: str, inputs, outputs):
+    # paths inside the work dir are keyed by their path within it, so the work dir can be
+    # moved; an input from elsewhere is keyed by its absolute path
+    work_dir = stage_dir.parent.resolve()
+
+    def key(path):
+        path = Path(path).resolve()
+        return str(path.relative_to(work_dir) if path.is_relative_to(work_dir) else path)
+
     manifest = {
         "stage": stage,
         "tool_version": __version__,
         "config_fingerprint": fingerprint,
-        "inputs": {str(p): file_sha256(p) for p in inputs},
-        # outputs are keyed by their path within the work dir, so the work dir can be moved
-        "outputs": {str(p.relative_to(stage_dir.parent)): file_sha256(p) for p in outputs},
+        "inputs": {key(p): file_sha256(p) for p in inputs},
+        "outputs": {key(p): file_sha256(p) for p in outputs},
     }
     with open(stage_dir / "manifest.json", "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
@@ -67,12 +74,18 @@ def verify_upstream(work_dir: Path, stage: str):
     try:
         with open(manifest_path) as f:
             outputs = [(work_dir / name, digest) for name, digest in json.load(f)["outputs"].items()]
+    except OSError as exc:  # a directory, or not readable
+        raise StageError(f"cannot read manifest {manifest_path}: {exc.strerror}; rerun `sessrec {stage}`") from None
     except (ValueError, KeyError, TypeError, AttributeError):  # not JSON, or no "outputs" table
         raise StageError(f"{manifest_path} is not a valid manifest; rerun `sessrec {stage}`") from None
     for path, digest in outputs:
         if not path.exists():
             raise StageError(f"{path} (declared by stage {stage!r}) is missing; rerun `sessrec {stage}`")
-        if file_sha256(path) != digest:
+        try:
+            actual = file_sha256(path)
+        except OSError as exc:
+            raise StageError(f"cannot read {path} (declared by stage {stage!r}): {exc.strerror}") from None
+        if actual != digest:
             raise StageError(f"{path} does not match the checksum recorded by stage {stage!r}; "
                              f"rerun `sessrec {stage}`")
 

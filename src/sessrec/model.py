@@ -11,9 +11,12 @@ the loss in one op (`autodiff.score_loss`), and evaluation ranks from the
 logits of `predict`, which `ForwardResult.logits` computes when read.
 
 All forward math runs on the autodiff tape.  The model reads the frontier
-only from the batch's real rows (`SessionBatch.rows`); elsewhere, reductions
-along padded axes use the padding-stable ops, so a padded batch reproduces
-unpadded forwards exactly (see batching module).
+and the session graphs only from the batch's real rows (`SessionBatch.rows`):
+the global layer runs on the frontier rows and their neighbor table, the
+session layer on the session-node rows and their edge table, and both hand
+back (B, N, d) session-node vectors.  From there on, reductions along padded
+axes use the padding-stable ops, so a padded batch reproduces unpadded
+forwards exactly (see batching module).
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class ForwardResult:
     seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
     global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention by pack row
-    session_attn: ad.Tensor | None  # (B, N, N)
+    session_attn: ad.Tensor | None  # (B, N, N) by node slot, zero off the session graph's edges
     predict: Callable = field(repr=False)  # the model's scoring head
 
     @property
@@ -200,27 +203,37 @@ class NextItemModel:
         out[batch.rows.padded_at[j]] = alpha.value
         return ad.constant(out.reshape(B, P, -1))
 
-    def session_layer_forward(self, h_nodes, batch: SessionBatch):
+    def session_layer_forward(self, h_rows, batch: SessionBatch):
         """Relation-typed attention over the session graph.
 
-        Attention scores use the elementwise product of endpoint vectors
-        dotted with the weight vector of the edge relation; every node
-        attends over its in-graph neighbors including itself.
+        Runs on the batch's session-node rows and their edge table
+        (`batch.rows`, see batching module): `h_rows` (T_0, d) holds the
+        node rows' initial vectors, and each row attends over its in-graph
+        neighbors, itself included, the (T_0, W_s) edge slots.  A slot's
+        score is LeakyReLU of the elementwise product of the endpoint
+        vectors dotted with the weight vector of the edge relation; masked
+        slots get exact zeros in the softmax and the neighbor sum, so the
+        bits of a row do not depend on W_s or on the other rows.
+
+        Returns the session nodes' vectors (B, N, d) and their attention
+        over node slots (B, N, N), zero off the graph's edges.
         """
         cfg = self.config
-        B, N, d = h_nodes.shape
-        rel_rows = [ad.constant(np.zeros((1, d), dtype=cfg.dtype))]
-        for rel in ("in", "out", "inout", "self"):
-            rel_rows.append(ad.reshape(self.params[f"session_rel_{rel}"], (1, d)))
-        rel_table = ad.concat(rel_rows, axis=0)                    # (5, d)
-        rel_vecs = ad.gather(rel_table, batch.rel)                 # (B, N, N, d)
-        hi = ad.reshape(h_nodes, (B, N, 1, d))
-        hj = ad.reshape(h_nodes, (B, 1, N, d))
-        prod = ad.mul(hi, hj)                                      # (B, N, N, d)
+        rows = batch.rows
+        T, d = h_rows.shape
+        weights = [ad.constant(np.zeros(d, dtype=cfg.dtype))]   # REL_NONE's
+        weights += [self.params[f"session_rel_{rel}"] for rel in ("in", "out", "inout", "self")]
+        rel_table = ad.reshape(ad.concat(weights), (5, d))         # row = relation code
+        rel_vecs = ad.gather(rel_table, rows.sess_rel)             # (T_0, W_s, d)
+        h_nbr = ad.gather(h_rows, rows.sess_idx)                   # (T_0, W_s, d)
+        prod = ad.mul(ad.reshape(h_rows, (T, 1, d)), h_nbr)
         scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), LEAKY_SLOPE)
-        alpha = ad.masked_softmax(scores, batch.rel > 0, axis=-1)  # rows sum to 1 per node
-        h_out = ad.weighted_sum(alpha, hj)                         # (B, N, d)
-        return h_out, alpha
+        alpha = ad.masked_softmax(scores, rows.sess_rel > 0, axis=-1)  # rows sum to 1 per node
+        h_out = ad.weighted_sum(alpha, h_nbr)                      # (T_0, d)
+        B, N = rows.node_rows.shape
+        attn = np.zeros(B * N * N + 1, dtype=alpha.dtype)          # the last entry takes masked slots
+        attn[rows.sess_at] = alpha.value
+        return ad.gather(h_out, rows.node_rows), ad.constant(attn[:-1].reshape(B, N, N))
 
     def fuse(self, h_global, h_session, train_mode=False, rng=None):
         """Combine the two levels into final item vectors."""
@@ -323,12 +336,12 @@ class NextItemModel:
         emb = self.params["item_embeddings"]
         rows = batch.rows
 
-        h0_nodes = ad.gather(emb, rows.items[rows.node_rows])        # (B, N, d)
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
 
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
+            h0_nodes = ad.gather(emb, rows.items[rows.node_rows])        # (B, N, d)
             h0_positions = ad.batched_gather(h0_nodes, batch.alias)      # (B, L, d)
             session_feat = self._position_mean(h0_positions, batch, inv_len)
             h0_rows = ad.gather(emb, rows.items)                         # (T_K, d)
@@ -337,7 +350,8 @@ class NextItemModel:
         h_session = None
         session_attn = None
         if cfg.use_session_layer:
-            h_session, session_attn = self.session_layer_forward(h0_nodes, batch)
+            h0_node_rows = ad.gather(emb, rows.items[:rows.ends[0]])    # (T_0, d)
+            h_session, session_attn = self.session_layer_forward(h0_node_rows, batch)
 
         fused = self.fuse(h_global, h_session, train_mode, rng)      # (B, N, d)
         seq_vectors = ad.batched_gather(fused, batch.alias)          # (B, L, d)

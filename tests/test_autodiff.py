@@ -34,6 +34,25 @@ class TestForwardOps:
             assert out.dtype == dtype
             assert np.array_equal(out.view(np.uint8), expect.view(np.uint8))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_the_masked_formula_bit_for_bit(self, dtype):
+        def masked_sigmoid(v):  # the formula `sigmoid` had, with boolean-mask gathers
+            out = np.empty_like(v)
+            pos = v >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+            ev = np.exp(v[~pos])
+            out[~pos] = ev / (1.0 + ev)
+            return out
+
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, info.tiny, -info.tiny,
+                   info.smallest_subnormal, -info.smallest_subnormal, info.max, -info.max, 800.0, -800.0]
+        x = np.concatenate([np.array(special), 30 * np.random.default_rng(6).normal(size=2000)]).astype(dtype)
+        for v in (x, x[:400].reshape(20, 20)):
+            out = ad.sigmoid(ad.constant(v)).value
+            assert out.dtype == dtype and out.shape == v.shape
+            assert out.tobytes() == masked_sigmoid(v).tobytes()
+
     @pytest.mark.parametrize("slope", [0.0, 1.0, -0.2, 1.5])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
         with pytest.raises(ValueError, match="slope"):
@@ -591,6 +610,36 @@ class TestRowStableMatmul:
         mixed_out = _product(mixed[order], b, transpose_b)
         where = np.argsort(order)[:m]
         assert np.array_equal(mixed_out[where], out)
+
+    @settings(deadline=None, max_examples=40)
+    @given(m=st.one_of(st.integers(1, 300), st.sampled_from([96, 192, 288])),
+           k=st.integers(1, 130), n=st.integers(1, 130), transpose_b=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]), strided=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_equal_the_fully_padded_product_bit_for_bit(self, m, k, n, transpose_b, dtype, strided, seed):
+        def fully_padded(av, bv):  # the kernel before whole blocks ran on a view of `a`
+            bv, layout = ad._blas_operand(bv)
+            K, N = bv.shape
+            block = ad._BLOCKS_STABLE[(K, N, av.dtype, bv.dtype, layout)]
+            if not block:
+                return np.einsum("mk,kn->mn", av, bv)
+            M = av.shape[0]
+            blocks = -(-M // block)
+            if M % block or not av.flags.c_contiguous:
+                padded = np.zeros((blocks * block, K), dtype=av.dtype)
+                padded[:M] = av
+                av = padded
+            return np.matmul(av.reshape(blocks, block, K), bv).reshape(blocks * block, N)[:M]
+
+        rng = np.random.default_rng(seed)
+        a, b = _operands(rng, m, k, n, transpose_b, dtype)
+        if strided:
+            a = np.concatenate([a, a], axis=1)[:, :k]
+        bv = b.T if transpose_b else b
+        out = ad._row_stable_product(a, bv)
+        expect = fully_padded(a, bv)
+        assert out.shape == expect.shape == (m, n) and out.dtype == dtype
+        assert out.tobytes() == np.ascontiguousarray(expect).tobytes()
 
     @pytest.mark.parametrize("transpose_b", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

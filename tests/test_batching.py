@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessrec.batching import collate, pack_example
+from sessrec.batching import REL_NONE, collate, pack_example
 from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel
 
@@ -56,6 +56,29 @@ def test_collate_stacks_each_pack_from_slot_0(case):
         out = model.forward(batch)
         assert [a.shape for a in out.global_attn] == [(len(packs), ends[k_hops - 1 - t], batch.nbr_idx.shape[2])
                                                       for t in range(k_hops)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_batches())
+def test_edge_table_lists_each_session_graph_edge_once_in_slot_order(case):
+    k_hops, packs, node_extra, _ = case
+    N = max(p.num_nodes for p in packs) + (node_extra or 0)
+    batch = collate(packs, pad_nodes=N, pad_len=max(p.length for p in packs) + 2)
+    rows, rel = batch.rows, batch.rel
+    degree = np.count_nonzero(rel, axis=2)
+    assert rows.sess_idx.shape == rows.sess_rel.shape == rows.sess_at.shape == (rows.ends[0], degree.max())
+    for b, p in enumerate(packs):
+        for i in range(p.num_nodes):
+            r, slots = rows.node_rows[b, i], np.flatnonzero(rel[b, i])  # ascending slots
+            n = len(slots)
+            assert rows.sess_idx[r, :n].tolist() == rows.node_rows[b, slots].tolist()
+            assert rows.sess_rel[r, :n].tolist() == rel[b, i, slots].tolist()
+            assert rows.sess_at[r, :n].tolist() == ((b * N + i) * N + slots).tolist()
+            assert not rows.sess_idx[r, n:].any() and np.all(rows.sess_rel[r, n:] == REL_NONE)
+            assert np.all(rows.sess_at[r, n:] == rel.size)
+    # so every edge of the batch appears exactly once
+    valid = rows.sess_rel != REL_NONE
+    assert np.count_nonzero(valid) == np.count_nonzero(rel) == len(np.unique(rows.sess_at[valid]))
 
 
 def _two_packs():

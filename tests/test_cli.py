@@ -164,6 +164,38 @@ class TestPipeline:
         assert rc == 2
         assert str(manifest) in err and "not a valid manifest" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("target, reason", [("corpus/manifest.json", "cannot read manifest"),
+                                                ("corpus/sessions.tsv", "cannot read")],
+                             ids=["manifest", "declared-output"])
+    def test_directory_in_place_of_a_stage_file_exits_2_with_one_line(self, pipeline_cfg, capsys, target, reason):
+        cfg, events, wd = pipeline_cfg
+        assert main(["preprocess", "--events", str(events), "--config", str(cfg), "--work-dir", str(wd)]) == 0
+        path = wd / target
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        rc = main(["build-graph", "--config", str(cfg), "--work-dir", str(wd)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert reason in err and "Is a directory" in err and str(path) in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_manifests_key_work_dir_files_by_their_path_within_it(self, pipeline_cfg, monkeypatch):
+        cfg, events, wd = pipeline_cfg
+        monkeypatch.chdir(wd.parent)  # a relative work dir and events path
+        for cmd in (["preprocess", "--events", events.name], ["build-graph"], ["train"], ["evaluate"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", wd.name]) == 0
+        moved = wd.parent / "moved"
+        shutil.move(wd, moved)
+        for stage, inputs in (("corpus", [str(events.resolve())]),
+                              ("graphs", ["corpus/meta.json", "corpus/sessions.tsv"]),
+                              ("checkpoints", ["corpus/examples.tsv", "corpus/meta.json", "graphs/global_graph.tsv"]),
+                              ("reports", ["checkpoints/model.ckpt", "corpus/examples.tsv", "graphs/global_graph.tsv"])):
+            manifest = json.loads((moved / stage / "manifest.json").read_text())
+            assert sorted(manifest["inputs"]) == inputs, stage
+            assert all(name.startswith(stage + "/") for name in manifest["outputs"]), stage
+        assert main(["evaluate", "--config", str(cfg), "--work-dir", str(moved)]) == 0
+
     def test_flag_overrides_config(self, pipeline_cfg):
         cfg, events, wd = pipeline_cfg
         assert main(["preprocess", "--config", str(cfg), "--events", str(events),

@@ -291,6 +291,26 @@ class TestSessionLayer:
         sums = out.session_attn.value[0].sum(-1)
         assert np.allclose(sums, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_example_alone_equals_its_real_rows_in_a_padded_batch(self, precision):
+        rng = np.random.default_rng(4)
+        model = make_model(9, embedding_dim=5, k_hops=0, seed=6, precision=precision)
+        emb = model.params["item_embeddings"]
+        packs = [pack_example(tuple(int(x) for x in rng.integers(1, 10, size=rng.integers(1, 8))), 1, None, 0)
+                 for _ in range(8)]
+
+        def session(batch):
+            h, attn = model.session_layer_forward(ad.gather(emb, batch.rows.items[:batch.rows.ends[0]]), batch)
+            return h.value, attn.value
+
+        h, attn = session(collate(packs, pad_len=10, pad_nodes=max(p.num_nodes for p in packs) + 3))
+        for b, p in enumerate(packs):
+            n = p.num_nodes
+            h1, attn1 = session(collate([p]))
+            assert h[b, :n].tobytes() == h1[0].tobytes()
+            assert attn[b, :n, :n].tobytes() == attn1[0].tobytes()
+            assert not attn[b, n:].any() and not attn[b, :, n:].any()
+
 
 class TestFuse:
     def _two_branch_model(self, **kw):
@@ -308,7 +328,7 @@ class TestFuse:
         positions = ad.constant(batch.pos_mask, dtype=np.float64)
         s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
         h_g, _ = model.global_layer_forward(ad.gather(emb, batch.rows.items), batch, s)
-        h_s, _ = model.session_layer_forward(h0_n, batch)
+        h_s, _ = model.session_layer_forward(ad.gather(emb, batch.rows.items[:batch.rows.ends[0]]), batch)
         return h_g.value, h_s.value
 
     def test_sum_mode_exact_sum_with_dropout_off(self):
