@@ -22,8 +22,8 @@ neighbour attention is two ops on its real rows (2-D, no batch axis),
 generic chains they replace: the tape keeps one (R, W, d + 1) array where
 the chains kept five and an (R, W, d) copy, and `neighbor_scores` runs its
 forward a cache-sized block of rows at a time, keeping that array only when
-a gradient will be taken.  The session layer sums its neighbours over its
-edge table with `neighbor_mix` too.
+a gradient will be taken.  The session layer gathers its neighbours over its
+edge table, (T_0, W_s, d), and sums them with `weighted_sum`.
 
 Two numerical ground rules shape the op set:
 
@@ -31,8 +31,9 @@ Two numerical ground rules shape the op set:
   batch) must produce bit-identical results whether or not trailing padded
   entries are present.  numpy's pairwise summation does not guarantee this,
   so `masked_softmax` and `weighted_sum` accumulate those axes
-  sequentially (adding an exact +0.0 is the identity).  A masked sum is a
-  `weighted_sum` with unit weights.
+  sequentially, adding masked entries as exact zeros: `weighted_sum` adds
+  -0.0, the additive identity (+0.0 would turn a -0.0 sum into +0.0).  A
+  masked sum is a `weighted_sum` with unit weights.
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
@@ -603,20 +604,16 @@ def mean_all(a):
 
 
 def weighted_sum(w, v, valid=None):
-    """sum_j w[..., j] * v[..., j, :]  with sequential accumulation over j.
+    """sum_j w[..., j] * v[..., j, :]  with sequential accumulation over j:
+    weights (..., J) and values (..., J, d) -> (..., d).
 
-    The leading axes of `v` broadcast against those of `w`: weights (B, N, J)
-    with values (B, 1, J, d) mix one shared set of J rows into each of the N
-    outputs.  Padding-stable: entries where `valid` (shaped like `w`) is
-    false contribute an exact +0.0, and trailing padded entries never change
-    the partial-sum order of the valid prefix.
+    Padding-stable: entries where `valid` (shaped like `w`) is false
+    contribute -0.0, which leaves every sum's bits as they are, signed zeros
+    included, and trailing padded entries never change the partial-sum
+    order of the valid prefix.
     """
     w, v = _as_tensor(w), _as_tensor(v)
-    try:
-        lead_ok = np.broadcast_shapes(w.shape, v.shape[:-1]) == w.shape
-    except ValueError:
-        lead_ok = False
-    if not lead_ok or v.shape[-2:-1] != w.shape[-1:]:
+    if w.ndim == 0 or w.shape != v.shape[:-1]:
         raise ShapeError(f"weighted_sum: weights {w.shape} vs values {v.shape}")
     J = w.shape[-1]
     if valid is not None:
@@ -626,7 +623,7 @@ def weighted_sum(w, v, valid=None):
     for j in range(J):
         term = wv[..., j : j + 1] * vv[..., j, :]
         if valid is not None:
-            term = np.where(valid[..., j : j + 1], term, 0.0)
+            term = np.where(valid[..., j : j + 1], term, -0.0)
         acc = term if acc is None else acc + term
     out = acc if acc is not None else np.zeros(w.shape[:-1] + v.shape[-1:], dtype=vv.dtype)
 
@@ -636,7 +633,7 @@ def weighted_sum(w, v, valid=None):
         if valid is not None:
             gw = None if gw is None else np.where(valid, gw, 0.0)
             gv = np.where(valid[..., None], gv, 0.0)
-        return gw, _unbroadcast(gv, v.shape)
+        return gw, gv
 
     return _make(out, (w, v), backward, "weighted_sum")
 

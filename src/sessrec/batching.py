@@ -16,32 +16,33 @@ aggregated values are never consumed, so it is isolated by construction.
 frontier only through `SessionBatch.rows` (`RealRows`), the batch's real rows
 with no padding: every example's session nodes, then every example's hop-1
 rows, then every hop-2 row, so "the rows within j hops" is the prefix
-`[0, T_j)`.  It holds the rows' items and examples, the neighbor table into
-those rows (masked slots index row 0), each session-node slot's row and each
-row's position in the per-hop (B, P_j, W) attention the model returns, whose
-row r of example b is that pack's row r, and the session-node rows' edge
-table (below).  Session-node vectors are gathered through `node_rows`, so
-padded node slots hold row 0's vector; no position reads them, and the
-model's reductions guarantee that masked entries contribute exact zeros, so
-a padded batch of one example reproduces the unpadded forward bit for bit.
+`[0, T_j)`, and example b's rows within j hops, in pack-slot order, are
+those of `example[:T_j]` equal to b.  It holds the rows' items and examples,
+the neighbor table into those rows (masked slots index row 0), the
+session-node rows' edge table (below), and `pos_rows`, the row of each
+sequence position's session node.  The model computes on these rows only and
+gathers per-position vectors through `pos_rows` once; a padded position
+takes its example's first node row, and the position reductions guarantee
+that masked entries contribute exact zeros, so a padded batch of one example
+reproduces the unpadded forward bit for bit.
 
 The other arrays stack the packs' own arrays, each from slot 0 and 0-padded:
-`items` (B, F), the neighbor tables (B, P_{K-1}, W) in pack slots, and
-`alias` (B, L).  P_0 = N is the session-node width and P_j the batch's largest
-`layer_end[j]`; `pad_frontier` widens only `items`.  The model does not read
-`items` or the padded neighbor tables.
+`items` (B, F) and the neighbor tables (B, P_{K-1}, W) in pack slots, where
+P_0 = N (below) and P_j is the batch's largest `layer_end[j]`; `pad_frontier`
+widens only `items`.  The model does not read them; the benchmark's tracer
+and tests do.
 
 Session graphs are directed over the session's unique items with four edge
 relations (incoming, outgoing, bidirectional, self).  `collate` builds every
-example's graph from the padded `alias` / `pos_mask` arrays: an edge joins
-the slots of adjacent distinct items, and each pair of slots gets one of the
-relation codes below (padded slots get `REL_NONE`), the (B, N, N) `rel`.
-The model reads the graph only as the edge table of `RealRows`, built from
-`rel` with one `np.nonzero`: per session-node row, the rows of its in-graph
-neighbors (itself included) in ascending slot order, their relation codes,
-and each edge's flat position in the (B, N, N) attention the model returns,
-padded to W_s, the largest degree.  `rel` is otherwise kept only for the
-benchmark's tracer and for tests.
+example's graph from the packs' position-to-slot `alias`, padded with slot 0,
+and `pos_mask`: an edge joins the slots of adjacent distinct items, and each
+pair of slots gets one of the relation codes below (padded slots get
+`REL_NONE`), the (B, N, N) `rel`, where N is the session-node width
+(`pad_nodes` widens it).  The model reads the graph only as the edge table
+of `RealRows`, built from `rel` with one `np.nonzero`: per session-node row,
+the rows of its in-graph neighbors (itself included) in ascending slot order
+and their relation codes, padded to W_s, the largest degree.  `rel` is
+otherwise kept only for the benchmark's tracer and for tests.
 """
 
 from __future__ import annotations
@@ -129,23 +130,20 @@ class RealRows:
     nbr_idx: np.ndarray        # (T_{K-1}, W) rows of neighbors, all < T_K; 0 where masked
     nbr_wt: np.ndarray         # (T_{K-1}, W)
     nbr_mask: np.ndarray       # (T_{K-1}, W)
-    node_rows: np.ndarray      # (B, N) row of each session-node slot; 0 where padded
-    padded_at: tuple           # per j < K: (T_j,) flat position b * P_j + pack slot of each row
+    pos_rows: np.ndarray       # (B, L) row of each position's session node; the example's
+                               # first node row where the position is padded
     sess_idx: np.ndarray       # (T_0, W_s) rows of each node row's session-graph neighbors, itself
                                # included, in ascending slot order; 0 where masked
     sess_rel: np.ndarray       # (T_0, W_s) their relation codes; REL_NONE where masked
-    sess_at: np.ndarray        # (T_0, W_s) flat (B, N, N) position of each edge; B * N * N where masked
 
 
 @dataclass
 class SessionBatch:
     items: np.ndarray          # (B, F) each pack's frontier item ids from slot 0, 0-padded; F >= N
-    layer_ends: tuple          # (P_0, ..., P_K): P_0 = N, else the batch's largest layer_end[j]
     nbr_idx: np.ndarray        # (B, P_{K-1}, W) each pack's own neighbor table (pack slots), 0-padded
     nbr_wt: np.ndarray         # (B, P_{K-1}, W)
     nbr_mask: np.ndarray       # (B, P_{K-1}, W)
     rel: np.ndarray            # (B, N, N) session-graph relation codes, the source of rows.sess_*
-    alias: np.ndarray          # (B, L)
     pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
     labels: np.ndarray         # (B,)
@@ -163,8 +161,9 @@ def _stack(flat, lens, width):
 def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:
     """Lay out the packs' real rows and stack the packs into padded arrays.
 
-    Pad sizes default to batch maxima; `pad_nodes` widens the session layer
-    and `pad_frontier` the stacked `items`.  Passing larger values must not
+    Pad sizes default to batch maxima; `pad_len` widens the position arrays,
+    `pad_nodes` the session-node width N and `pad_frontier` the stacked
+    `items`.  Passing larger values must not
     change any example's forward result."""
     B = len(packs)
     if B == 0:
@@ -203,11 +202,11 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     row_ends = tuple(int(t) for t in np.cumsum(sizes.sum(axis=0)))
     b_in = example[:n_in.sum()]  # the rows within K - 1 hops, the ones with neighbors
     at = (np.cumsum(n_in) - n_in)[b_in] + slot[:len(b_in)]  # their rows of the concatenated tables
+    node_row = run_row[:, 0]  # each example's first session-node row; its slot i is row + i
     node_slot = np.arange(N)
-    node_rows = np.where(node_slot < sizes[:, :1], run_row[:, :1] + node_slot, 0)
 
     pos_mask = np.arange(L) < lengths[:, None]
-    alias = _stack(np.concatenate([p.alias for p in packs]), lengths, L)
+    alias = _stack(np.concatenate([p.alias for p in packs]), lengths, L)  # padded positions: slot 0
     labels = np.array([p.label for p in packs], dtype=np.int64)
 
     # session graphs: E[b, i, j] = 1 when slot j directly follows a different slot i;
@@ -221,15 +220,13 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     # the edge table: nonzero lists each node row's edges in ascending slot order, and
     # node rows run example by example, slot by slot, so the edges come row by row
     eb, ei, ej = np.nonzero(rel)
-    edge_row = node_rows[eb, ei]
+    edge_row = node_row[eb] + ei
     degree = np.bincount(edge_row, minlength=row_ends[0])
     edge_col = np.arange(len(edge_row)) - (np.cumsum(degree) - degree)[edge_row]
     sess_idx = np.zeros((row_ends[0], degree.max()), dtype=np.int64)
     sess_rel = np.full(sess_idx.shape, REL_NONE, dtype=rel.dtype)
-    sess_at = np.full(sess_idx.shape, B * N * N, dtype=np.int64)
-    sess_idx[edge_row, edge_col] = node_rows[eb, ej]
+    sess_idx[edge_row, edge_col] = node_row[eb] + ej
     sess_rel[edge_row, edge_col] = rel[eb, ei, ej]
-    sess_at[edge_row, edge_col] = (eb * N + ei) * N + ej
 
     rows = RealRows(
         items=frontier[src],
@@ -238,14 +235,11 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
         nbr_idx=np.where(nbr_mask[at], row[nbr_idx[at] + first[b_in, None]], 0),
         nbr_wt=nbr_wt[at],
         nbr_mask=nbr_mask[at],
-        node_rows=node_rows,
-        padded_at=tuple(example[:t] * p + slot[:t] for t, p in zip(row_ends[:-1], ends[:-1])),
+        pos_rows=node_row[:, None] + alias,
         sess_idx=sess_idx,
         sess_rel=sess_rel,
-        sess_at=sess_at,
     )
 
     inner = int(ends[-2]) if K else 0
-    return SessionBatch(_stack(frontier, f, F), tuple(int(e) for e in ends), _stack(nbr_idx, n_in, inner),
-                        _stack(nbr_wt, n_in, inner), _stack(nbr_mask, n_in, inner), rel, alias, pos_mask,
-                        lengths, labels, rows)
+    return SessionBatch(_stack(frontier, f, F), _stack(nbr_idx, n_in, inner), _stack(nbr_wt, n_in, inner),
+                        _stack(nbr_mask, n_in, inner), rel, pos_mask, lengths, labels, rows)

@@ -12,11 +12,13 @@ logits of `predict`, which `ForwardResult.logits` computes when read.
 
 All forward math runs on the autodiff tape.  The model reads the frontier
 and the session graphs only from the batch's real rows (`SessionBatch.rows`):
-the global layer runs on the frontier rows and their neighbor table, the
-session layer on the session-node rows and their edge table, and both hand
-back (B, N, d) session-node vectors.  From there on, reductions along padded
-axes use the padding-stable ops, so a padded batch reproduces unpadded
-forwards exactly (see batching module).
+it gathers the item table once, for every frontier row; the global layer
+runs on the frontier rows and their neighbor table, the session layer on the
+session-node rows and their edge table, and both hand back (T_0, d)
+session-node rows, which `fuse` combines row by row.  One gather through
+`rows.pos_rows` then lays the fused rows out by sequence position, (B, L, d);
+from there on, reductions along padded axes use the padding-stable ops, so a
+padded batch reproduces unpadded forwards exactly (see batching module).
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ class ModelConfig:
 @dataclass
 class ForwardResult:
     session_vec: ad.Tensor     # (B, d)
-    fused: ad.Tensor           # (B, N, d) fused item vectors per session node
+    fused: ad.Tensor           # (T_0, d) fused item vectors of the session-node rows (batch.rows)
     seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
     step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
-    global_attn: list          # per hop t = 1..K: (B, P_{K-t}, W) neighbor attention by pack row
-    session_attn: ad.Tensor | None  # (B, N, N) by node slot, zero off the session graph's edges
+    global_attn: list          # per hop t = 1..K: (T_{K-t}, W) neighbor attention, as rows.nbr_idx
+    session_attn: ad.Tensor | None  # (T_0, W_s) edge attention, as rows.sess_idx; 0 where masked
     predict: Callable = field(repr=False)  # the model's scoring head
 
     @property
@@ -168,10 +170,9 @@ class NextItemModel:
         initial item embeddings; one gather per hop hands each row its
         example's, and it stays fixed across hops.
 
-        Returns the session rows' final vectors (B, N, d) and, per hop t,
-        the neighbor attention (B, P_{K-t}, W), whose row r of example b is
-        that pack's row r (as in `batch.nbr_mask`); it is zero past the
-        pack's `layer_end[K - t]` and on masked slots.
+        Returns the session rows' final vectors (T_0, d) and, per hop t,
+        the neighbor attention (T_{K-t}, W) of the rows within K - t hops,
+        slot for slot as in `rows.nbr_idx` and zero on masked slots.
         """
         rows = batch.rows
         ends = rows.ends
@@ -192,16 +193,8 @@ class NextItemModel:
             h_nbr = ad.neighbor_mix(alpha, h, nbr_idx)                        # zero rows when isolated
             cat = ad.concat([ad.narrow(h, 0, 0, n), h_nbr], axis=-1)          # (T_out, 2d)
             h = ad.relu(ad.matmul(cat, agg, transpose_b=True))
-            attn.append(self._padded_attention(alpha, batch, len(ends) - 1 - t))
-        return ad.gather(h, rows.node_rows), attn
-
-    @staticmethod
-    def _padded_attention(alpha, batch, j):
-        """Attention over the rows within j hops (T_j, W), as (B, P_j, W) by pack row."""
-        B, P = len(batch.lengths), batch.layer_ends[j]
-        out = np.zeros((B * P, alpha.shape[1]), dtype=alpha.dtype)
-        out[batch.rows.padded_at[j]] = alpha.value
-        return ad.constant(out.reshape(B, P, -1))
+            attn.append(alpha)
+        return h, attn
 
     def session_layer_forward(self, h_rows, batch: SessionBatch):
         """Relation-typed attention over the session graph.
@@ -215,8 +208,9 @@ class NextItemModel:
         slots get exact zeros in the softmax and the neighbor sum, so the
         bits of a row do not depend on W_s or on the other rows.
 
-        Returns the session nodes' vectors (B, N, d) and their attention
-        over node slots (B, N, N), zero off the graph's edges.
+        Returns the node rows' vectors (T_0, d) and their attention over
+        the edge slots (T_0, W_s), slot for slot as in `rows.sess_idx` and
+        zero on masked slots.
         """
         cfg = self.config
         rows = batch.rows
@@ -229,14 +223,10 @@ class NextItemModel:
         prod = ad.mul(ad.reshape(h_rows, (T, 1, d)), h_nbr)
         scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), LEAKY_SLOPE)
         alpha = ad.masked_softmax(scores, rows.sess_rel > 0, axis=-1)  # rows sum to 1 per node
-        h_out = ad.weighted_sum(alpha, h_nbr)                      # (T_0, d)
-        B, N = rows.node_rows.shape
-        attn = np.zeros(B * N * N + 1, dtype=alpha.dtype)          # the last entry takes masked slots
-        attn[rows.sess_at] = alpha.value
-        return ad.gather(h_out, rows.node_rows), ad.constant(attn[:-1].reshape(B, N, N))
+        return ad.weighted_sum(alpha, h_nbr), alpha                # (T_0, d), (T_0, W_s)
 
     def fuse(self, h_global, h_session, train_mode=False, rng=None):
-        """Combine the two levels into final item vectors."""
+        """Combine the two levels' (T_0, d) node rows into final item vectors."""
         cfg = self.config
         if h_global is None and h_session is None:
             raise ValueError("fuse: both representation branches are disabled")
@@ -250,17 +240,13 @@ class NextItemModel:
             return ad.add(h_global, h_session)
         if cfg.aggregation == "max":
             return ad.maximum(h_global, h_session)
-        B, N, d = h_global.shape
-        g2 = ad.reshape(h_global, (B * N, d))
-        s2 = ad.reshape(h_session, (B * N, d))
         if cfg.aggregation == "gate":
-            r = ad.sigmoid(ad.add(ad.matmul(s2, self.params["fuse_gate_sess"], transpose_b=True),
-                                  ad.matmul(g2, self.params["fuse_gate_global"], transpose_b=True)))
-            r = ad.reshape(r, (B, N, d))
+            r = ad.sigmoid(ad.add(ad.matmul(h_session, self.params["fuse_gate_sess"], transpose_b=True),
+                                  ad.matmul(h_global, self.params["fuse_gate_global"], transpose_b=True)))
             return ad.add(ad.mul(r, h_global), ad.mul(ad.sub(1.0, r), h_session))
         # concat
-        cat = ad.concat([g2, s2], axis=-1)
-        return ad.reshape(ad.matmul(cat, self.params["fuse_concat"], transpose_b=True), (B, N, d))
+        cat = ad.concat([h_global, h_session], axis=-1)
+        return ad.matmul(cat, self.params["fuse_concat"], transpose_b=True)
 
     def session_encode(self, seq_vectors, batch: SessionBatch, inv_len):
         """Pool per-position vectors into one session vector.
@@ -337,24 +323,21 @@ class NextItemModel:
         rows = batch.rows
 
         inv_len = ad.constant((1.0 / batch.lengths)[:, None], dtype=cfg.dtype)
+        h0 = ad.gather(emb, rows.items)                              # (T_K, d)
 
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
-            h0_nodes = ad.gather(emb, rows.items[rows.node_rows])        # (B, N, d)
-            h0_positions = ad.batched_gather(h0_nodes, batch.alias)      # (B, L, d)
-            session_feat = self._position_mean(h0_positions, batch, inv_len)
-            h0_rows = ad.gather(emb, rows.items)                         # (T_K, d)
-            h_global, global_attn = self.global_layer_forward(h0_rows, batch, session_feat)
+            session_feat = self._position_mean(ad.gather(h0, rows.pos_rows), batch, inv_len)
+            h_global, global_attn = self.global_layer_forward(h0, batch, session_feat)
 
         h_session = None
         session_attn = None
         if cfg.use_session_layer:
-            h0_node_rows = ad.gather(emb, rows.items[:rows.ends[0]])    # (T_0, d)
-            h_session, session_attn = self.session_layer_forward(h0_node_rows, batch)
+            h_session, session_attn = self.session_layer_forward(ad.narrow(h0, 0, 0, rows.ends[0]), batch)
 
-        fused = self.fuse(h_global, h_session, train_mode, rng)      # (B, N, d)
-        seq_vectors = ad.batched_gather(fused, batch.alias)          # (B, L, d)
+        fused = self.fuse(h_global, h_session, train_mode, rng)      # (T_0, d)
+        seq_vectors = ad.gather(fused, rows.pos_rows)                # (B, L, d)
         session_vec, beta = self.session_encode(seq_vectors, batch, inv_len)
         return ForwardResult(session_vec, fused, seq_vectors, beta, global_attn, session_attn,
                              self.predict)

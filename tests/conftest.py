@@ -40,3 +40,9 @@ def memorization_setup():
 def random_corpus(rng, n_sessions, n_items, min_len=2, max_len=10):
     return [list(rng.integers(1, n_items + 1, size=rng.integers(min_len, max_len + 1)))
             for _ in range(n_sessions)]
+
+
+def example_rows(rows, b, hops=0):
+    """Example b's rows within `hops` hops of the real-row layout
+    (`SessionBatch.rows`), in its pack's slot order."""
+    return np.flatnonzero(rows.example[:rows.ends[hops]] == b)

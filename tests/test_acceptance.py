@@ -232,12 +232,12 @@ def test_c07_softmax_normalization():
         batch = collate([pack_example(prefix, 1, graph, 1)])
         out = model.forward(batch)
         # neighbor attention: rows with any retained neighbor sum to 1
-        alpha_g = out.global_attn[0].value[0]
-        has_nbr = batch.nbr_mask[0].any(axis=-1)
+        alpha_g = out.global_attn[0].value  # (session-node rows, W)
+        has_nbr = batch.rows.nbr_mask.any(axis=-1)
         assert np.all(np.abs(alpha_g[has_nbr].sum(-1) - 1.0) < 1e-6)
         # session-graph attention rows sum to 1
-        n = batch.rel.shape[1]
-        alpha_s = out.session_attn.value[0][:n]
+        alpha_s = out.session_attn.value  # (session-node rows, W_s)
+        assert len(alpha_s) == batch.rows.ends[0]
         assert np.all(np.abs(alpha_s.sum(-1) - 1.0) < 1e-6)
         # prediction distribution sums to 1
         assert abs(out.probs.value[0].sum() - 1.0) < 1e-6

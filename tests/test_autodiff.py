@@ -185,18 +185,26 @@ class TestSoftmaxProperties:
         padded = ad.masked_softmax(t(padded_scores), padded_mask).value
         assert np.array_equal(padded[:, :4], base)
 
-    def test_weighted_sum_broadcast_values_padding_stable(self):
-        # one (B, 1, J, d) value set mixed into N outputs; appending masked
-        # entries along J must not change any output bit
+    def test_weighted_sum_padding_keeps_signed_zeros(self):
+        # appending masked entries along J must not change any output bit,
+        # a -0.0 sum (negative weights times zero values) included
         rng = np.random.default_rng(10)
-        w, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 1, 4, 5))
+        w, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4, 5))
+        w[0, 1], v[0, 1, :, 2] = -np.abs(w[0, 1]), 0.0
         base = ad.weighted_sum(t(w), t(v)).value
-        assert base.shape == (2, 3, 5)
+        assert base.shape == (2, 3, 5) and np.signbit(base[0, 1, 2]) and base[0, 1, 2] == 0
         padded_w = np.concatenate([w, rng.normal(size=(2, 3, 3))], axis=2)
-        padded_v = np.concatenate([v, rng.normal(size=(2, 1, 3, 5))], axis=2)
+        padded_v = np.concatenate([v, rng.normal(size=(2, 3, 3, 5))], axis=2)
         valid = np.concatenate([np.ones((2, 3, 4), bool), np.zeros((2, 3, 3), bool)], axis=2)
         padded = ad.weighted_sum(t(padded_w), t(padded_v), valid=valid).value
-        assert np.array_equal(padded, base)
+        assert padded.tobytes() == base.tobytes()
+
+    def test_weighted_sum_rejects_values_that_broadcast(self):
+        # values hold one row per weight: (B, 1, J, d) against (B, N, J) is refused
+        with pytest.raises(ad.ShapeError, match="weighted_sum"):
+            ad.weighted_sum(t(np.zeros((2, 3, 4))), t(np.zeros((2, 1, 4, 5))))
+        with pytest.raises(ad.ShapeError, match="weighted_sum"):
+            ad.weighted_sum(t(np.zeros((3, 4))), t(np.zeros((4, 5))))
 
 
 def _weighted_sum_loss(w_shape, v_shape, valid=None):
@@ -236,16 +244,11 @@ class TestGradcheck:
         err = ad.gradcheck(lambda x: ad.sum_all(bad_tanh(x)), np.array([0.7, -1.2, 0.3]))
         assert err > 1e-2
 
-    def test_weighted_sum_broadcast_values(self):
-        rng = np.random.default_rng(12)
-        f, n = _weighted_sum_loss((2, 3, 4), (2, 1, 4, 5))
-        assert ad.gradcheck(f, rng.normal(size=n)) < 1e-8
-
     def test_weighted_sum_with_valid_mask(self):
         rng = np.random.default_rng(13)
         valid = rng.random((2, 3, 4)) > 0.4
         valid[0, 1] = False  # a row with no valid entry
-        f, n = _weighted_sum_loss((2, 3, 4), (2, 1, 4, 5), valid=valid)
+        f, n = _weighted_sum_loss((2, 3, 4), (2, 3, 4, 5), valid=valid)
         assert ad.gradcheck(f, rng.normal(size=n)) < 1e-8
 
     def test_weighted_sum_constant_weights_with_valid_mask(self):

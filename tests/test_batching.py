@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import example_rows
 from sessrec.batching import REL_NONE, collate, pack_example
 from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel
@@ -37,8 +38,7 @@ def test_collate_stacks_each_pack_from_slot_0(case):
 
     # P_0 = N, then each hop layer's largest end; pad_frontier widens only `items`
     N = nodes if pad_nodes is None else pad_nodes
-    ends = batch.layer_ends
-    assert ends == (N,) + tuple(int(e) for e in layer_end[:, 1:].max(axis=0))
+    ends = (N,) + tuple(int(e) for e in layer_end[:, 1:].max(axis=0))
     assert batch.rel.shape[1] == N
     assert batch.items.shape[1] == max(N, frontier if pad_frontier is None else pad_frontier)
     inner = ends[-2] if k_hops else 0
@@ -46,15 +46,20 @@ def test_collate_stacks_each_pack_from_slot_0(case):
 
     # each pack's own arrays from slot 0, unmapped, then zeros
     for b, p in enumerate(packs):
-        for name, own in (("items", p.frontier_items), ("alias", p.alias), ("nbr_idx", p.nbr_idx),
+        for name, own in (("items", p.frontier_items), ("nbr_idx", p.nbr_idx),
                           ("nbr_wt", p.nbr_wt), ("nbr_mask", p.nbr_mask)):
             stacked = getattr(batch, name)[b]
             assert np.array_equal(stacked[:len(own)], own) and not stacked[len(own):].any(), name
+        # the pack's alias from slot 0, then slot 0, as the rows of the slots' session nodes
+        alias = np.zeros(batch.pos_mask.shape[1], dtype=np.int64)
+        alias[:p.length] = p.alias
+        assert np.array_equal(batch.rows.pos_rows[b], example_rows(batch.rows, b)[alias])
 
     if k_hops:
         model = NextItemModel(25, 6, ModelConfig(embedding_dim=3, k_hops=k_hops, dropout_global=0.0))
         out = model.forward(batch)
-        assert [a.shape for a in out.global_attn] == [(len(packs), ends[k_hops - 1 - t], batch.nbr_idx.shape[2])
+        rows = batch.rows
+        assert [a.shape for a in out.global_attn] == [(rows.ends[k_hops - 1 - t], rows.nbr_idx.shape[1])
                                                       for t in range(k_hops)]
 
 
@@ -66,19 +71,20 @@ def test_edge_table_lists_each_session_graph_edge_once_in_slot_order(case):
     batch = collate(packs, pad_nodes=N, pad_len=max(p.length for p in packs) + 2)
     rows, rel = batch.rows, batch.rel
     degree = np.count_nonzero(rel, axis=2)
-    assert rows.sess_idx.shape == rows.sess_rel.shape == rows.sess_at.shape == (rows.ends[0], degree.max())
+    assert rows.sess_idx.shape == rows.sess_rel.shape == (rows.ends[0], degree.max())
     for b, p in enumerate(packs):
+        node = example_rows(rows, b)  # the row of each session-node slot
+        assert len(node) == p.num_nodes
         for i in range(p.num_nodes):
-            r, slots = rows.node_rows[b, i], np.flatnonzero(rel[b, i])  # ascending slots
+            r, slots = node[i], np.flatnonzero(rel[b, i])  # ascending slots
             n = len(slots)
-            assert rows.sess_idx[r, :n].tolist() == rows.node_rows[b, slots].tolist()
+            assert rows.sess_idx[r, :n].tolist() == node[slots].tolist()
             assert rows.sess_rel[r, :n].tolist() == rel[b, i, slots].tolist()
-            assert rows.sess_at[r, :n].tolist() == ((b * N + i) * N + slots).tolist()
             assert not rows.sess_idx[r, n:].any() and np.all(rows.sess_rel[r, n:] == REL_NONE)
-            assert np.all(rows.sess_at[r, n:] == rel.size)
     # so every edge of the batch appears exactly once
     valid = rows.sess_rel != REL_NONE
-    assert np.count_nonzero(valid) == np.count_nonzero(rel) == len(np.unique(rows.sess_at[valid]))
+    edges = np.nonzero(valid)[0] * rows.ends[0] + rows.sess_idx[valid]  # (row, neighbour row) pairs
+    assert np.count_nonzero(valid) == np.count_nonzero(rel) == len(np.unique(edges))
 
 
 def _two_packs():
@@ -164,9 +170,9 @@ def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case)
     batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + node_extra,
                     pad_frontier=max(p.frontier_size for p in packs) + frontier_extra)
     rows, plain = batch.rows, collate(packs).rows
-    # surplus padding changes nothing but the maps back to padded slots
+    # surplus padding changes nothing in the real rows
     assert rows.ends == plain.ends
-    for name in ("items", "example", "nbr_idx", "nbr_wt", "nbr_mask"):
+    for name in ("items", "example", "nbr_idx", "nbr_wt", "nbr_mask", "pos_rows", "sess_idx", "sess_rel"):
         assert np.array_equal(getattr(rows, name), getattr(plain, name)), name
 
     # hop layer by hop layer, pack by pack, every frontier row exactly once
@@ -183,7 +189,12 @@ def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case)
     W = batch.nbr_idx.shape[2]
     assert rows.nbr_idx.shape == rows.nbr_wt.shape == rows.nbr_mask.shape == (rows.ends[-2], W)
     for b, p in enumerate(packs):
-        assert rows.node_rows[b, :p.num_nodes].tolist() == [row_of[b, s] for s in range(p.num_nodes)]
+        # each example's rows within j hops are its pack's slots [0, layer_end[j]), in slot order
+        for j in range(k_hops + 1):
+            assert example_rows(rows, b, j).tolist() == [row_of[b, s] for s in range(p.layer_end[j])]
+        # each position reads its session node's row; a padded one the example's first node row
+        assert rows.pos_rows[b].tolist() == [row_of[b, s] for s in p.alias] + \
+            [row_of[b, 0]] * (rows.pos_rows.shape[1] - p.length)
         for i in range(len(p.nbr_idx)):
             r, m = row_of[b, i], p.nbr_mask[i]
             assert np.array_equal(rows.nbr_mask[r], m) and np.array_equal(rows.nbr_wt[r], p.nbr_wt[i])
@@ -191,6 +202,3 @@ def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case)
             assert rows.nbr_idx[r][m].tolist() == [row_of[b, s] for s in p.nbr_idx[i][m]]
             assert np.array_equal(rows.items[rows.nbr_idx[r][m]], p.frontier_items[p.nbr_idx[i][m]])
             assert not rows.nbr_idx[r][~m].any()
-    # the rows within j hops sit at their padded slots of the (B, P_j) layout
-    for j, at in enumerate(rows.padded_at):
-        assert np.array_equal(batch.items[:, :batch.layer_ends[j]].reshape(-1)[at], rows.items[:rows.ends[j]])

@@ -31,8 +31,7 @@ def brute_force_pair_weights(sequences, epsilon):
 def session_graph(seq):
     """(nodes, alias, rel) of one sequence, packed and collated on its own."""
     pack = pack_example(tuple(seq), 1, None, 0)
-    batch = collate([pack])
-    return pack.frontier_items.tolist(), batch.alias[0].tolist(), batch.rel[0]
+    return pack.frontier_items.tolist(), pack.alias.tolist(), collate([pack]).rel[0]
 
 
 def session_transitions(rel):

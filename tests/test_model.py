@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import example_rows
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
 from sessrec.graphs import GlobalGraph, build_global_graph, csr
@@ -58,7 +59,7 @@ class TestGlobalLayer:
         model = make_model(2, embedding_dim=4, k_hops=1)
         batch = single_batch((1, 2), 1, self._pair_graph(), 1)
         out = model.forward(batch)
-        alpha = out.global_attn[0].value[0]  # (F, W)
+        alpha = out.global_attn[0].value  # (node rows, W)
         assert alpha[0, 0] == 1.0 and alpha[1, 0] == 1.0
         assert np.all(alpha[:, 1:] == 0)
 
@@ -70,7 +71,7 @@ class TestGlobalLayer:
         emb.value[3] = emb.value[2]
         batch = single_batch((1, 2), 1, graph, 1)
         out = model.forward(batch)
-        alpha = out.global_attn[0].value[0, 0]  # item 1's row
+        alpha = out.global_attn[0].value[0]  # item 1's row
         assert np.allclose(alpha[:2], [0.5, 0.5], atol=1e-12)
 
     def test_desk_calculation_d2(self):
@@ -89,7 +90,6 @@ class TestGlobalLayer:
 
         w12 = 3
         batch = single_batch((1, 2), 1, self._pair_graph(w12), 1)
-        out = model.forward(batch)
 
         # oracle: session feature, scores, softmax, aggregation
         s = [(h1[0] + h2[0]) / 2, (h1[1] + h2[1]) / 2]
@@ -101,13 +101,12 @@ class TestGlobalLayer:
             h_n = [alpha * h_nbr[0], alpha * h_nbr[1]]
             agg_in = h_self + h_n
             hg.append([max(0.0, v) for v in matvec(W2, agg_in)])
-        got = out.fused.value[0]  # fuse = dropout(h_g) + h_s, so compare pre-fusion
-        # compare the global branch directly
+        # fuse = dropout(h_g) + h_s, so compare the global branch directly
         model_no_sess = make_model(2, embedding_dim=2, k_hops=1, use_session_layer=False)
         for name in ("item_embeddings", "global_att_proj_hop1", "global_att_vec_hop1", "global_agg_hop1"):
             model_no_sess.params[name].value[:] = p[name].value
         out2 = model_no_sess.forward(batch)
-        assert np.allclose(out2.fused.value[0], np.array(hg), atol=1e-12)
+        assert np.allclose(out2.fused.value, np.array(hg), atol=1e-12)
 
     def test_isolated_node_uses_zero_neighborhood(self):
         graph = graph_of({1: [(2, 1)], 2: [(1, 1)]}, num_items=3)
@@ -118,7 +117,7 @@ class TestGlobalLayer:
         h3 = model.params["item_embeddings"].value[3]
         W2 = model.params["global_agg_hop1"].value
         expect = np.maximum(W2 @ np.concatenate([h3, np.zeros(4)]), 0.0)
-        assert np.allclose(out.fused.value[0, 0], expect, atol=1e-12)
+        assert np.allclose(out.fused.value[0], expect, atol=1e-12)
 
     def test_unknown_session_item_rejected(self):
         graph = self._pair_graph()
@@ -152,12 +151,12 @@ def reference_global_rows(model, pack):
 
 
 def global_rows(model, batch):
-    emb = model.params["item_embeddings"]
-    h0_pos = ad.batched_gather(ad.gather(emb, batch.rows.items[batch.rows.node_rows]), batch.alias)
+    """The global layer's (T_0, d) session-node rows, its inputs built as forward builds them."""
+    h0 = ad.gather(model.params["item_embeddings"], batch.rows.items)
     inv_len = ad.constant((1.0 / batch.lengths)[:, None])
     positions = ad.constant(batch.pos_mask, dtype=np.float64)
-    s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
-    h_g, _ = model.global_layer_forward(ad.gather(emb, batch.rows.items), batch, s)
+    s = ad.mul(ad.weighted_sum(positions, ad.gather(h0, batch.rows.pos_rows), valid=batch.pos_mask), inv_len)
+    h_g, _ = model.global_layer_forward(h0, batch, s)
     return h_g.value
 
 
@@ -186,7 +185,7 @@ class TestGlobalLayerReference:
                     assert np.array_equal(model.forward(batch).fused.value, h_g)
                 for b, pack in enumerate(packs):
                     expect = reference_global_rows(model, pack)
-                    assert np.allclose(h_g[b, : pack.num_nodes], expect, rtol=0, atol=1e-12), \
+                    assert np.allclose(h_g[example_rows(batch.rows, b)], expect, rtol=0, atol=1e-12), \
                         f"k_hops={k} session={use_session} example {b}"
 
     def test_mixed_batch_matches_single_forwards(self):
@@ -196,11 +195,11 @@ class TestGlobalLayerReference:
         packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, 2)
                  for n in (1, 6, 2, 9, 3, 1, 4)]
         assert len({p.layer_end for p in packs}) == len(packs)
-        out = model.forward(collate(packs))
+        batch = collate(packs)
+        out = model.forward(batch)
         for b, pack in enumerate(packs):
             alone = model.forward(collate([pack]))
-            n = pack.num_nodes
-            assert np.array_equal(out.fused.value[b, :n], alone.fused.value[0])
+            assert np.array_equal(out.fused.value[example_rows(batch.rows, b)], alone.fused.value)
             assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
             # the scoring matmul runs on BLAS, whose rows change with the row count
             assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-12)
@@ -214,19 +213,19 @@ class TestGlobalLayerReference:
                                    precision="single", seed=47)
                 packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
                          for n in (1, 6, 2, 9, 3, 1, 4)]
-                out = model.forward(collate(packs))
+                batch = collate(packs)
+                out = model.forward(batch)
                 assert out.fused.value.dtype == np.float32
                 for b, pack in enumerate(packs):
                     alone = model.forward(collate([pack]))
-                    n = pack.num_nodes
-                    assert np.array_equal(out.fused.value[b, :n], alone.fused.value[0])
+                    assert np.array_equal(out.fused.value[example_rows(batch.rows, b)], alone.fused.value)
                     assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
                     # the scoring head runs on plain BLAS: equal to float32 rounding only
                     assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
 
     def test_global_attention_by_pack_row_matches_single_forwards(self):
-        # ForwardResult.global_attn is (B, P_{K-t}, W) by pack row, like the padded
-        # neighbor tables, although the global layer runs on the real rows only
+        # ForwardResult.global_attn is (T_{K-t}, W) over the real rows, slot for slot
+        # as their neighbor table; an example's rows map back to its pack rows
         graph, _ = self._corpus(43)
         rng = np.random.default_rng(48)
         for k in (1, 2):
@@ -235,22 +234,18 @@ class TestGlobalLayerReference:
                      for n in (1, 6, 2, 9, 3, 1, 4)]
             batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
                             pad_frontier=max(p.frontier_size for p in packs) + 7)
-            ends, W = batch.layer_ends, batch.nbr_idx.shape[2]
+            rows = batch.rows
             attn = [a.value for a in model.forward(batch).global_attn]
-            assert [a.shape for a in attn] == [(len(packs), ends[k - t], W) for t in range(1, k + 1)]
+            assert [a.shape for a in attn] == [(rows.ends[k - t], rows.nbr_idx.shape[1]) for t in range(1, k + 1)]
             for t, a in enumerate(attn, start=1):
-                # the valid slots of each pack's rows within k - t hops
-                rows = min(a.shape[1], batch.nbr_mask.shape[1])
-                mask = np.zeros(a.shape, dtype=bool)
-                mask[:, :rows] = batch.nbr_mask[:, :rows]
-                mask &= (np.arange(a.shape[1]) < [[p.layer_end[k - t]] for p in packs])[:, :, None]
+                # the valid slots of the rows within k - t hops
+                mask = rows.nbr_mask[:rows.ends[k - t]]
                 assert not a[~mask].any()
                 assert np.allclose(a.sum(-1)[mask.any(-1)], 1.0, rtol=0, atol=1e-12)
             for b, pack in enumerate(packs):
                 alone = model.forward(collate([pack])).global_attn
                 for t, (a, a1) in enumerate(zip(attn, alone), start=1):
-                    hi = pack.layer_end[k - t]
-                    assert a[b, :hi].tobytes() == a1.value[0, :hi].tobytes()
+                    assert a[example_rows(rows, b, k - t)].tobytes() == a1.value.tobytes()
 
 
 class TestSessionLayer:
@@ -259,15 +254,17 @@ class TestSessionLayer:
         batch = single_batch((2,), 1, None, 0)
         out = model.forward(batch)
         h2 = model.params["item_embeddings"].value[2]
-        assert np.allclose(out.fused.value[0, 0], h2, atol=1e-12)
-        assert out.session_attn.value[0, 0, 0] == 1.0
+        assert np.allclose(out.fused.value[0], h2, atol=1e-12)
+        assert batch.rows.sess_idx.tolist() == [[0]]  # the self-loop is the only edge
+        assert out.session_attn.value[0, 0] == 1.0
 
     def test_alpha_asymmetric_on_line_graph(self):
         model = make_model(3, embedding_dim=6, k_hops=0, seed=5)
         batch = single_batch((1, 2, 3), 1, None, 0)
         out = model.forward(batch)
-        alpha = out.session_attn.value[0]
-        assert not np.isclose(alpha[0, 1], alpha[1, 0])
+        alpha, nbrs = out.session_attn.value, batch.rows.sess_idx  # node rows are slots here
+        assert nbrs[0, :2].tolist() == [0, 1] and nbrs[1, :3].tolist() == [0, 1, 2]
+        assert not np.isclose(alpha[0, 1], alpha[1, 0])  # 0 -> 1 against 1 -> 0
 
     def test_uniform_when_everything_equal(self):
         model = make_model(3, embedding_dim=4, k_hops=0)
@@ -278,17 +275,19 @@ class TestSessionLayer:
         p["item_embeddings"].value[1:] = 0.3
         batch = single_batch((1, 2, 3), 1, None, 0)
         out = model.forward(batch)
-        alpha = out.session_attn.value[0]
+        alpha, nbrs, mask = out.session_attn.value, batch.rows.sess_idx, batch.rows.sess_rel > 0
         # neighborhoods: {0,1}, {0,1,2}, {1,2}
+        assert [nbrs[r][mask[r]].tolist() for r in range(3)] == [[0, 1], [0, 1, 2], [1, 2]]
         assert np.allclose(alpha[0, :2], 0.5)
         assert np.allclose(alpha[1], [1 / 3] * 3)
-        assert np.allclose(alpha[2, 1:], 0.5)
+        assert np.allclose(alpha[2, :2], 0.5)
 
     def test_rows_sum_to_one(self):
         model = make_model(6, embedding_dim=5, k_hops=0, seed=2)
         batch = single_batch((1, 4, 2, 4, 6), 3, None, 0)
         out = model.forward(batch)
-        sums = out.session_attn.value[0].sum(-1)
+        sums = out.session_attn.value.sum(-1)
+        assert len(sums) == 4  # one per distinct item
         assert np.allclose(sums, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("precision", ["double", "single"])
@@ -303,13 +302,15 @@ class TestSessionLayer:
             h, attn = model.session_layer_forward(ad.gather(emb, batch.rows.items[:batch.rows.ends[0]]), batch)
             return h.value, attn.value
 
-        h, attn = session(collate(packs, pad_len=10, pad_nodes=max(p.num_nodes for p in packs) + 3))
+        batch = collate(packs, pad_len=10, pad_nodes=max(p.num_nodes for p in packs) + 3)
+        h, attn = session(batch)
         for b, p in enumerate(packs):
-            n = p.num_nodes
+            r = example_rows(batch.rows, b)
             h1, attn1 = session(collate([p]))
-            assert h[b, :n].tobytes() == h1[0].tobytes()
-            assert attn[b, :n, :n].tobytes() == attn1[0].tobytes()
-            assert not attn[b, n:].any() and not attn[b, :, n:].any()
+            w = attn1.shape[1]  # the example's own largest degree
+            assert h[r].tobytes() == h1.tobytes()
+            assert attn[r, :w].tobytes() == attn1.tobytes()
+            assert not attn[r, w:].any()
 
 
 class TestFuse:
@@ -320,16 +321,10 @@ class TestFuse:
         return model, batch
 
     def _branches(self, model, batch):
-        # recompute both branches exactly as forward does
+        # recompute both branches' (T_0, d) node rows exactly as forward does
         emb = model.params["item_embeddings"]
-        h0_n = ad.gather(emb, batch.rows.items[batch.rows.node_rows])
-        h0_pos = ad.batched_gather(h0_n, batch.alias)
-        inv_len = ad.constant((1.0 / batch.lengths)[:, None])
-        positions = ad.constant(batch.pos_mask, dtype=np.float64)
-        s = ad.mul(ad.weighted_sum(positions, h0_pos, valid=batch.pos_mask), inv_len)
-        h_g, _ = model.global_layer_forward(ad.gather(emb, batch.rows.items), batch, s)
         h_s, _ = model.session_layer_forward(ad.gather(emb, batch.rows.items[:batch.rows.ends[0]]), batch)
-        return h_g.value, h_s.value
+        return global_rows(model, batch), h_s.value
 
     def test_sum_mode_exact_sum_with_dropout_off(self):
         model, batch = self._two_branch_model(aggregation="sum")
@@ -339,7 +334,7 @@ class TestFuse:
 
     def test_max_mode_idempotent_on_equal_inputs(self):
         model, batch = self._two_branch_model(aggregation="max")
-        a = ad.constant(np.arange(6.0).reshape(1, 2, 3))
+        a = ad.constant(np.arange(6.0).reshape(2, 3))
         fused = model.fuse(a, a)
         assert np.array_equal(fused.value, a.value)
 
@@ -385,6 +380,24 @@ class TestFuse:
         dropped = ad.dropout(h_g, 0.6, True, np.random.default_rng(0))
         assert np.array_equal(trained.value, model.fuse(dropped, h_s).value)
         assert not np.array_equal(trained.value, model.fuse(h_g, h_s).value)
+
+
+@pytest.mark.parametrize("aggregation", ["sum", "gate", "max", "concat"])
+@pytest.mark.parametrize("k_hops", [1, 2])
+def test_train_mode_forward_does_not_depend_on_padding(k_hops, aggregation):
+    # the dropout mask is drawn over the real node rows, so surplus padding
+    # neither moves a row's draws nor takes any
+    graph = build_global_graph(*csr(TOY_SESSIONS), epsilon=3, top_n=12, num_items=5)
+    packs = [pack_example(tuple(seq[:n]), seq[n], graph, k_hops)
+             for seq in TOY_SESSIONS for n in range(1, len(seq))]
+    model = make_model(5, embedding_dim=6, k_hops=k_hops, aggregation=aggregation, dropout_global=0.5, seed=8)
+    plain = collate(packs)
+    padded = collate(packs, pad_len=6, pad_nodes=max(p.num_nodes for p in packs) + 3,
+                     pad_frontier=max(p.frontier_size for p in packs) + 5)
+    a, b = (model.forward(batch, train_mode=True, rng=np.random.default_rng(9)).session_vec.value
+            for batch in (plain, padded))
+    assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(a, model.forward(plain).session_vec.value)  # dropout acted
 
 
 class TestSessionEncode:
