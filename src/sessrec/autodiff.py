@@ -30,10 +30,12 @@ Two numerical ground rules shape the op set:
 * Reductions along axes that may be padded (node or position axes of a
   batch) must produce bit-identical results whether or not trailing padded
   entries are present.  numpy's pairwise summation does not guarantee this,
-  so `masked_softmax` and `weighted_sum` accumulate those axes
-  sequentially, adding masked entries as exact zeros: `weighted_sum` adds
-  -0.0, the additive identity (+0.0 would turn a -0.0 sum into +0.0).  A
-  masked sum is a `weighted_sum` with unit weights.
+  so those axes are summed strictly in order, masked entries adding exact
+  zeros: `masked_softmax` keeps the last entry of a running sum
+  (`np.add.accumulate`); `weighted_sum` loops over the summed axis, adding
+  -0.0 for a masked entry, the additive identity (+0.0 would turn a -0.0
+  sum into +0.0); `neighbor_mix` adds its W slots in order, one block of
+  rows at a time.  A masked sum is a `weighted_sum` with unit weights.
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
@@ -243,6 +245,8 @@ def _unbroadcast(grad, shape):
 
 
 def _check_broadcast(op, a, b):
+    if a.shape == b.shape or not a.ndim or not b.ndim:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -423,7 +427,12 @@ def narrow(a, axis, start, length):
 
 
 def _check_rows(op, idx, n):
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    """Raise `IndexError` unless every entry of `idx` is in [0, n): one scan,
+    with a signed index viewed as unsigned so that a negative entry reads as
+    a huge one."""
+    if idx.dtype.kind == "i":
+        idx = idx.view(idx.dtype.str.replace("i", "u"))
+    if idx.size and idx.max() >= n:
         raise IndexError(f"{op}: index out of range for {n} rows")
 
 
@@ -545,8 +554,11 @@ def neighbor_mix(alpha, h, idx):
     alpha (R, W), h (R_in, d), idx (R, W) rows of h -> (R, d).
 
     Equals weighted_sum(alpha, gather(h, idx)) bit for bit, and so is
-    padding-stable, without the (R, W, d) gathered copy: the backward
-    gathers the rows again, one w at a time.
+    padding-stable, without keeping the (R, W, d) gathered copy.  The forward
+    works one block of rows (`_NBR_BLOCK` elements) at a time: one gather of
+    the block's neighbour rows, one product with `alpha`, then the W adds in
+    slot order into the block's output rows.  The backward gathers each
+    block's rows again for one einsum against the output gradient.
     """
     alpha, h = _as_tensor(alpha), _as_tensor(h)
     idx = np.asarray(idx)
@@ -554,21 +566,29 @@ def neighbor_mix(alpha, h, idx):
         raise ShapeError(f"neighbor_mix: alpha {alpha.shape}, h {h.shape}, idx {idx.shape}")
     _check_rows("neighbor_mix", idx, h.shape[0])
     hv, av = h.value, alpha.value
-    W = idx.shape[1]
-    out = np.zeros((idx.shape[0], hv.shape[1]), dtype=hv.dtype) if W == 0 else None
-    for w in range(W):
-        term = av[:, w:w + 1] * hv[idx[:, w]]
-        if out is None:
-            out = term
-        else:
-            out += term
+    (R, W), d = idx.shape, hv.shape[1]
+    step = max(1, _NBR_BLOCK // max(1, W * d))
+    blocks = [slice(r0, min(R, r0 + step)) for r0 in range(0, R, step)]
+    buf = np.empty((min(step, R), W, d), dtype=hv.dtype)  # one block's neighbour rows
+    if W == 0:
+        out = np.zeros((R, d), dtype=hv.dtype)
+    else:
+        out = np.empty((R, d), dtype=np.result_type(av, hv))
+        for r in blocks:
+            t = np.take(hv, idx[r], axis=0, out=buf[:r.stop - r.start], mode="clip")  # h[idx[r]]
+            t = np.multiply(av[r, :, None], t, out=t if t.dtype == out.dtype else None)
+            o = out[r]
+            o[...] = t[:, 0]
+            for w in range(1, W):
+                o += t[:, w]
 
     def backward(g):
         galpha = gh = None
         if alpha.requires_grad:
             galpha = np.empty(av.shape, dtype=g.dtype)
-            for w in range(W):
-                galpha[:, w] = np.einsum("rd,rd->r", g, hv[idx[:, w]])
+            for r in blocks:
+                t = np.take(hv, idx[r], axis=0, out=buf[:r.stop - r.start], mode="clip")
+                galpha[r] = np.einsum("rwd,rd->rw", t, g[r])
         if h.requires_grad:
             gh = _scatter_add(np.zeros_like(hv), idx, av[..., None] * g[:, None, :])
         return galpha, gh
@@ -903,7 +923,9 @@ def masked_softmax(a, mask, axis=-1):
     """Softmax over `mask`-selected entries; masked entries get exact 0.
 
     Rows with no valid entry produce an all-zero row.  The denominator is
-    accumulated sequentially so trailing padded entries cannot perturb it.
+    the last entry of a running sum (`np.add.accumulate`) along `axis`, which
+    adds the entries strictly in order, so trailing padded entries, exact
+    zeros, cannot perturb it.
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
@@ -912,16 +934,12 @@ def masked_softmax(a, mask, axis=-1):
     ax = axis % a.ndim
     neg_inf = np.array(-np.inf, dtype=a.value.dtype)
     masked_vals = np.where(mask, a.value, neg_inf)
-    mx = masked_vals.max(axis=ax, keepdims=True)
+    mx = masked_vals.max(axis=ax, keepdims=True, initial=neg_inf)  # -inf at zero width
     safe_mx = np.where(np.isfinite(mx), mx, 0.0)
     z = np.where(mask, a.value - safe_mx, neg_inf)
     e = np.exp(z)  # exact 0 at masked entries
-    J = a.shape[ax]
-    den = None
-    for j in range(J):
-        term = np.take(e, j, axis=ax)
-        den = term if den is None else den + term
-    den = np.expand_dims(den, ax)
+    last = (slice(None),) * ax + (slice(-1, None),)  # keeps the axis; empty when it has width 0
+    den = np.add.accumulate(e, axis=ax)[last]
     out = e / np.where(den > 0, den, 1.0)
 
     def backward(g):

@@ -42,6 +42,13 @@ def random_corpus(rng, n_sessions, n_items, min_len=2, max_len=10):
             for _ in range(n_sessions)]
 
 
+def bits(a):
+    """An array's dtype, shape and bytes: equal only when every bit is,
+    signed zeros included (`np.array_equal` counts -0.0 equal to +0.0)."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
 def example_rows(rows, b, hops=0):
     """Example b's rows within `hops` hops of the real-row layout
     (`SessionBatch.rows`), in its pack's slot order."""

@@ -25,7 +25,7 @@ from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel, model_gradcheck
 from sessrec.train import TrainConfig, train_model
 
-from conftest import examples_from_sessions, pattern_sessions, random_corpus
+from conftest import bits, examples_from_sessions, pattern_sessions, random_corpus
 from test_evaluation import oracle_rank
 from test_graphs import brute_force_pair_weights, brute_force_relations, pair_weights
 
@@ -188,9 +188,9 @@ def test_c06_masking_equivalence():
                          pad_frontier=pack.frontier_size + int(rng.integers(1, 25)))
         a = model.forward(single)
         b = model.forward(padded)
-        assert np.array_equal(a.probs.value, b.probs.value), f"trial {trial}: probs differ"
-        assert np.array_equal(a.session_vec.value, b.session_vec.value)
-        assert np.array_equal(a.logits.value, b.logits.value)
+        assert bits(a.probs.value) == bits(b.probs.value), f"trial {trial}: probs differ"
+        assert bits(a.session_vec.value) == bits(b.session_vec.value)
+        assert bits(a.logits.value) == bits(b.logits.value)
     report(6, "padded-batch forward of one example is bit-identical for 50 random examples")
 
 
@@ -214,8 +214,8 @@ def test_c06_masking_equivalence_single_precision():
             a = model.forward(single)
             b = model.forward(padded)
             assert a.logits.value.dtype == np.float32
-            assert np.array_equal(a.session_vec.value, b.session_vec.value), f"k={k_hops} trial {trial}"
-            assert np.array_equal(a.logits.value, b.logits.value), f"k={k_hops} trial {trial}"
+            assert bits(a.session_vec.value) == bits(b.session_vec.value), f"k={k_hops} trial {trial}"
+            assert bits(a.logits.value) == bits(b.logits.value), f"k={k_hops} trial {trial}"
     report(6, "single precision: padded-batch forward is bit-identical for 50 random examples")
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_head
+from conftest import bits
 from sessrec import autodiff as ad
 
 
@@ -82,6 +83,14 @@ class TestForwardOps:
     def test_add_shape_error(self):
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(t(np.zeros((2, 3))), t(np.zeros((4,))))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.maximum])
+    def test_shapes_that_do_not_broadcast_raise_shape_error(self, op):
+        with pytest.raises(ad.ShapeError, match=op.__name__):
+            op(t(np.zeros((2, 3))), t(np.zeros((3, 2))))
+        # equal shapes and 0-d operands pass without a broadcast check
+        assert op(t(np.ones((2, 3))), t(np.ones((2, 3)))).shape == (2, 3)
+        assert op(t(np.ones((2, 3))), 2.0).shape == op(2.0, t(np.ones((2, 3)))).shape == (2, 3)
 
     def test_concat_shape_error(self):
         with pytest.raises(ad.ShapeError, match="concat"):
@@ -306,10 +315,6 @@ def _old_scores(z, idx, wt, w1b, vec):
     return ad.reduce_sum(ad.mul(ad.leaky_relu(pre, 0.2), vec), axis=-1)
 
 
-def _bits(a):
-    return a.dtype, a.shape, a.tobytes()
-
-
 class TestNeighborOps:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**31), R_in=st.integers(1, 15), W=st.integers(1, 5), D=st.integers(2, 6),
@@ -319,20 +324,20 @@ class TestNeighborOps:
         vals, idx, wt, mask = _neighbor_case(seed, R_in, R, W, D, dtype, pad)
         z, w1b, vec, h = (ad.Tensor(vals[k], requires_grad=True) for k in ("z", "w1b", "vec", "h"))
         new = ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2)
-        assert _bits(new.value) == _bits(_old_scores(z, idx, wt, w1b, vec).value)
+        assert bits(new.value) == bits(_old_scores(z, idx, wt, w1b, vec).value)
         # row blocks of any size, kept activation or not, change no bit
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ad, "_NBR_BLOCK", block)
-            assert _bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == _bits(new.value)
+            assert bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == bits(new.value)
             with ad.no_grad():
-                assert _bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == _bits(new.value)
+                assert bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == bits(new.value)
         alpha = ad.masked_softmax(ad.Tensor(vals["scores"], requires_grad=True), mask)
         mixed = ad.neighbor_mix(alpha, h, idx)
-        assert _bits(mixed.value) == _bits(ad.weighted_sum(alpha, ad.gather(h, idx)).value)
+        assert bits(mixed.value) == bits(ad.weighted_sum(alpha, ad.gather(h, idx)).value)
         assert not mixed.value[0].any()  # an all-masked row mixes to zero
         if pad:  # masked slots appended to every row change no bit
             unpadded = ad.neighbor_mix(ad.narrow(alpha, 1, 0, W), h, idx[:, :W])
-            assert _bits(mixed.value) == _bits(unpadded.value)
+            assert bits(mixed.value) == bits(unpadded.value)
 
     @pytest.mark.parametrize("W", [1, 4])
     def test_gradients_match_the_generic_chains(self, monkeypatch, W):
@@ -381,13 +386,23 @@ class TestNeighborOps:
     def test_out_of_range_index_raises_index_error(self):
         vals, idx, wt, mask = _neighbor_case(7, 8, 6, 3, 5, np.float64, 0)
         z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
-        for bad in (np.full_like(idx, len(vals["z"])), np.full_like(idx, -1)):
-            with pytest.raises(IndexError):
-                ad.neighbor_scores(z, bad, wt, w1b, vec)
-            with pytest.raises(IndexError):
-                ad.gather(z, bad)
-            with pytest.raises(IndexError):
-                ad.neighbor_mix(t(vals["scores"]), h, bad)
+        n = len(vals["z"])
+        for index_dtype in (np.int64, np.int32):
+            for value in (n, n + 5, -1, np.iinfo(index_dtype).min):
+                bad = idx.astype(index_dtype)
+                bad[2, 1] = value  # one bad entry among good ones
+                with pytest.raises(IndexError):
+                    ad.neighbor_scores(z, bad, wt, w1b, vec)
+                with pytest.raises(IndexError):
+                    ad.gather(z, bad)
+                with pytest.raises(IndexError):
+                    ad.batched_gather(t(vals["z"][None]), bad[None])
+                with pytest.raises(IndexError):
+                    ad.neighbor_mix(t(vals["scores"]), h, bad)
+            good = idx.astype(index_dtype)
+            assert bits(ad.gather(z, good).value) == bits(ad.gather(z, idx).value)
+            assert bits(ad.neighbor_mix(t(vals["scores"]), h, good).value) == \
+                bits(ad.neighbor_mix(t(vals["scores"]), h, idx).value)
 
     def test_shape_errors_name_the_shapes(self):
         vals, idx, wt, mask = _neighbor_case(9, 8, 6, 3, 5, np.float64, 0)
@@ -410,7 +425,7 @@ class TestNeighborOps:
         np.add.at(expect, rows.ravel(), vals.reshape(-1, 5))
         out = np.zeros((6, 5))
         assert ad._scatter_add(out, rows, vals) is out
-        assert _bits(out) == _bits(expect)
+        assert bits(out) == bits(expect)
         # into a filled array, each row's terms are summed first, then added
         start = rng.normal(size=(6, 5))
         np.testing.assert_allclose(ad._scatter_add(start.copy(), rows, vals), start + expect, rtol=1e-15)
@@ -425,6 +440,114 @@ class TestNeighborOps:
         grad = table.grad
         ad.backward(loss)  # a second pass adds into the same array
         assert table.grad is grad and np.array_equal(grad[1], [6.0] * 3)
+
+
+def _loop_masked_softmax(a, mask, axis=-1):
+    """`masked_softmax`'s forward with its denominator summed one slot at a
+    time, as the op did before it took a running sum."""
+    ax = axis % a.ndim
+    neg_inf = np.array(-np.inf, dtype=a.dtype)
+    mx = np.where(mask, a, neg_inf).max(axis=ax, keepdims=True)
+    e = np.exp(np.where(mask, a - np.where(np.isfinite(mx), mx, 0.0), neg_inf))
+    den = None
+    for j in range(a.shape[ax]):
+        term = np.take(e, j, axis=ax)
+        den = term if den is None else den + term
+    den = np.expand_dims(den, ax)
+    return e / np.where(den > 0, den, 1.0)
+
+
+def _loop_neighbor_mix(av, hv, idx):
+    """`neighbor_mix`'s forward one slot at a time over all rows, as the op
+    did before it worked in blocks of rows."""
+    out = np.zeros((idx.shape[0], hv.shape[1]), dtype=hv.dtype) if idx.shape[1] == 0 else None
+    for w in range(idx.shape[1]):
+        term = av[:, w:w + 1] * hv[idx[:, w]]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def _loop_mix_galpha(g, hv, idx):
+    """`neighbor_mix`'s alpha gradient, one gather and one einsum per slot."""
+    galpha = np.empty(idx.shape, dtype=g.dtype)
+    for w in range(idx.shape[1]):
+        galpha[:, w] = np.einsum("rd,rd->r", g, hv[idx[:, w]])
+    return galpha
+
+
+def _signed_zeros(rng, shape, dtype):
+    """Normal entries with about a tenth of them -0.0."""
+    x = rng.normal(size=shape).astype(dtype)
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+class TestSequentialSumsMatchTheSlotLoops:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("R", [1, 37])
+    @pytest.mark.parametrize("J", [1, 12])
+    def test_masked_softmax(self, dtype, R, J):
+        rng = np.random.default_rng(R * 100 + J)
+        scores = rng.normal(size=(R, J)).astype(dtype)
+        mask = rng.random((R, J)) < 0.7
+        mask[0] = False  # an all-masked row
+        out = ad.masked_softmax(ad.Tensor(scores), mask)
+        assert bits(out.value) == bits(_loop_masked_softmax(scores, mask))
+        assert not out.value[0].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_softmax_on_a_middle_axis(self, dtype):
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=(5, 12, 3)).astype(dtype)
+        mask = rng.random(scores.shape) < 0.6
+        mask[1, :, 2] = False
+        out = ad.masked_softmax(ad.Tensor(scores), mask, axis=1)
+        assert bits(out.value) == bits(_loop_masked_softmax(scores, mask, axis=1))
+
+    @pytest.mark.parametrize("R", [0, 4])
+    def test_masked_softmax_of_zero_width(self, R):
+        x = t(np.zeros((R, 0)))
+        out = ad.masked_softmax(x, np.zeros((R, 0), bool))
+        assert out.value.shape == (R, 0)
+        ad.backward(ad.sum_all(out))
+        assert x.grad.shape == (R, 0)
+
+    @pytest.mark.parametrize("d", [8, 16, 101])
+    @pytest.mark.parametrize("W", [0, 1, 12])
+    @pytest.mark.parametrize("R", [0, 1, 50])
+    def test_neighbor_mix(self, R, W, d):
+        rng = np.random.default_rng(R * 10_000 + W * 1000 + d)
+        hv = _signed_zeros(rng, (30, d), np.float64)
+        av = _signed_zeros(rng, (R, W), np.float64)
+        idx = rng.integers(0, 30, size=(R, W))
+        self._check_mix(av, hv, idx, rng)
+
+    def test_neighbor_mix_single_precision(self):
+        rng = np.random.default_rng(12)
+        hv = _signed_zeros(rng, (40, 16), np.float32)
+        av = _signed_zeros(rng, (25, 12), np.float32)
+        self._check_mix(av, hv, rng.integers(0, 40, size=(25, 12)), rng)
+
+    def test_neighbor_mix_over_many_blocks(self):
+        # benchmark-sized: about 50 blocks of 27 rows at d=100
+        rng = np.random.default_rng(13)
+        hv = _signed_zeros(rng, (6100, 100), np.float64)
+        av = _signed_zeros(rng, (1300, 12), np.float64)
+        idx = rng.integers(0, 6100, size=(1300, 12))
+        assert 1300 * 12 * 100 > 40 * ad._NBR_BLOCK
+        self._check_mix(av, hv, idx, rng)
+
+    @staticmethod
+    def _check_mix(av, hv, idx, rng):
+        alpha, h = ad.Tensor(av, requires_grad=True), ad.Tensor(hv, requires_grad=True)
+        out = ad.neighbor_mix(alpha, h, idx)
+        assert bits(out.value) == bits(_loop_neighbor_mix(av, hv, idx))
+        g = _signed_zeros(rng, out.shape, out.dtype)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert bits(alpha.grad) == bits(_loop_mix_galpha(g, hv, idx))
 
 
 def _logsumexp(v):

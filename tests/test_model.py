@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import example_rows
+from conftest import bits, example_rows
 from sessrec import autodiff as ad
 from sessrec.batching import collate, pack_example
 from sessrec.graphs import GlobalGraph, build_global_graph, csr
@@ -199,8 +199,8 @@ class TestGlobalLayerReference:
         out = model.forward(batch)
         for b, pack in enumerate(packs):
             alone = model.forward(collate([pack]))
-            assert np.array_equal(out.fused.value[example_rows(batch.rows, b)], alone.fused.value)
-            assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
+            assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value)
+            assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0])
             # the scoring matmul runs on BLAS, whose rows change with the row count
             assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-12)
 
@@ -218,8 +218,8 @@ class TestGlobalLayerReference:
                 assert out.fused.value.dtype == np.float32
                 for b, pack in enumerate(packs):
                     alone = model.forward(collate([pack]))
-                    assert np.array_equal(out.fused.value[example_rows(batch.rows, b)], alone.fused.value)
-                    assert np.array_equal(out.session_vec.value[b], alone.session_vec.value[0])
+                    assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value)
+                    assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0])
                     # the scoring head runs on plain BLAS: equal to float32 rounding only
                     assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
 
@@ -607,8 +607,8 @@ class TestWholeModel:
                              pad_frontier=pack.frontier_size + 11)
             a = model.forward(single)
             b = model.forward(padded)
-            assert np.array_equal(a.probs.value, b.probs.value)
-            assert np.array_equal(a.session_vec.value, b.session_vec.value)
+            assert bits(a.probs.value) == bits(b.probs.value)
+            assert bits(a.session_vec.value) == bits(b.session_vec.value)
 
     def test_repeated_items_get_distinct_positions(self):
         # one node serves two positions; betas differ through the position table
