@@ -10,9 +10,10 @@ straight into the leaf's `grad`, allocated once, instead of passing a
 leaf-sized array on.
 
 The scoring head and its loss are one op, `score_loss`: one BLAS product of
-the session vectors with the item table, turned in place into the
-exponentials the loss needs, and a backward that streams blocks of item
-columns, so neither a (B, m) logits gradient nor an (m, d) product exists.
+the session vectors with the item table, which one pass over cache-sized
+blocks of rows turns in place into the loss and, when a gradient will be
+taken, into the gradient of the logits.  That (B, m) array is all the tape
+keeps, and the backward is two BLAS products with it.
 Every scatter-add of a backward pass (`gather`, `batched_gather` and the
 global layer's two fused ops) goes through `_scatter_add`: one `np.bincount`
 over the rows that occur sums each row's terms in the order they occur,
@@ -786,10 +787,13 @@ def softmax(a, axis=-1):
     return _make(out, (a,), backward, "softmax")
 
 
-# Item columns per block of `score_loss`'s backward; its forward works on row
-# blocks of as many elements.  At B=100 a block is 1.6 MB in float64, against
-# 33 MB for the (B, m) logits at m=41k.
-_HEAD_BLOCK = 2048
+# Logits per row block of `score_loss`'s forward: a block of whole rows is
+# worked through every per-row step while it is in cache.  This is one row at
+# m=41k items (327 KB in float64, against 33 MB for the (B, m) logits at
+# B=100) and 13 at m=5k.  Forward and backward at B=100, d=100, one BLAS
+# thread on a 2-vCPU x86-64 VM: 111 ms at one row per block, 112 at two and
+# 120 at ten (m=41k); 19-21 ms from 2 to 26 rows, but 25 ms at one row (m=5k).
+_HEAD_BLOCK = 65536
 
 
 def score_loss(s, table, labels, mode):
@@ -807,114 +811,90 @@ def score_loss(s, table, labels, mode):
     the excluded sum, so a saturated softmax (1 - p_j* rounding to 0) keeps a
     finite loss and gradient.
 
-    The forward is one BLAS product, turned in place into e = exp(z - max z);
-    the tape keeps e and a few numbers per row (S, the excluded sum, j*, and
-    in `binary` mode the sum of a over j != j*).  The backward rebuilds p and
-    the logit gradient from e, `_HEAD_BLOCK` columns at a time, adds each
-    block's product with its table rows into the gradient of `s` and writes
-    its product with `s` into the table's gradient rows, so no (B, m)
-    gradient or (m, d) product is formed.  Every row sum runs over a whole
-    row, so the losses do not depend on the block size; each row of the
-    table's gradient is one product over the batch, and the gradient of `s`
-    is summed over blocks.
+    The forward is one BLAS product, then one pass over blocks of whole rows
+    (`_HEAD_BLOCK` logits each) that does every per-row step while the block
+    is in cache: the max, the exponentials, the excluded sum, the loss and,
+    when a gradient will be taken, the logit gradient for an upstream
+    gradient of 1, written over the logits.  The tape keeps that one (B, m)
+    array, and the backward is two products that apply the upstream gradient
+    g to the (B, d) operands: (G @ table[1:]) g for `s` and G^T (g s) for the
+    table rows.  Every row sum runs over a whole row, so the losses do not
+    depend on the block size.
     """
     s, table = _as_tensor(s), _as_tensor(table)
     labels = np.asarray(labels)
-    if s.ndim != 2 or table.ndim != 2 or s.shape[1] != table.shape[1] or labels.shape != s.shape[:1]:
+    if (s.ndim != 2 or table.ndim != 2 or s.shape[1] != table.shape[1] or labels.shape != s.shape[:1]
+            or table.shape[0] < 2):
         raise ShapeError(f"score_loss: s {s.shape}, table {table.shape}, labels {labels.shape}")
     if mode not in ("binary", "categorical"):
         raise ValueError(f"score_loss: unknown mode {mode!r}")
     sv, cand = s.value, table.value[1:]
     B, m = sv.shape[0], cand.shape[0]
     rows = np.arange(B)
-    e = sv @ cand.T                               # the logits z, made e in place
-    top = e.argmax(axis=1)
-    mx = e[rows, top]
-    out = e[rows, labels] - mx                    # z_y - z_j*
-    e -= mx[:, None]
-    np.exp(e, out=e)
-    e[rows, top] = 0.0
-    excl = e.sum(axis=1)                          # sum_{k != j*} e^(z_k - z_j*)
-    total = 1.0 + excl                            # S
-    log_s = np.log1p(excl)
-    off = top != labels                           # rows whose top logit is a miss
-    out = log_s - out                             # -log p_y
     keep = _GRAD_ENABLED and (s.requires_grad or table.requires_grad)
-    if mode == "binary":
-        rest = np.empty_like(excl) if keep else None
-        step = max(1, B * _HEAD_BLOCK // max(m, 1))
-        for r0 in range(0, B, step):
-            r = slice(r0, min(B, r0 + step))
-            i, t, y, o = rows[:r.stop - r0], top[r], labels[r], off[r]
-            p = e[r] / total[r, None]             # p_j* is 0 while e_j* is
-            if keep:
-                a = 1.0 - p
-                a[i, t] = 1.0
-                np.divide(p, a, out=a)            # p_j / (1 - p_j)
-                a[i, y] = -1.0
-                a[i, t] = 0.0
-                rest[r] = a.sum(axis=1)           # sum of a over j != j*
-            np.negative(p, out=p)
-            np.log1p(p, out=p)                    # log(1 - p_j); 0 at j* for now
-            p[i[o], t[o]] = np.log(excl[r][o]) - log_s[r][o]
-            p[i, y] = 0.0
-            out[r] -= p.sum(axis=1)
-    e[rows, top] = 1.0
-    if keep and mode == "binary":
-        a_top = np.full_like(excl, -1.0)          # a_j*: the label's -1, or 1 / excluded sum
-        a_top[off] = 1.0 / excl[off]
-        coef = a_top + rest                       # sum of a over every j
-        # a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the label;
-        # forming a_j* - p_j* sum(a) instead would cancel
-        top_grad = np.where(off, 1.0, -excl) / total - (1.0 / total) * rest
-
-    def block_grad(g, c0, c1):
-        """The logit gradient of columns [c0, c1), times g."""
-        p = e[:, c0:c1] / total[:, None]
-        at_y = (labels >= c0) & (labels < c1)
-        y = labels[at_y] - c0
+    e = sv @ cand.T                               # the logits z, made e, then G, in place
+    out = e[rows, labels]                         # z_y; each row block makes its entries losses
+    step = _HEAD_BLOCK // m or 1
+    for r0 in range(0, B, step):
+        r = slice(r0, r0 + step)
+        eb, y = e[r], labels[r]
+        i = rows[:eb.shape[0]]
+        t = eb.argmax(axis=1)
+        mx = eb[i, t]
+        zy = out[r] - mx                          # z_y - z_j*
+        eb -= mx[:, None]
+        np.exp(eb, out=eb)
+        eb[i, t] = 0.0
+        excl = eb.sum(axis=1)                     # sum_{k != j*} e^(z_k - z_j*)
+        total = 1.0 + excl                        # S
+        log_s = np.log1p(excl)
+        out[r] = log_s - zy                       # -log p_y
         if mode == "categorical":
-            p *= g[:, None]
-            p[at_y, y] -= g[at_y]
-            return p
-        at_t = (top >= c0) & (top < c1)
-        t = top[at_t] - c0
-        a = 1.0 - p
-        a[at_t, t] = 1.0
-        np.divide(p, a, out=a)
-        a[at_y, y] = -1.0
-        np.multiply(p, coef[:, None], out=p)
-        np.subtract(a, p, out=p)
-        p[at_t, t] = top_grad[at_t]
-        p *= g[:, None]
-        return p
-
-    bounds = list(range(0, m, _HEAD_BLOCK)) + [m]
-    if len(bounds) > 2 and m - bounds[-2] == 1:
-        del bounds[-2]  # a one-column block would run on gemv, which rounds unlike gemm
+            if keep:                              # p - onehot
+                eb[i, t] = 1.0
+                eb /= total[:, None]
+                eb[i, y] -= 1.0
+            continue
+        o = t != y                                # rows whose top logit is a miss
+        p = eb / total[:, None]                   # p_j* is 0 while e_j* is
+        if keep:
+            a = 1.0 - p
+            a[i, t] = 1.0
+            np.divide(p, a, out=a)                # p_j / (1 - p_j)
+            a[i, y] = -1.0
+            a[i, t] = 0.0
+            rest = a.sum(axis=1)                  # sum of a over j != j*
+            a_top = np.full_like(excl, -1.0)      # a_j*: the label's -1, or 1 / excluded sum
+            np.divide(1.0, excl, out=a_top, where=o)
+            np.multiply(p, (a_top + rest)[:, None], out=eb)
+            np.subtract(a, eb, out=eb)            # a - p sum(a)
+            # a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the label;
+            # forming a_j* - p_j* sum(a) instead would cancel
+            eb[i, t] = np.where(o, 1.0, -excl) / total - (1.0 / total) * rest
+        np.negative(p, out=p)
+        np.log1p(p, out=p)                        # log(1 - p_j); 0 at j* for now
+        p[i[o], t[o]] = np.log(excl[o]) - log_s[o]
+        p[i, y] = 0.0
+        out[r] -= p.sum(axis=1)
 
     def backward(g):
         leaf = table._backward is None
-        gs = np.zeros_like(sv) if s.requires_grad else None
-        gt, fresh = None, False
+        gs = None
+        if s.requires_grad:
+            gs = e @ cand
+            gs *= g[:, None]
+        gt = None
         if table.requires_grad:
+            gsv = g[:, None] * sv
             if leaf and table.grad is not None:
-                gt = table.grad
+                table.grad[1:] += e.T @ gsv
             else:
-                gt, fresh = np.empty_like(table.value), True
+                gt = np.empty_like(table.value)
                 gt[0] = 0.0
+                np.matmul(e.T, gsv, out=gt[1:])
                 if leaf:
-                    table.grad = gt
-        for c0, c1 in zip(bounds, bounds[1:]):
-            grad = block_grad(g, c0, c1)
-            if gs is not None:
-                gs += grad @ cand[c0:c1]
-            if gt is not None:
-                if fresh:
-                    np.matmul(grad.T, sv, out=gt[1 + c0:1 + c1])
-                else:
-                    gt[1 + c0:1 + c1] += grad.T @ sv
-        return gs, None if leaf else gt
+                    table.grad, gt = gt, None
+        return gs, gt
 
     return _make(out, (s, table), backward, "score_loss")
 

@@ -349,8 +349,8 @@ class NextItemModel:
         `binary` mode sums a per-item binary cross entropy over the whole
         vocabulary against the one-hot target; `categorical` is the negative
         log probability of the label.  Scoring and loss are one op
-        (`autodiff.score_loss`), so a saturated softmax stays finite and no
-        (B, m) logits or gradient array is kept.
+        (`autodiff.score_loss`), so a saturated softmax stays finite and the
+        tape keeps one (B, m) array, the gradient of the logits.
         """
         per_example = self.example_losses(session_vec, labels)
         out = ad.mean_all(per_example)

@@ -617,14 +617,17 @@ class TestSoftmaxLoss:
             ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((4, 3))), np.array([0]), "binary")
         with pytest.raises(ad.ShapeError):
             ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((4, 2))), np.array([0, 1]), "binary")
+        with pytest.raises(ad.ShapeError):  # the padding row alone: no item to score
+            ad.score_loss(t(np.zeros((2, 3))), t(np.zeros((1, 3))), np.array([0, 1]), "binary")
 
 
 def _score_loss_inputs(dtype, lead=60.0):
     """s (7, 16) and table (1 + 14, 16) whose logits z = s @ table[1:]^T put,
-    with blocks of 4 columns, the top logit and the label in the last, partial
-    block (columns 12-13): row 2's top column 13 leads by `lead` and is its
-    label, row 3's top column 12 leads by `lead` and misses its label, row 1's
-    label is column 12; row 0's label is its top column."""
+    in one block of two rows, two leading top logits in the last columns:
+    row 2's top column 13 leads by `lead` and is its label, row 3's top
+    column 12 leads by `lead` and misses its label; row 1's label is column
+    12, row 0's label is its top column, and row 6 is the last, partial
+    block."""
     rng = np.random.default_rng(23)
     s = rng.normal(size=(7, 16))
     s[3] -= s[2] * (s[3] @ s[2]) / (s[2] @ s[2])  # rows 2 and 3 orthogonal
@@ -642,7 +645,7 @@ class TestScoreLoss:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(ad, "_HEAD_BLOCK", 4)  # 14 columns: blocks of 4, 4, 4 and 2
+        monkeypatch.setattr(ad, "_HEAD_BLOCK", 28)  # 14 columns: row blocks of 2, 2, 2 and 1
 
     @pytest.mark.parametrize("mode", ["binary", "categorical"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -658,6 +661,16 @@ class TestScoreLoss:
         assert got.dtype == dtype
         assert np.array_equal(got, expect)
         assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_grad_loss_equals_grad_mode_loss_bit_for_bit(self, mode, dtype):
+        s, table, labels = _score_loss_inputs(dtype)
+        with ad.no_grad():
+            plain = ad.score_loss(ad.Parameter("s", s), ad.Parameter("table", table), labels, mode)
+        taped = ad.score_loss(ad.Parameter("s", s), ad.Parameter("table", table), labels, mode)
+        assert plain._backward is None and taped._backward is not None
+        assert plain.value.tobytes() == taped.value.tobytes()
 
     @pytest.mark.parametrize("mode", ["binary", "categorical"])
     @pytest.mark.parametrize("lead", [0.0, 60.0])
@@ -681,7 +694,7 @@ class TestScoreLoss:
 
     @pytest.mark.parametrize("mode", ["binary", "categorical"])
     def test_gradcheck_through_s_and_table(self, mode):
-        B, d, m = 4, 3, 10  # blocks of 4, 4 and 2 columns
+        B, d, m = 4, 3, 10  # row blocks of 2 and 2
         rng = np.random.default_rng(29)
         labels = np.array([0, 9, 8, 3])
 
