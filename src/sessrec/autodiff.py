@@ -15,7 +15,7 @@ blocks of rows turns in place into the loss and, when a gradient will be
 taken, into the gradient of the logits.  That (B, m) array is all the tape
 keeps, and the backward is two BLAS products with it.
 Every scatter-add of a backward pass (`gather`, `batched_gather` and the
-global layer's two fused ops) goes through `_scatter_add`: one `np.bincount`
+two neighbour ops) goes through `_scatter_add`: one `np.bincount`
 over the rows that occur sums each row's terms in the order they occur,
 which in float64 equals `np.add.at` bit for bit.  The global layer's
 neighbour attention is two ops on its real rows (2-D, no batch axis),
@@ -23,20 +23,23 @@ neighbour attention is two ops on its real rows (2-D, no batch axis),
 generic chains they replace: the tape keeps one (R, W, d + 1) array where
 the chains kept five and an (R, W, d) copy, and `neighbor_scores` runs its
 forward a cache-sized block of rows at a time, keeping that array only when
-a gradient will be taken.  The session layer gathers its neighbours over its
-edge table, (T_0, W_s, d), and sums them with `weighted_sum`.
+a gradient will be taken.  The session layer scores its neighbours from one
+gathered (T_0, W_s, d) copy over its edge table and sums them with
+`neighbor_mix` too.  `weighted_sum` sums a batch's position rows per example.
 
 Two numerical ground rules shape the op set:
 
-* Reductions along axes that may be padded (node or position axes of a
-  batch) must produce bit-identical results whether or not trailing padded
-  entries are present.  numpy's pairwise summation does not guarantee this,
-  so those axes are summed strictly in order, masked entries adding exact
-  zeros: `masked_softmax` keeps the last entry of a running sum
-  (`np.add.accumulate`); `weighted_sum` loops over the summed axis, adding
-  -0.0 for a masked entry, the additive identity (+0.0 would turn a -0.0
-  sum into +0.0); `neighbor_mix` adds its W slots in order, one block of
-  rows at a time.  A masked sum is a `weighted_sum` with unit weights.
+* A batch's rows are real rows, with one padded axis left: the W slots of
+  the neighbour and edge tables, as wide as the batch's largest degree.  A
+  reduction along it must give the bits it gives without the trailing
+  masked slots, and a sum over an example's position rows the bits it gives
+  for the example alone.  numpy's pairwise summation guarantees neither, so
+  those sums add strictly in order, masked slots adding zeros:
+  `masked_softmax` keeps the last entry of a running sum
+  (`np.add.accumulate`); `neighbor_mix` adds its W slots in order, one block
+  of rows at a time; `weighted_sum` starts each example from its first
+  position row and adds its later rows one position layer at a time.  A
+  mean over positions is a `weighted_sum` with unit weights.
 * BLAS matmul kernels change the order of partial sums depending on the row
   count (OpenBLAS tiles rows, and edge tiles and one-row products take other
   kernels), which also breaks that guarantee.  `matmul` therefore defaults to
@@ -350,8 +353,9 @@ def matmul(a, b, transpose_b=False, row_stable=True):
     """2-D matrix product a @ b (or a @ b.T).
 
     `row_stable=True` computes each output row identically whatever the row
-    count of `a`, as padded batches require: fixed-shape BLAS blocks where
-    the shape passed its probe, einsum where it did not.  Plain BLAS
+    count of `a`, so an example's rows do not depend on its batch:
+    fixed-shape BLAS blocks where the shape passed its probe, einsum where
+    it did not.  Plain BLAS
     (`row_stable=False`) is for products whose rows may differ in the last
     bits between row counts.
     """
@@ -554,8 +558,9 @@ def neighbor_mix(alpha, h, idx):
     """sum_w alpha[r, w] * h[idx[r, w]] accumulated over w in order:
     alpha (R, W), h (R_in, d), idx (R, W) rows of h -> (R, d).
 
-    Equals weighted_sum(alpha, gather(h, idx)) bit for bit, and so is
-    padding-stable, without keeping the (R, W, d) gathered copy.  The forward
+    Equals the chain that multiplies each slot's column of `alpha` into
+    gather(h, idx[:, w]) and adds the products in slot order, bit for bit,
+    without keeping an (R, W, d) gathered copy.  The forward
     works one block of rows (`_NBR_BLOCK` elements) at a time: one gather of
     the block's neighbour rows, one product with `alpha`, then the W adds in
     slot order into the block's output rows.  The backward gathers each
@@ -624,39 +629,38 @@ def mean_all(a):
     return mul(sum_all(a), 1.0 / a.size)
 
 
-def weighted_sum(w, v, valid=None):
-    """sum_j w[..., j] * v[..., j, :]  with sequential accumulation over j:
-    weights (..., J) and values (..., J, d) -> (..., d).
+def weighted_sum(w, v, example, ends):
+    """Per-example sums of weighted rows: weights w (R,), or None for unit
+    weights, and rows v (R, d) -> (ends[0], d).
 
-    Padding-stable: entries where `valid` (shaped like `w`) is false
-    contribute -0.0, which leaves every sum's bits as they are, signed zeros
-    included, and trailing padded entries never change the partial-sum
-    order of the valid prefix.
+    The rows come in runs ending at `ends`, and row r adds into output
+    `example[r]`.  The first run holds every output's first term, in output
+    order, and each later run at most one term per output, in output order:
+    the layout of a batch's position rows (`batching.RealRows`).  Each
+    output starts from its first term and adds the later runs' one at a
+    time, so its bits do not depend on the other outputs' rows.
     """
-    w, v = _as_tensor(w), _as_tensor(v)
-    if w.ndim == 0 or w.shape != v.shape[:-1]:
-        raise ShapeError(f"weighted_sum: weights {w.shape} vs values {v.shape}")
-    J = w.shape[-1]
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-    wv, vv = w.value, v.value
-    acc = None
-    for j in range(J):
-        term = wv[..., j : j + 1] * vv[..., j, :]
-        if valid is not None:
-            term = np.where(valid[..., j : j + 1], term, -0.0)
-        acc = term if acc is None else acc + term
-    out = acc if acc is not None else np.zeros(w.shape[:-1] + v.shape[-1:], dtype=vv.dtype)
+    v, w, example = _as_tensor(v), w if w is None else _as_tensor(w), np.asarray(example)
+    if v.ndim != 2 or example.shape != v.shape[:1] or ends[-1] != len(example) or (
+            w is not None and w.shape != example.shape):
+        raise ShapeError(f"weighted_sum: weights {getattr(w, 'shape', None)}, values {v.shape}, "
+                         f"examples {example.shape}, run ends {tuple(ends)}")
+    terms = v.value if w is None else w.value[:, None] * v.value
+    B = ends[0]
+    out = terms[:B].copy()
+    for lo, hi in zip(ends, ends[1:]):
+        if hi - lo == B:  # every output has a term in this run
+            out += terms[lo:hi]
+        else:
+            out[example[lo:hi]] += terms[lo:hi]
 
     def backward(g):
-        gw = np.einsum("...d,...jd->...j", g, vv) if w.requires_grad else None  # None for a mask
-        gv = wv[..., None] * g[..., None, :]
-        if valid is not None:
-            gw = None if gw is None else np.where(valid, gw, 0.0)
-            gv = np.where(valid[..., None], gv, 0.0)
-        return gw, gv
+        ge = g[example]  # each row's output gradient
+        if w is None:
+            return (ge,)
+        return (np.einsum("rd,rd->r", ge, v.value) if w.requires_grad else None), w.value[:, None] * ge
 
-    return _make(out, (w, v), backward, "weighted_sum")
+    return _make(out, (v,) if w is None else (w, v), backward, "weighted_sum")
 
 
 # -- nonlinearities ----------------------------------------------------------
@@ -712,8 +716,9 @@ def sigmoid(a):
 
 
 # No model code calls `log` or `clamp` since the loss became one op
-# (`score_loss`); perfbench/tracing.py reports per-op metrics for both by name,
-# so they stay until that op list changes.
+# (`score_loss`), nor `batched_gather` since the session encoder runs on
+# position rows; perfbench/tracing.py reports per-op metrics for all three by
+# name, so they stay until that op list changes.
 def log(a):
     a = _as_tensor(a)
     out = np.log(a.value)

@@ -1,9 +1,9 @@
-"""Packing of (prefix, label) examples into padded batch arrays, and the
-session graphs built from them.
+"""Packing of (prefix, label) examples and their collation into batches,
+and the session graphs built from them.
 
 Training packs each batch (`pack_example`) when it draws it, so it holds one
 batch of packs at a time; evaluation holds one pass's packs, to batch them by
-padded size.  A pack's node list starts with the session's unique items in
+size.  A pack's node list starts with the session's unique items in
 first-occurrence order (so session-graph node slot == frontier slot) followed
 by the global-graph receptive field, breadth-first layer by layer up to
 `k_hops` hops; `layer_end[j]` ends the rows within j hops.  Only the rows within
@@ -12,37 +12,36 @@ rows (`top_n` wide, mask `nbr > 0`, neighbors mapped to frontier slots): the
 outermost layer's own neighbors fall outside the packed frontier and its
 aggregated values are never consumed, so it is isolated by construction.
 
-`collate` lays each batch out once, from the packs.  The model reads the
-frontier only through `SessionBatch.rows` (`RealRows`), the batch's real rows
-with no padding: every example's session nodes, then every example's hop-1
-rows, then every hop-2 row, so "the rows within j hops" is the prefix
-`[0, T_j)`, and example b's rows within j hops, in pack-slot order, are
-those of `example[:T_j]` equal to b.  It holds the rows' items and examples,
-the neighbor table into those rows (masked slots index row 0), the
-session-node rows' edge table (below), and `pos_rows`, the row of each
-sequence position's session node.  The model computes on these rows only and
-gathers per-position vectors through `pos_rows` once; a padded position
-takes its example's first node row, and the position reductions guarantee
-that masked entries contribute exact zeros, so a padded batch of one example
-reproduces the unpadded forward bit for bit.
+`collate` lays each batch out once, from the packs.  The model reads it
+only through `SessionBatch.rows` (`RealRows`), its real rows with no
+padding.  Frontier rows run hop layer by hop layer: every example's session
+nodes, then every example's hop-1 rows, then every hop-2 row, so "the rows
+within j hops" is the prefix `[0, T_j)`, and example b's rows within j hops,
+in pack-slot order, are those of `example[:T_j]` equal to b.  They come
+with the neighbor table into those rows (masked slots index row 0) and the
+session-node rows' edge table (below).  Sequence positions run
+position-major: rows `[0, B)` hold every example's first position, then come
+the second positions of the examples that have one, and so on, each in
+example order, P rows in all (the sum of the lengths); a sum over an
+example's positions starts from its row in `[0, B)` and adds its later rows
+layer by layer, so its bits do not depend on the other examples.
 
-The other arrays stack the packs' own arrays, each from slot 0 and 0-padded:
-`items` (B, F) and the neighbor tables (B, P_{K-1}, W) in pack slots, where
-P_0 = N (below) and P_j is the batch's largest `layer_end[j]`; `pad_frontier`
-widens only `items`.  The model does not read them; the benchmark's tracer
-and tests do.
+`SessionBatch` also stacks the packs' own arrays, each from slot 0 and
+0-padded: `items` (B, F) and the neighbor tables (B, P_{K-1}, W) in pack
+slots, where F is the largest frontier and P_j the largest `layer_end[j]`.
+The model does not read them; the benchmark's tracer and tests do.
 
 Session graphs are directed over the session's unique items with four edge
 relations (incoming, outgoing, bidirectional, self).  `collate` builds every
-example's graph from the packs' position-to-slot `alias`, padded with slot 0,
-and `pos_mask`: an edge joins the slots of adjacent distinct items, and each
-pair of slots gets one of the relation codes below (padded slots get
-`REL_NONE`), the (B, N, N) `rel`, where N is the session-node width
-(`pad_nodes` widens it).  The model reads the graph only as the edge table
-of `RealRows`, built from `rel` with one `np.nonzero`: per session-node row,
-the rows of its in-graph neighbors (itself included) in ascending slot order
-and their relation codes, padded to W_s, the largest degree.  `rel` is
-otherwise kept only for the benchmark's tracer and for tests.
+example's graph from the packs' position-to-slot `alias`: an edge joins the
+slots of adjacent distinct items, and each pair of slots gets one of the
+relation codes below (slots past an example's own nodes get `REL_NONE`), the
+(B, N, N) `rel`, where N is the largest session-node count.  The model reads
+the graph only as the edge table of `RealRows`, built from `rel` with one
+`np.nonzero`: per session-node row, the rows of its in-graph neighbors
+(itself included) in ascending slot order and their relation codes, padded
+to W_s, the largest degree.  `rel` is otherwise kept only for the
+benchmark's tracer and for tests.
 """
 
 from __future__ import annotations
@@ -119,35 +118,35 @@ def pack_example(prefix, label, global_graph: GlobalGraph | None, k_hops: int) -
     )
 
 
-
-
 @dataclass(frozen=True)
 class RealRows:
-    """The batch's real frontier rows, with no padding (see module docstring)."""
+    """The batch's real frontier and position rows (see module docstring)."""
     items: np.ndarray          # (T_K,) item ids: hop layer by hop layer, example by example
     ends: tuple                # (T_0, ..., T_K): rows [0, T_j) are within j hops
     example: np.ndarray        # (T_K,) each row's example
     nbr_idx: np.ndarray        # (T_{K-1}, W) rows of neighbors, all < T_K; 0 where masked
     nbr_wt: np.ndarray         # (T_{K-1}, W)
     nbr_mask: np.ndarray       # (T_{K-1}, W)
-    pos_rows: np.ndarray       # (B, L) row of each position's session node; the example's
-                               # first node row where the position is padded
     sess_idx: np.ndarray       # (T_0, W_s) rows of each node row's session-graph neighbors, itself
                                # included, in ascending slot order; 0 where masked
     sess_rel: np.ndarray       # (T_0, W_s) their relation codes; REL_NONE where masked
+    pos_rows: np.ndarray       # (P,) session-node row of each position row, position-major
+    pos_example: np.ndarray    # (P,) each position row's example; [0, B) is arange(B)
+    pos_ends: tuple            # (P_1, ..., P_L): rows [P_{j-1}, P_j) are positions j - 1; P_1 = B
+    position: np.ndarray       # (P,) each position row's 0-based position in its session
+    last_pos: np.ndarray       # (B,) the position row of each example's last position
 
 
 @dataclass
 class SessionBatch:
-    items: np.ndarray          # (B, F) each pack's frontier item ids from slot 0, 0-padded; F >= N
+    items: np.ndarray          # (B, F) each pack's frontier item ids from slot 0, 0-padded
     nbr_idx: np.ndarray        # (B, P_{K-1}, W) each pack's own neighbor table (pack slots), 0-padded
     nbr_wt: np.ndarray         # (B, P_{K-1}, W)
     nbr_mask: np.ndarray       # (B, P_{K-1}, W)
     rel: np.ndarray            # (B, N, N) session-graph relation codes, the source of rows.sess_*
-    pos_mask: np.ndarray       # (B, L)
     lengths: np.ndarray        # (B,)
     labels: np.ndarray         # (B,)
-    rows: RealRows             # the real frontier rows, the only ones the model reads
+    rows: RealRows             # the real rows, the only ones the model reads
 
 
 def _stack(flat, lens, width):
@@ -158,31 +157,16 @@ def _stack(flat, lens, width):
     return out
 
 
-def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBatch:
-    """Lay out the packs' real rows and stack the packs into padded arrays.
-
-    Pad sizes default to batch maxima; `pad_len` widens the position arrays,
-    `pad_nodes` the session-node width N and `pad_frontier` the stacked
-    `items`.  Passing larger values must not
-    change any example's forward result."""
+def collate(packs) -> SessionBatch:
+    """Lay out the packs' real rows and stack the packs' own arrays."""
     B = len(packs)
     if B == 0:
         raise ValueError("cannot collate an empty batch")
     lengths = np.array([p.length for p in packs], dtype=np.int64)
-    L = int(lengths.max()) if pad_len is None else pad_len
-    if lengths.max() > L:
-        raise ValueError(f"pad_len {L} shorter than longest example")
     layer_end = np.array([p.layer_end for p in packs])  # (B, K+1)
     ends = layer_end.max(axis=0)
-    if pad_nodes is not None:
-        if pad_nodes < ends[0]:
-            raise ValueError(f"pad_nodes {pad_nodes} smaller than the largest session graph")
-        ends[0] = pad_nodes
-    f = layer_end[:, -1]
-    if pad_frontier is not None and pad_frontier < f.max():
-        raise ValueError(f"pad_frontier {pad_frontier} smaller than the largest frontier")
     K, N = len(ends) - 1, int(ends[0])
-    F = max(N, int(f.max()) if pad_frontier is None else pad_frontier)
+    f = layer_end[:, -1]
     n_in = np.array([len(p.nbr_idx) for p in packs])  # each pack's rows within K - 1 hops
     frontier = np.concatenate([p.frontier_items for p in packs])
     nbr_idx, nbr_wt, nbr_mask = (np.concatenate([getattr(p, name) for p in packs])
@@ -205,15 +189,19 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
     node_row = run_row[:, 0]  # each example's first session-node row; its slot i is row + i
     node_slot = np.arange(N)
 
-    pos_mask = np.arange(L) < lengths[:, None]
-    alias = _stack(np.concatenate([p.alias for p in packs]), lengths, L)  # padded positions: slot 0
+    # positions, example by example as the packs hold them; a stable sort by position
+    # makes them position-major, each layer in example order
+    alias = np.concatenate([p.alias for p in packs])
+    pos_example = np.repeat(np.arange(B), lengths)
+    position = np.arange(len(alias)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    order = np.argsort(position, kind="stable")
     labels = np.array([p.label for p in packs], dtype=np.int64)
 
     # session graphs: E[b, i, j] = 1 when slot j directly follows a different slot i;
     # an edge seen both ways sums to REL_OUT + REL_IN == REL_INOUT
-    step = pos_mask[:, 1:] & (alias[:, 1:] != alias[:, :-1])
+    step = (pos_example[1:] == pos_example[:-1]) & (alias[1:] != alias[:-1])
     E = np.zeros((B, N, N), dtype=np.int8)
-    E[np.nonzero(step)[0], alias[:, :-1][step], alias[:, 1:][step]] = 1
+    E[pos_example[1:][step], alias[:-1][step], alias[1:][step]] = 1
     rel = REL_OUT * E + REL_IN * E.transpose(0, 2, 1)
     rel[:, node_slot, node_slot] = np.where(node_slot < sizes[:, :1], REL_SELF, REL_NONE)
 
@@ -235,11 +223,16 @@ def collate(packs, pad_len=None, pad_nodes=None, pad_frontier=None) -> SessionBa
         nbr_idx=np.where(nbr_mask[at], row[nbr_idx[at] + first[b_in, None]], 0),
         nbr_wt=nbr_wt[at],
         nbr_mask=nbr_mask[at],
-        pos_rows=node_row[:, None] + alias,
         sess_idx=sess_idx,
         sess_rel=sess_rel,
+        pos_rows=(node_row[pos_example] + alias)[order],
+        pos_example=pos_example[order],
+        pos_ends=tuple(int(t) for t in np.cumsum(np.bincount(position))),
+        position=position[order],
+        last_pos=np.argsort(order)[np.cumsum(lengths) - 1],  # argsort inverts the permutation
     )
 
     inner = int(ends[-2]) if K else 0
-    return SessionBatch(_stack(frontier, f, F), _stack(nbr_idx, n_in, inner), _stack(nbr_wt, n_in, inner),
-                        _stack(nbr_mask, n_in, inner), rel, pos_mask, lengths, labels, rows)
+    return SessionBatch(_stack(frontier, f, int(f.max())), _stack(nbr_idx, n_in, inner),
+                        _stack(nbr_wt, n_in, inner), _stack(nbr_mask, n_in, inner), rel, lengths,
+                        labels, rows)

@@ -67,24 +67,30 @@ def write_manifest(stage_dir: Path, stage: str, fingerprint: str, inputs, output
 
 
 def verify_upstream(work_dir: Path, stage: str):
-    """Check the upstream stage ran and its outputs still match its manifest."""
+    """Check the upstream stage ran and its outputs, and the work-dir files
+    it read, still match its manifest.  Inputs from outside the work dir,
+    such as the events file, are not checked: users may delete them."""
     manifest_path = work_dir / STAGE_DIRS[stage] / "manifest.json"
     if not manifest_path.exists():
         raise StageError(f"missing artifacts for stage {stage!r}; run `sessrec {stage}` first")
     try:
         with open(manifest_path) as f:
-            outputs = [(work_dir / name, digest) for name, digest in json.load(f)["outputs"].items()]
+            manifest = json.load(f)
+        # work-dir files are keyed by their path within it, other inputs by an absolute path
+        recorded = [(work_dir / name, digest, "declared by") for name, digest in manifest["outputs"].items()]
+        recorded += [(work_dir / name, digest, "read by") for name, digest in manifest["inputs"].items()
+                     if not Path(name).is_absolute()]
     except OSError as exc:  # a directory, or not readable
         raise StageError(f"cannot read manifest {manifest_path}: {exc.strerror}; rerun `sessrec {stage}`") from None
-    except (ValueError, KeyError, TypeError, AttributeError):  # not JSON, or no "outputs" table
+    except (ValueError, KeyError, TypeError, AttributeError):  # not JSON, or no "outputs" / "inputs" table
         raise StageError(f"{manifest_path} is not a valid manifest; rerun `sessrec {stage}`") from None
-    for path, digest in outputs:
+    for path, digest, role in recorded:
         if not path.exists():
-            raise StageError(f"{path} (declared by stage {stage!r}) is missing; rerun `sessrec {stage}`")
+            raise StageError(f"{path} ({role} stage {stage!r}) is missing; rerun `sessrec {stage}`")
         try:
             actual = file_sha256(path)
         except OSError as exc:
-            raise StageError(f"cannot read {path} (declared by stage {stage!r}): {exc.strerror}") from None
+            raise StageError(f"cannot read {path} ({role} stage {stage!r}): {exc.strerror}") from None
         if actual != digest:
             raise StageError(f"{path} does not match the checksum recorded by stage {stage!r}; "
                              f"rerun `sessrec {stage}`")

@@ -62,10 +62,10 @@ def ranks_for_packs(model, packs, batch_size=100):
     returned in the order of `packs`.
 
     Batches are cut from the packs stably sorted by (session-graph nodes,
-    frontier size), so each batch pads its layers to sizes close to its
-    own examples' instead of to the largest in a stretch of stored order;
-    each rank is written back to its pack's position.  Ranks come from the
-    logits: the softmax is monotone, so it is skipped."""
+    frontier size), so each batch's stacked arrays and edge table pad to
+    sizes close to its own examples' instead of to the largest in a stretch
+    of stored order; each rank is written back to its pack's position.
+    Ranks come from the logits: the softmax is monotone, so it is skipped."""
     order = sorted(range(len(packs)), key=lambda i: (packs[i].num_nodes, packs[i].frontier_size))
     ranks = np.zeros(len(packs), dtype=np.int64)
     with ad.no_grad():

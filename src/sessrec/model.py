@@ -10,15 +10,15 @@ table.  `forward` stops at the session vector: training scores it and takes
 the loss in one op (`autodiff.score_loss`), and evaluation ranks from the
 logits of `predict`, which `ForwardResult.logits` computes when read.
 
-All forward math runs on the autodiff tape.  The model reads the frontier
-and the session graphs only from the batch's real rows (`SessionBatch.rows`):
-it gathers the item table once, for every frontier row; the global layer
-runs on the frontier rows and their neighbor table, the session layer on the
-session-node rows and their edge table, and both hand back (T_0, d)
-session-node rows, which `fuse` combines row by row.  One gather through
-`rows.pos_rows` then lays the fused rows out by sequence position, (B, L, d);
-from there on, reductions along padded axes use the padding-stable ops, so a
-padded batch reproduces unpadded forwards exactly (see batching module).
+All forward math runs on the autodiff tape, on the batch's real rows only
+(`SessionBatch.rows`, see batching module): it gathers the item table once,
+for every frontier row; the global layer runs on the frontier rows and their
+neighbor table, the session layer on the session-node rows and their edge
+table, and both hand back (T_0, d) session-node rows, which `fuse` combines
+row by row.  One gather through `rows.pos_rows` gives the (P, d) position
+rows, on which the session encoder runs.  Products are row-stable and sums
+over an example's positions or table slots add in a fixed order, so an
+example's outputs have the same bits in any batch (bar `predict`'s logits).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class ModelConfig:
 class ForwardResult:
     session_vec: ad.Tensor     # (B, d)
     fused: ad.Tensor           # (T_0, d) fused item vectors of the session-node rows (batch.rows)
-    seq_vectors: ad.Tensor     # (B, L, d) fused vectors per sequence position
-    step_weights: ad.Tensor    # (B, L) soft-attention weights over positions
+    seq_vectors: ad.Tensor     # (P, d) fused vectors of the position rows (batch.rows.pos_rows)
+    step_weights: ad.Tensor    # (P,) soft-attention weights of the position rows
     global_attn: list          # per hop t = 1..K: (T_{K-t}, W) neighbor attention, as rows.nbr_idx
     session_attn: ad.Tensor | None  # (T_0, W_s) edge attention, as rows.sess_idx; 0 where masked
     predict: Callable = field(repr=False)  # the model's scoring head
@@ -205,8 +205,9 @@ class NextItemModel:
         neighbors, itself included, the (T_0, W_s) edge slots.  A slot's
         score is LeakyReLU of the elementwise product of the endpoint
         vectors dotted with the weight vector of the edge relation; masked
-        slots get exact zeros in the softmax and the neighbor sum, so the
-        bits of a row do not depend on W_s or on the other rows.
+        slots get exact zeros in the softmax, and `ad.neighbor_mix` sums the
+        neighbors in slot order, so the bits of a row do not depend on W_s or
+        on the other rows.
 
         Returns the node rows' vectors (T_0, d) and their attention over
         the edge slots (T_0, W_s), slot for slot as in `rows.sess_idx` and
@@ -223,7 +224,7 @@ class NextItemModel:
         prod = ad.mul(ad.reshape(h_rows, (T, 1, d)), h_nbr)
         scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), LEAKY_SLOPE)
         alpha = ad.masked_softmax(scores, rows.sess_rel > 0, axis=-1)  # rows sum to 1 per node
-        return ad.weighted_sum(alpha, h_nbr), alpha                # (T_0, d), (T_0, W_s)
+        return ad.neighbor_mix(alpha, h_rows, rows.sess_idx), alpha  # (T_0, d), (T_0, W_s)
 
     def fuse(self, h_global, h_session, train_mode=False, rng=None):
         """Combine the two levels' (T_0, d) node rows into final item vectors."""
@@ -249,58 +250,49 @@ class NextItemModel:
         return ad.matmul(cat, self.params["fuse_concat"], transpose_b=True)
 
     def session_encode(self, seq_vectors, batch: SessionBatch, inv_len):
-        """Pool per-position vectors into one session vector.
+        """Pool the position rows' vectors `seq_vectors` (P, d) into one
+        session vector per example (B, d), given `inv_len` (B, 1) = 1 / length;
+        also returns the rows' weights (P,).
 
         Default path concatenates each position's vector with a position
         embedding indexed from the end of the session (`reversed`), applies a
         tanh projection, and weights positions by an unnormalized
-        soft-attention score against the session mean.  `self_attention`
-        swaps the query to the last position's vector.
+        soft-attention score against the session mean, which one gather
+        hands to each position row.  `self_attention` swaps the query to the
+        last position's vector.
         """
         cfg = self.config
-        B, L, d = seq_vectors.shape
+        rows = batch.rows
+        P, d = seq_vectors.shape
         w_item = self.params["enc_att_item"]
         w_sess = self.params["enc_att_sess"]
-        att_vec = ad.reshape(self.params["enc_att_vec"], (d, 1))
-        att_bias = self.params["enc_att_bias"]
 
         if cfg.position_mode == "self_attention":
-            last = ad.reshape(ad.batched_gather(seq_vectors, (batch.lengths - 1)[:, None]), (B, d))
-            query = ad.reshape(ad.matmul(last, w_sess, transpose_b=True), (B, 1, d))
-            keys = ad.reshape(ad.matmul(ad.reshape(seq_vectors, (B * L, d)), w_item, transpose_b=True), (B, L, d))
-            inner = ad.sigmoid(ad.add(ad.add(keys, query), att_bias))
+            query = ad.matmul(ad.gather(seq_vectors, rows.last_pos), w_sess, transpose_b=True)  # (B, d)
+            keys = ad.matmul(seq_vectors, w_item, transpose_b=True)          # (P, d)
         else:
-            if cfg.position_mode in ("reversed", "forward"):
+            if cfg.position_mode == "none":  # no position information
+                pos_emb = ad.constant(np.zeros((P, d), dtype=cfg.dtype))
+            else:
                 if int(batch.lengths.max()) > self.max_len:
                     raise ValueError(
                         f"session length {int(batch.lengths.max())} exceeds the position table "
                         f"({self.max_len} rows); rebuild the model with a larger max_len"
                     )
+                pos_idx = rows.position
                 if cfg.position_mode == "reversed":
-                    pos_idx = batch.lengths[:, None] - 1 - np.arange(L)[None, :]
-                else:
-                    pos_idx = np.broadcast_to(np.arange(L)[None, :], (B, L)).copy()
-                pos_idx = np.where(batch.pos_mask, pos_idx, 0)
-                pos_emb = ad.gather(self.params["position_table"], pos_idx)  # (B, L, d)
-            else:  # no position information
-                pos_emb = ad.constant(np.zeros((B, L, d), dtype=cfg.dtype))
-            cat = ad.reshape(ad.concat([seq_vectors, pos_emb], axis=-1), (B * L, 2 * d))
+                    pos_idx = batch.lengths[rows.pos_example] - 1 - pos_idx
+                pos_emb = ad.gather(self.params["position_table"], pos_idx)  # (P, d)
+            cat = ad.concat([seq_vectors, pos_emb], axis=-1)                 # (P, 2d)
             z = ad.tanh(ad.add(ad.matmul(cat, self.params["enc_pos_proj"], transpose_b=True),
                                self.params["enc_pos_bias"]))
-            z = ad.reshape(z, (B, L, d))
-            mean_vec = self._position_mean(seq_vectors, batch, inv_len)  # (B, d)
-            keys = ad.reshape(ad.matmul(ad.reshape(z, (B * L, d)), w_item, transpose_b=True), (B, L, d))
-            query = ad.reshape(ad.matmul(mean_vec, w_sess, transpose_b=True), (B, 1, d))
-            inner = ad.sigmoid(ad.add(ad.add(keys, query), att_bias))
-
-        beta = ad.reshape(ad.matmul(ad.reshape(inner, (B * L, d)), att_vec), (B, L))
-        session_vec = ad.weighted_sum(beta, seq_vectors, valid=batch.pos_mask)
+            mean_vec = ad.mul(ad.weighted_sum(None, seq_vectors, rows.pos_example, rows.pos_ends), inv_len)
+            keys = ad.matmul(z, w_item, transpose_b=True)                    # (P, d)
+            query = ad.matmul(mean_vec, w_sess, transpose_b=True)            # (B, d)
+        inner = ad.sigmoid(ad.add(ad.add(keys, ad.gather(query, rows.pos_example)), self.params["enc_att_bias"]))
+        beta = ad.reshape(ad.matmul(inner, ad.reshape(self.params["enc_att_vec"], (d, 1))), (P,))
+        session_vec = ad.weighted_sum(beta, seq_vectors, rows.pos_example, rows.pos_ends)
         return session_vec, beta
-
-    def _position_mean(self, x, batch: SessionBatch, inv_len):
-        """Mean (B, d) of the per-position vectors `x` (B, L, d) over each session's positions."""
-        positions = ad.constant(batch.pos_mask, dtype=self.config.dtype)
-        return ad.mul(ad.weighted_sum(positions, x, valid=batch.pos_mask), inv_len)
 
     def predict(self, session_vec):
         """Logits (B, m) over all items, scored against the initial embeddings.
@@ -328,7 +320,8 @@ class NextItemModel:
         h_global = None
         global_attn = []
         if cfg.k_hops >= 1:
-            session_feat = self._position_mean(ad.gather(h0, rows.pos_rows), batch, inv_len)
+            h_pos = ad.gather(h0, rows.pos_rows)                     # (P, d)
+            session_feat = ad.mul(ad.weighted_sum(None, h_pos, rows.pos_example, rows.pos_ends), inv_len)
             h_global, global_attn = self.global_layer_forward(h0, batch, session_feat)
 
         h_session = None
@@ -337,7 +330,7 @@ class NextItemModel:
             h_session, session_attn = self.session_layer_forward(ad.narrow(h0, 0, 0, rows.ends[0]), batch)
 
         fused = self.fuse(h_global, h_session, train_mode, rng)      # (T_0, d)
-        seq_vectors = ad.gather(fused, rows.pos_rows)                # (B, L, d)
+        seq_vectors = ad.gather(fused, rows.pos_rows)                # (P, d)
         session_vec, beta = self.session_encode(seq_vectors, batch, inv_len)
         return ForwardResult(session_vec, fused, seq_vectors, beta, global_attn, session_attn,
                              self.predict)

@@ -155,8 +155,10 @@ class TrainResult:
 
 def _epoch_batches(lengths, batch_size, rng):
     """Shuffled batch composition: a seeded permutation, stably grouped by
-    prefix length so every batch pads to a single length, batch order
-    reshuffled."""
+    prefix length, batch order reshuffled.  A batch of one length has full
+    position layers.  Another grouping would train other parameters: each
+    step's gradient is its batch's mean, and the dropout draws follow the
+    batch's rows."""
     perm = rng.permutation(len(lengths))
     by_len: dict[int, list[int]] = {}
     for i in perm:

@@ -25,7 +25,7 @@ from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel, model_gradcheck
 from sessrec.train import TrainConfig, train_model
 
-from conftest import bits, examples_from_sessions, pattern_sessions, random_corpus
+from conftest import bits, example_rows, examples_from_sessions, pattern_sessions, random_corpus
 from test_evaluation import oracle_rank
 from test_graphs import brute_force_pair_weights, brute_force_relations, pair_weights
 
@@ -88,12 +88,11 @@ def test_c03_session_graph_oracle():
         nodes, rel = brute_force_relations(seq)
         assert pack.frontier_items.tolist() == nodes
         assert np.array_equal(collate([pack]).rel[0], rel)
-    # the same sequences in padded batches: padded rows and columns carry no relation
+    # the same sequences in batches of 8, each graph padded to the batch's largest:
+    # padded rows and columns carry no relation
     for start in range(0, len(seqs), 8):
         group = seqs[start: start + 8]
-        packs = [pack_example(tuple(seq), 1, None, 0) for seq in group]
-        batch = collate(packs, pad_len=max(p.length for p in packs) + int(rng.integers(0, 4)),
-                        pad_nodes=max(p.num_nodes for p in packs) + int(rng.integers(0, 4)))
+        batch = collate([pack_example(tuple(seq), 1, None, 0) for seq in group])
         for b, seq in enumerate(group):
             nodes, rel = brute_force_relations(seq)
             n = len(nodes)
@@ -169,9 +168,41 @@ def test_c05_memorization(memorization_setup):
               f"ablation P@1={abl_state['p1']:.1f}%, {elapsed:.0f}s total")
 
 
+def padded_batch(rng, prefix, pack, graph, num_items, max_len):
+    """The example batched with 1-3 companions, each longer, with more session
+    nodes and a larger frontier, at a random place among them; returns the
+    batch and the example's index in it.  A companion extends the example's
+    prefix by new items, so its frontier holds the example's."""
+    want, companions = int(rng.integers(1, 4)), []
+    for _ in range(100):
+        new = rng.permutation(np.setdiff1d(np.arange(1, num_items + 1), prefix))
+        extra = tuple(int(x) for x in new[:int(rng.integers(1, max_len - pack.length + 1))])
+        companion = pack_example(prefix + extra, 1, graph, len(pack.layer_end) - 1)
+        if companion.frontier_size > pack.frontier_size:
+            assert companion.length > pack.length and companion.num_nodes > pack.num_nodes
+            companions.append(companion)
+            if len(companions) == want:
+                break
+    assert len(companions) == want, f"no companion of {prefix} has a larger frontier"
+    b = int(rng.integers(0, want + 1))
+    return collate(companions[:b] + [pack] + companions[b:]), b
+
+
+def assert_batched_equals_alone(model, pack, batch, b, case):
+    """The example's session vector and fused rows in `batch` have the bits
+    of its forward alone, and so do the logits of its own session-vector
+    row (the plain-BLAS head's rows depend on the row count)."""
+    alone, batched = model.forward(collate([pack])), model.forward(batch)
+    assert bits(batched.session_vec.value[b]) == bits(alone.session_vec.value[0]), case
+    assert bits(batched.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value), case
+    own = model.predict(ad.constant(batched.session_vec.value[b:b + 1]))
+    assert bits(own.value) == bits(alone.logits.value), case
+    return alone
+
+
 def test_c06_masking_equivalence():
     rng = np.random.default_rng(2024)
-    num_items = 40
+    num_items = 120  # so that a 2-hop frontier leaves items out, for a companion's to be larger
     sessions = random_corpus(rng, 60, num_items)
     graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
     cfg = ModelConfig(embedding_dim=16, k_hops=2, dropout_global=0.0, precision="double")
@@ -181,22 +212,15 @@ def test_c06_masking_equivalence():
         prefix = tuple(int(x) for x in rng.integers(1, num_items + 1, size=l))
         label = int(rng.integers(1, num_items + 1))
         pack = pack_example(prefix, label, graph, cfg.k_hops)
-        single = collate([pack])
-        padded = collate([pack],
-                         pad_len=pack.length + int(rng.integers(1, 8)),
-                         pad_nodes=pack.num_nodes + int(rng.integers(1, 6)),
-                         pad_frontier=pack.frontier_size + int(rng.integers(1, 25)))
-        a = model.forward(single)
-        b = model.forward(padded)
-        assert bits(a.probs.value) == bits(b.probs.value), f"trial {trial}: probs differ"
-        assert bits(a.session_vec.value) == bits(b.session_vec.value)
-        assert bits(a.logits.value) == bits(b.logits.value)
-    report(6, "padded-batch forward of one example is bit-identical for 50 random examples")
+        batch, b = padded_batch(rng, prefix, pack, graph, num_items, model.max_len)
+        assert_batched_equals_alone(model, pack, batch, b, f"trial {trial}")
+    report(6, "one example's forward in a batch with larger companions is bit-identical to its "
+              "forward alone for 50 random examples")
 
 
 def test_c06_masking_equivalence_single_precision():
     rng = np.random.default_rng(2025)
-    num_items = 40
+    num_items = 120
     sessions = random_corpus(rng, 60, num_items)
     graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=num_items)
     for k_hops in (1, 2):
@@ -206,17 +230,11 @@ def test_c06_masking_equivalence_single_precision():
             l = int(rng.integers(1, 11))
             prefix = tuple(int(x) for x in rng.integers(1, num_items + 1, size=l))
             pack = pack_example(prefix, int(rng.integers(1, num_items + 1)), graph, k_hops)
-            single = collate([pack])
-            padded = collate([pack],
-                             pad_len=pack.length + int(rng.integers(1, 8)),
-                             pad_nodes=pack.num_nodes + int(rng.integers(1, 6)),
-                             pad_frontier=pack.frontier_size + int(rng.integers(1, 25)))
-            a = model.forward(single)
-            b = model.forward(padded)
-            assert a.logits.value.dtype == np.float32
-            assert bits(a.session_vec.value) == bits(b.session_vec.value), f"k={k_hops} trial {trial}"
-            assert bits(a.logits.value) == bits(b.logits.value), f"k={k_hops} trial {trial}"
-    report(6, "single precision: padded-batch forward is bit-identical for 50 random examples")
+            batch, b = padded_batch(rng, prefix, pack, graph, num_items, model.max_len)
+            alone = assert_batched_equals_alone(model, pack, batch, b, f"k={k_hops} trial {trial}")
+            assert alone.logits.value.dtype == np.float32
+    report(6, "single precision: one example's forward in a batch with larger companions is "
+              "bit-identical to its forward alone for 50 random examples")
 
 
 def test_c07_softmax_normalization():

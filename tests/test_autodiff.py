@@ -195,37 +195,51 @@ class TestSoftmaxProperties:
         assert np.array_equal(padded[:, :4], base)
 
     def test_weighted_sum_padding_keeps_signed_zeros(self):
-        # appending masked entries along J must not change any output bit,
-        # a -0.0 sum (negative weights times zero values) included
+        # an example's sum has the bits of the example alone, whatever the
+        # other examples' position rows, a -0.0 sum (negative weights times
+        # zero values) included
         rng = np.random.default_rng(10)
-        w, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4, 5))
-        w[0, 1], v[0, 1, :, 2] = -np.abs(w[0, 1]), 0.0
-        base = ad.weighted_sum(t(w), t(v)).value
-        assert base.shape == (2, 3, 5) and np.signbit(base[0, 1, 2]) and base[0, 1, 2] == 0
-        padded_w = np.concatenate([w, rng.normal(size=(2, 3, 3))], axis=2)
-        padded_v = np.concatenate([v, rng.normal(size=(2, 3, 3, 5))], axis=2)
-        valid = np.concatenate([np.ones((2, 3, 4), bool), np.zeros((2, 3, 3), bool)], axis=2)
-        padded = ad.weighted_sum(t(padded_w), t(padded_v), valid=valid).value
-        assert padded.tobytes() == base.tobytes()
+        lengths = [2, 4, 6]
+        example, ends = _position_runs(lengths)
+        w, v = rng.normal(size=len(example)), rng.normal(size=(len(example), 5))
+        mine = example == 1
+        w[mine], v[mine, 2] = -np.abs(w[mine]), 0.0
+        batched = ad.weighted_sum(t(w), t(v), example, ends).value
+        assert batched.shape == (3, 5) and np.signbit(batched[1, 2]) and batched[1, 2] == 0
+        for b, n in enumerate(lengths):
+            alone = ad.weighted_sum(t(w[example == b]), t(v[example == b]), *_position_runs([n])).value
+            assert batched[b].tobytes() == alone[0].tobytes()
 
     def test_weighted_sum_rejects_values_that_broadcast(self):
-        # values hold one row per weight: (B, 1, J, d) against (B, N, J) is refused
+        # one weight per row of values, and runs that cover the rows
+        example, ends = _position_runs([2, 1])
         with pytest.raises(ad.ShapeError, match="weighted_sum"):
-            ad.weighted_sum(t(np.zeros((2, 3, 4))), t(np.zeros((2, 1, 4, 5))))
+            ad.weighted_sum(t(np.zeros((3, 1))), t(np.zeros((3, 4))), example, ends)
         with pytest.raises(ad.ShapeError, match="weighted_sum"):
-            ad.weighted_sum(t(np.zeros((3, 4))), t(np.zeros((4, 5))))
+            ad.weighted_sum(t(np.zeros(3)), t(np.zeros((3, 1, 4))), example, ends)
+        with pytest.raises(ad.ShapeError, match="weighted_sum"):
+            ad.weighted_sum(None, t(np.zeros((4, 4))), example, ends)
 
 
-def _weighted_sum_loss(w_shape, v_shape, valid=None):
+def _position_runs(lengths):
+    """(example, ends) of the position rows of examples of these lengths, laid
+    out position-major as `batching.collate` lays them out."""
+    L = max(lengths)
+    example = [b for j in range(L) for b, n in enumerate(lengths) if j < n]
+    return np.array(example), tuple(sum(min(n, j + 1) for n in lengths) for j in range(L))
+
+
+def _weighted_sum_loss(lengths, d):
     """Scalar loss of weighted_sum over one flat input holding w then v."""
-    nw = int(np.prod(w_shape))
+    example, ends = _position_runs(lengths)
+    R = len(example)
 
     def f(x):
-        w = ad.reshape(ad.narrow(x, 0, 0, nw), w_shape)
-        v = ad.reshape(ad.narrow(x, 0, nw, int(np.prod(v_shape))), v_shape)
-        return ad.sum_all(ad.tanh(ad.weighted_sum(w, v, valid=valid)))
+        w = ad.narrow(x, 0, 0, R)
+        v = ad.reshape(ad.narrow(x, 0, R, R * d), (R, d))
+        return ad.sum_all(ad.tanh(ad.weighted_sum(w, v, example, ends)))
 
-    return f, nw + int(np.prod(v_shape))
+    return f, R + R * d
 
 
 class TestGradcheck:
@@ -254,23 +268,29 @@ class TestGradcheck:
         assert err > 1e-2
 
     def test_weighted_sum_with_valid_mask(self):
+        # ragged runs: an example shorter than the longest has no row in the
+        # later position layers, where a padded layout masked it
         rng = np.random.default_rng(13)
-        valid = rng.random((2, 3, 4)) > 0.4
-        valid[0, 1] = False  # a row with no valid entry
-        f, n = _weighted_sum_loss((2, 3, 4), (2, 3, 4, 5), valid=valid)
+        f, n = _weighted_sum_loss([3, 1, 4, 2], 5)
         assert ad.gradcheck(f, rng.normal(size=n)) < 1e-8
 
     def test_weighted_sum_constant_weights_with_valid_mask(self):
-        # a mask as constant unit weights, as the model's masked means use it
+        # unit weights, as the model's means over positions use them, and constant weights
         rng = np.random.default_rng(14)
-        valid = rng.random((2, 4)) > 0.4
-        valid[1] = False  # a row with no valid entry
-        w = ad.constant(valid, dtype=np.float64)
+        example, ends = _position_runs([4, 1, 2])
+        R = len(example)
+        w = ad.constant(rng.normal(size=R))
 
         def f(x):
-            return ad.sum_all(ad.tanh(ad.weighted_sum(w, ad.reshape(x, (2, 4, 3)), valid=valid)))
+            v = ad.reshape(x, (R, 3))
+            return ad.sum_all(ad.tanh(ad.add(ad.weighted_sum(None, v, example, ends),
+                                             ad.weighted_sum(w, v, example, ends))))
 
-        assert ad.gradcheck(f, rng.normal(size=24)) < 1e-8
+        x = rng.normal(size=R * 3)
+        assert ad.gradcheck(f, x) < 1e-8
+        v = t(x.reshape(R, 3))
+        assert bits(ad.weighted_sum(None, v, example, ends).value) == \
+            bits(ad.weighted_sum(t(np.ones(R)), v, example, ends).value)
 
     def test_mul_returns_no_gradient_for_a_constant_operand(self):
         # a constant (edge weights) times a parameter row
@@ -309,6 +329,16 @@ def _neighbor_case(seed, R_in, R, W, D, dtype, pad):
     return vals, idx, wt, mask
 
 
+def _old_mix(alpha, h, idx):
+    """The generic chain `neighbor_mix` replaces: each slot's weighted
+    neighbour rows, added in slot order."""
+    out = None
+    for w in range(idx.shape[1]):
+        term = ad.mul(ad.narrow(alpha, 1, w, 1), ad.gather(h, idx[:, w]))
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
 def _old_scores(z, idx, wt, w1b, vec):
     """The generic chain `neighbor_scores` replaces."""
     pre = ad.add(ad.gather(z, idx), ad.mul(ad.constant(wt[..., None], dtype=z.dtype), w1b))
@@ -333,7 +363,7 @@ class TestNeighborOps:
                 assert bits(ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2).value) == bits(new.value)
         alpha = ad.masked_softmax(ad.Tensor(vals["scores"], requires_grad=True), mask)
         mixed = ad.neighbor_mix(alpha, h, idx)
-        assert bits(mixed.value) == bits(ad.weighted_sum(alpha, ad.gather(h, idx)).value)
+        assert bits(mixed.value) == bits(_old_mix(alpha, h, idx).value)
         assert not mixed.value[0].any()  # an all-masked row mixes to zero
         if pad:  # masked slots appended to every row change no bit
             unpadded = ad.neighbor_mix(ad.narrow(alpha, 1, 0, W), h, idx[:, :W])
@@ -354,7 +384,7 @@ class TestNeighborOps:
             if fused:
                 mixed = ad.neighbor_mix(alpha, h, idx)
             else:
-                mixed = ad.weighted_sum(alpha, ad.gather(h, idx))
+                mixed = _old_mix(alpha, h, idx)
             ad.backward(ad.add(ad.sum_all(ad.tanh(mixed)), ad.sum_all(ad.tanh(scores))))
             grads.append([x.grad for x in (z, w1b, vec, h)])
         for new, old in zip(*grads):

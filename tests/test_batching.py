@@ -20,27 +20,20 @@ def packed_batches(draw):
     graph = build_global_graph(*csr(sessions), epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
     prefixes = draw(st.lists(st.lists(st.integers(1, n_items), min_size=1, max_size=6),
                              min_size=1, max_size=5))
-    packs = [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]
-    node_extra = draw(st.none() | st.integers(0, 3))
-    frontier_extra = draw(st.none() | st.integers(0, 20))
-    return k_hops, packs, node_extra, frontier_extra
+    return k_hops, [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]
 
 
 @settings(max_examples=80, deadline=None)
 @given(packed_batches())
 def test_collate_stacks_each_pack_from_slot_0(case):
-    k_hops, packs, node_extra, frontier_extra = case
+    k_hops, packs = case
     layer_end = np.array([p.layer_end for p in packs])
-    nodes, frontier = int(layer_end[:, 0].max()), int(layer_end[:, -1].max())
-    pad_nodes = None if node_extra is None else nodes + node_extra
-    pad_frontier = None if frontier_extra is None else frontier + frontier_extra
-    batch = collate(packs, pad_nodes=pad_nodes, pad_frontier=pad_frontier)
+    batch = collate(packs)
 
-    # P_0 = N, then each hop layer's largest end; pad_frontier widens only `items`
-    N = nodes if pad_nodes is None else pad_nodes
-    ends = (N,) + tuple(int(e) for e in layer_end[:, 1:].max(axis=0))
-    assert batch.rel.shape[1] == N
-    assert batch.items.shape[1] == max(N, frontier if pad_frontier is None else pad_frontier)
+    # N, F and each P_j are the batch's largest session graph, frontier and layer end
+    ends = tuple(int(e) for e in layer_end.max(axis=0))
+    assert batch.rel.shape[1:] == (ends[0], ends[0])
+    assert batch.items.shape[1] == ends[-1]
     inner = ends[-2] if k_hops else 0
     assert batch.nbr_idx.shape[1] == batch.nbr_wt.shape[1] == batch.nbr_mask.shape[1] == inner
 
@@ -50,10 +43,9 @@ def test_collate_stacks_each_pack_from_slot_0(case):
                           ("nbr_wt", p.nbr_wt), ("nbr_mask", p.nbr_mask)):
             stacked = getattr(batch, name)[b]
             assert np.array_equal(stacked[:len(own)], own) and not stacked[len(own):].any(), name
-        # the pack's alias from slot 0, then slot 0, as the rows of the slots' session nodes
-        alias = np.zeros(batch.pos_mask.shape[1], dtype=np.int64)
-        alias[:p.length] = p.alias
-        assert np.array_equal(batch.rows.pos_rows[b], example_rows(batch.rows, b)[alias])
+        # the pack's alias, in order, as the rows of the slots' session nodes
+        own = np.flatnonzero(batch.rows.pos_example == b)
+        assert np.array_equal(batch.rows.pos_rows[own], example_rows(batch.rows, b)[p.alias])
 
     if k_hops:
         model = NextItemModel(25, 6, ModelConfig(embedding_dim=3, k_hops=k_hops, dropout_global=0.0))
@@ -66,9 +58,8 @@ def test_collate_stacks_each_pack_from_slot_0(case):
 @settings(max_examples=80, deadline=None)
 @given(packed_batches())
 def test_edge_table_lists_each_session_graph_edge_once_in_slot_order(case):
-    k_hops, packs, node_extra, _ = case
-    N = max(p.num_nodes for p in packs) + (node_extra or 0)
-    batch = collate(packs, pad_nodes=N, pad_len=max(p.length for p in packs) + 2)
+    k_hops, packs = case
+    batch = collate(packs)
     rows, rel = batch.rows, batch.rel
     degree = np.count_nonzero(rel, axis=2)
     assert rows.sess_idx.shape == rows.sess_rel.shape == (rows.ends[0], degree.max())
@@ -87,22 +78,9 @@ def test_edge_table_lists_each_session_graph_edge_once_in_slot_order(case):
     assert np.count_nonzero(valid) == np.count_nonzero(rel) == len(np.unique(edges))
 
 
-def _two_packs():
-    graph = build_global_graph(*csr([[1, 2, 3], [2, 4, 1]]), epsilon=2, top_n=3, num_items=4)
-    return [pack_example((1, 2), 3, graph, 1), pack_example((2, 4, 2), 1, graph, 1)]
-
-
-@pytest.mark.parametrize("packs, pad, message", [
-    ([], {}, "empty batch"),
-    (_two_packs(), {"pad_len": 2}, "pad_len 2 shorter than longest example"),
-    (_two_packs(), {"pad_nodes": 1}, "pad_nodes 1 smaller than the largest session graph"),
-    (_two_packs(), {"pad_frontier": 3}, "pad_frontier 3 smaller than the largest frontier"),
-], ids=["empty", "pad_len", "pad_nodes", "pad_frontier"])
-def test_collate_refuses_an_empty_batch_or_a_pad_below_the_batch_maximum(packs, pad, message):
-    with pytest.raises(ValueError, match=message):
-        collate(packs, **pad)
-    if packs:  # the batch maxima themselves pass
-        collate(packs, pad_len=3, pad_nodes=2, pad_frontier=max(p.frontier_size for p in packs))
+def test_collate_refuses_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        collate([])
 
 
 def bfs_oracle(prefix, graph, k_hops):
@@ -159,24 +137,20 @@ def layout_cases(draw):
     graph = build_global_graph(*csr(sessions), epsilon=2, top_n=draw(st.integers(1, 5)), num_items=n_items)
     prefixes = draw(st.lists(st.lists(st.integers(1, n_items), min_size=1, max_size=6),
                              min_size=1, max_size=5))
-    packs = [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]
-    return k_hops, packs, draw(st.integers(0, 3)), draw(st.integers(0, 20))
+    return k_hops, [pack_example(tuple(p), 1, graph, k_hops) for p in prefixes]
 
 
 @settings(max_examples=80, deadline=None)
 @given(layout_cases())
 def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case):
-    k_hops, packs, node_extra, frontier_extra = case
-    batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + node_extra,
-                    pad_frontier=max(p.frontier_size for p in packs) + frontier_extra)
-    rows, plain = batch.rows, collate(packs).rows
-    # surplus padding changes nothing in the real rows
-    assert rows.ends == plain.ends
-    for name in ("items", "example", "nbr_idx", "nbr_wt", "nbr_mask", "pos_rows", "sess_idx", "sess_rel"):
-        assert np.array_equal(getattr(rows, name), getattr(plain, name)), name
+    k_hops, packs = case
+    batch = collate(packs)
+    rows = batch.rows
 
-    # hop layer by hop layer, pack by pack, every frontier row exactly once
+    # hop layer by hop layer, pack by pack, every frontier row exactly once, however
+    # far the stacked arrays pad the smaller packs
     assert rows.ends == tuple(sum(p.layer_end[j] for p in packs) for j in range(k_hops + 1))
+    assert len(rows.items) == rows.ends[-1] <= batch.items.size
     row_of, items, example = {}, [], []
     for j in range(k_hops + 1):
         for b, p in enumerate(packs):
@@ -192,9 +166,6 @@ def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case)
         # each example's rows within j hops are its pack's slots [0, layer_end[j]), in slot order
         for j in range(k_hops + 1):
             assert example_rows(rows, b, j).tolist() == [row_of[b, s] for s in range(p.layer_end[j])]
-        # each position reads its session node's row; a padded one the example's first node row
-        assert rows.pos_rows[b].tolist() == [row_of[b, s] for s in p.alias] + \
-            [row_of[b, 0]] * (rows.pos_rows.shape[1] - p.length)
         for i in range(len(p.nbr_idx)):
             r, m = row_of[b, i], p.nbr_mask[i]
             assert np.array_equal(rows.nbr_mask[r], m) and np.array_equal(rows.nbr_wt[r], p.nbr_wt[i])
@@ -202,3 +173,12 @@ def test_real_row_layout_lists_each_frontier_row_once_whatever_the_padding(case)
             assert rows.nbr_idx[r][m].tolist() == [row_of[b, s] for s in p.nbr_idx[i][m]]
             assert np.array_equal(rows.items[rows.nbr_idx[r][m]], p.frontier_items[p.nbr_idx[i][m]])
             assert not rows.nbr_idx[r][~m].any()
+
+    # positions: position-major, each position layer in example order
+    L = max(p.length for p in packs)
+    order = [(j, b) for j in range(L) for b, p in enumerate(packs) if j < p.length]
+    assert rows.pos_example.tolist() == [b for _, b in order]
+    assert rows.position.tolist() == [j for j, _ in order]
+    assert rows.pos_rows.tolist() == [row_of[b, packs[b].alias[j]] for j, b in order]
+    assert rows.pos_ends == tuple(sum(min(p.length, j + 1) for p in packs) for j in range(L))
+    assert rows.last_pos.tolist() == [order.index((p.length - 1, b)) for b, p in enumerate(packs)]

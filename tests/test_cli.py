@@ -22,6 +22,16 @@ def write_events(path, rng, n_sessions=25, n_items=10, span_days=20):
     path.write_text("\n".join(lines) + "\n")
 
 
+def reversed_sessions(text):
+    """The same clicks with each session's items in reverse order: the same
+    items and splits, another corpus."""
+    clicks = [line.split(",") for line in text.split()]
+    items = {}
+    for session, item, _ in clicks:
+        items.setdefault(session, []).append(item)
+    return "".join(f"{session},{items[session].pop()},{t}\n" for session, _, t in clicks)
+
+
 @pytest.fixture
 def pipeline_cfg(tmp_path):
     rng = np.random.default_rng(17)
@@ -150,6 +160,42 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(graph) in err and "checksum" in err and len(err.strip().splitlines()) == 1
+
+    def test_evaluate_refuses_a_checkpoint_trained_on_another_corpus(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"], ["train"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        meta = (wd / "corpus" / "meta.json").read_text()
+        other = events.with_name("other.csv")
+        other.write_text(reversed_sessions(events.read_text()))
+        for cmd in (["preprocess", "--events", str(other)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        assert json.loads((wd / "corpus" / "meta.json").read_text())["num_items"] == json.loads(meta)["num_items"]
+        capsys.readouterr()
+        rc = main(["evaluate", "--config", str(cfg), "--work-dir", str(wd)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(wd / "corpus" / "examples.tsv") in err and "rerun `sessrec train`" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_train_refuses_a_graph_built_from_another_corpus(self, pipeline_cfg, capsys):
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        other = events.with_name("other.csv")
+        other.write_text(reversed_sessions(events.read_text()))
+        assert main(["preprocess", "--events", str(other), "--config", str(cfg), "--work-dir", str(wd)]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--work-dir", str(wd)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(wd / "corpus" / "sessions.tsv") in err and "rerun `sessrec build-graph`" in err
+        assert len(err.strip().splitlines()) == 1
+        # the events file lies outside the work dir and is not checked
+        events.unlink()
+        other.unlink()
+        assert main(["build-graph", "--config", str(cfg), "--work-dir", str(wd)]) == 0
+        assert main(["train", "--config", str(cfg), "--work-dir", str(wd)]) == 0
 
     @pytest.mark.parametrize("text", ["{not json", "{}", '{"outputs": []}'],
                              ids=["not-json", "no-outputs", "outputs-list"])

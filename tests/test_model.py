@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -37,8 +38,8 @@ def make_model(num_items, max_len=6, seed=0, **cfg_kwargs):
     return NextItemModel(num_items, max_len, cfg, seed=seed)
 
 
-def single_batch(prefix, label, graph, k_hops, **collate_kw):
-    return collate([pack_example(prefix, label, graph, k_hops)], **collate_kw)
+def single_batch(prefix, label, graph, k_hops):
+    return collate([pack_example(prefix, label, graph, k_hops)])
 
 
 def graph_of(lists, num_items, top_n=12):
@@ -152,10 +153,10 @@ def reference_global_rows(model, pack):
 
 def global_rows(model, batch):
     """The global layer's (T_0, d) session-node rows, its inputs built as forward builds them."""
-    h0 = ad.gather(model.params["item_embeddings"], batch.rows.items)
+    rows = batch.rows
+    h0 = ad.gather(model.params["item_embeddings"], rows.items)
     inv_len = ad.constant((1.0 / batch.lengths)[:, None])
-    positions = ad.constant(batch.pos_mask, dtype=np.float64)
-    s = ad.mul(ad.weighted_sum(positions, ad.gather(h0, batch.rows.pos_rows), valid=batch.pos_mask), inv_len)
+    s = ad.mul(ad.weighted_sum(None, ad.gather(h0, rows.pos_rows), rows.pos_example, rows.pos_ends), inv_len)
     h_g, _ = model.global_layer_forward(h0, batch, s)
     return h_g.value
 
@@ -178,8 +179,7 @@ class TestGlobalLayerReference:
                 for prm in model.params:
                     prm.value *= 4.0  # leave the near-linear init regime
                 packs = [pack_example(pf, 1, graph, k) for pf in prefixes]
-                batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
-                                pad_frontier=max(p.frontier_size for p in packs) + 9)
+                batch = collate(packs)
                 h_g = global_rows(model, batch)
                 if not use_session:
                     assert np.array_equal(model.forward(batch).fused.value, h_g)
@@ -191,37 +191,41 @@ class TestGlobalLayerReference:
     def test_mixed_batch_matches_single_forwards(self):
         graph, _ = self._corpus(43)
         rng = np.random.default_rng(44)
-        model = make_model(30, max_len=10, embedding_dim=8, k_hops=2, seed=45)
         packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, 2)
                  for n in (1, 6, 2, 9, 3, 1, 4)]
         assert len({p.layer_end for p in packs}) == len(packs)
         batch = collate(packs)
-        out = model.forward(batch)
-        for b, pack in enumerate(packs):
-            alone = model.forward(collate([pack]))
-            assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value)
-            assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0])
-            # the scoring matmul runs on BLAS, whose rows change with the row count
-            assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-12)
+        for mode in ("reversed", "forward", "self_attention", "none"):
+            model = make_model(30, max_len=10, embedding_dim=8, k_hops=2, position_mode=mode, seed=45)
+            out = model.forward(batch)
+            for b, pack in enumerate(packs):
+                alone = model.forward(collate([pack]))
+                assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value), mode
+                assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0]), mode
+                # the scoring matmul runs on plain BLAS, whose rows change with the row count
+                own = model.predict(ad.constant(out.session_vec.value[b:b + 1]))
+                assert bits(own.value) == bits(alone.logits.value), mode
 
     def test_mixed_batch_matches_single_forwards_single_precision(self):
         graph, _ = self._corpus(43)
         rng = np.random.default_rng(46)
         for k in (1, 2):
             for aggregation in ("sum", "gate", "max", "concat"):
-                model = make_model(30, max_len=10, embedding_dim=8, k_hops=k, aggregation=aggregation,
-                                   precision="single", seed=47)
-                packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
-                         for n in (1, 6, 2, 9, 3, 1, 4)]
-                batch = collate(packs)
-                out = model.forward(batch)
-                assert out.fused.value.dtype == np.float32
-                for b, pack in enumerate(packs):
-                    alone = model.forward(collate([pack]))
-                    assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value)
-                    assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0])
-                    # the scoring head runs on plain BLAS: equal to float32 rounding only
-                    assert np.allclose(out.logits.value[b], alone.logits.value[0], rtol=0, atol=1e-6)
+                for mode in ("reversed", "forward", "self_attention", "none"):
+                    model = make_model(30, max_len=10, embedding_dim=8, k_hops=k, aggregation=aggregation,
+                                       position_mode=mode, precision="single", seed=47)
+                    packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
+                             for n in (1, 6, 2, 9, 3, 1, 4)]
+                    batch = collate(packs)
+                    out = model.forward(batch)
+                    assert out.fused.value.dtype == np.float32
+                    for b, pack in enumerate(packs):
+                        alone = model.forward(collate([pack]))
+                        case = (k, aggregation, mode, b)
+                        assert bits(out.fused.value[example_rows(batch.rows, b)]) == bits(alone.fused.value), case
+                        assert bits(out.session_vec.value[b]) == bits(alone.session_vec.value[0]), case
+                        own = model.predict(ad.constant(out.session_vec.value[b:b + 1]))
+                        assert bits(own.value) == bits(alone.logits.value), case
 
     def test_global_attention_by_pack_row_matches_single_forwards(self):
         # ForwardResult.global_attn is (T_{K-t}, W) over the real rows, slot for slot
@@ -232,8 +236,7 @@ class TestGlobalLayerReference:
             model = make_model(30, max_len=10, embedding_dim=8, k_hops=k, seed=49)
             packs = [pack_example(tuple(int(x) for x in rng.integers(1, 31, size=n)), 1, graph, k)
                      for n in (1, 6, 2, 9, 3, 1, 4)]
-            batch = collate(packs, pad_nodes=max(p.num_nodes for p in packs) + 2,
-                            pad_frontier=max(p.frontier_size for p in packs) + 7)
+            batch = collate(packs)
             rows = batch.rows
             attn = [a.value for a in model.forward(batch).global_attn]
             assert [a.shape for a in attn] == [(rows.ends[k - t], rows.nbr_idx.shape[1]) for t in range(1, k + 1)]
@@ -302,7 +305,7 @@ class TestSessionLayer:
             h, attn = model.session_layer_forward(ad.gather(emb, batch.rows.items[:batch.rows.ends[0]]), batch)
             return h.value, attn.value
 
-        batch = collate(packs, pad_len=10, pad_nodes=max(p.num_nodes for p in packs) + 3)
+        batch = collate(packs)  # the edge table is as wide as the batch's largest degree
         h, attn = session(batch)
         for b, p in enumerate(packs):
             r = example_rows(batch.rows, b)
@@ -382,18 +385,29 @@ class TestFuse:
         assert not np.array_equal(trained.value, model.fuse(h_g, h_s).value)
 
 
+def with_wider_tables(batch, extra):
+    """`batch` with `extra` more masked slots at the end of every row of its
+    neighbor and edge tables, the one padded axis of a batch's real rows."""
+    def widen(a):
+        return np.concatenate([a, np.zeros((len(a), extra), dtype=a.dtype)], axis=1)
+
+    rows = batch.rows
+    wide = dataclasses.replace(rows, **{name: widen(getattr(rows, name)) for name in
+                                        ("nbr_idx", "nbr_wt", "nbr_mask", "sess_idx", "sess_rel")})
+    return dataclasses.replace(batch, rows=wide)
+
+
 @pytest.mark.parametrize("aggregation", ["sum", "gate", "max", "concat"])
 @pytest.mark.parametrize("k_hops", [1, 2])
 def test_train_mode_forward_does_not_depend_on_padding(k_hops, aggregation):
-    # the dropout mask is drawn over the real node rows, so surplus padding
-    # neither moves a row's draws nor takes any
+    # the dropout mask is drawn over the real node rows, so surplus masked
+    # table slots neither move a row's draws nor change a bit
     graph = build_global_graph(*csr(TOY_SESSIONS), epsilon=3, top_n=12, num_items=5)
     packs = [pack_example(tuple(seq[:n]), seq[n], graph, k_hops)
              for seq in TOY_SESSIONS for n in range(1, len(seq))]
     model = make_model(5, embedding_dim=6, k_hops=k_hops, aggregation=aggregation, dropout_global=0.5, seed=8)
     plain = collate(packs)
-    padded = collate(packs, pad_len=6, pad_nodes=max(p.num_nodes for p in packs) + 3,
-                     pad_frontier=max(p.frontier_size for p in packs) + 5)
+    padded = with_wider_tables(plain, 3)
     a, b = (model.forward(batch, train_mode=True, rng=np.random.default_rng(9)).session_vec.value
             for batch in (plain, padded))
     assert a.tobytes() == b.tobytes()
@@ -405,8 +419,8 @@ class TestSessionEncode:
         model = make_model(3, embedding_dim=4, k_hops=0, seed=4)
         batch = single_batch((2,), 1, None, 0)
         out = model.forward(batch)
-        h = out.seq_vectors.value[0, 0]
-        beta = out.step_weights.value[0, 0]
+        h = out.seq_vectors.value[0]
+        beta = out.step_weights.value[0]
         assert np.allclose(out.session_vec.value[0], beta * h, atol=1e-12)
 
     def test_reversed_vs_forward_differ(self):
@@ -450,7 +464,7 @@ class TestSessionEncode:
         p["enc_att_bias"].value[:] = b4
 
         batch = single_batch((1, 2), 1, None, 0)
-        H = ad.constant(np.array([[h1, h2]], dtype=np.float64))
+        H = ad.constant(np.array([h1, h2], dtype=np.float64))  # the position rows of one example
         inv_len = ad.constant(np.array([[0.5]]))
         S, beta = model.session_encode(H, batch, inv_len)
 
@@ -465,7 +479,7 @@ class TestSessionEncode:
             b_i = dot(q2, inner)
             expect_beta.append(b_i)
             expect_S = [acc + b_i * hv for acc, hv in zip(expect_S, h)]
-        assert np.allclose(beta.value[0], expect_beta, atol=1e-12)
+        assert np.allclose(beta.value, expect_beta, atol=1e-12)
         assert np.allclose(S.value[0], expect_S, atol=1e-12)
 
     def test_position_table_too_small_names_fix(self):
@@ -593,30 +607,33 @@ class TestWholeModel:
         assert np.array_equal(o1.probs.value, o2.probs.value)
 
     def test_padded_batch_matches_single_forward_bitwise(self):
+        # padded: batched behind a companion that is longer and has
+        # more session nodes, its frontier a superset of the example's
         rng = np.random.default_rng(2)
         sessions = [list(rng.integers(1, 16, size=rng.integers(2, 8))) for _ in range(25)]
         graph = build_global_graph(*csr(sessions), epsilon=3, top_n=12, num_items=15)
-        model = make_model(15, embedding_dim=7, k_hops=2, seed=15)
+        model = make_model(15, max_len=10, embedding_dim=7, k_hops=2, seed=15)
         for _ in range(10):
             l = int(rng.integers(1, 7))
             prefix = tuple(int(x) for x in rng.integers(1, 16, size=l))
             pack = pack_example(prefix, 1, graph, 2)
-            single = collate([pack])
-            padded = collate([pack], pad_len=pack.length + 4,
-                             pad_nodes=pack.num_nodes + 3,
-                             pad_frontier=pack.frontier_size + 11)
-            a = model.forward(single)
-            b = model.forward(padded)
-            assert bits(a.probs.value) == bits(b.probs.value)
-            assert bits(a.session_vec.value) == bits(b.session_vec.value)
+            extra = rng.permutation(np.setdiff1d(np.arange(1, 16), prefix))[:int(rng.integers(1, 4))]
+            companion = pack_example(prefix + tuple(int(x) for x in extra), 1, graph, 2)
+            assert companion.length > pack.length and companion.num_nodes > pack.num_nodes
+            assert set(pack.frontier_items.tolist()) <= set(companion.frontier_items.tolist())
+            a = model.forward(collate([pack]))
+            b = model.forward(collate([companion, pack]))
+            assert bits(a.session_vec.value[0]) == bits(b.session_vec.value[1])
+            assert bits(a.fused.value) == bits(b.fused.value[b.fused.shape[0] - pack.num_nodes:])
+            assert bits(a.logits.value) == bits(model.predict(ad.constant(b.session_vec.value[1:])).value)
 
     def test_repeated_items_get_distinct_positions(self):
         # one node serves two positions; betas differ through the position table
         model = make_model(2, embedding_dim=4, k_hops=0, seed=16)
         out = model.forward(single_batch((1, 2, 1), 2, None, 0))
-        beta = out.step_weights.value[0]
+        beta = out.step_weights.value  # one example: its positions in order
         assert not np.isclose(beta[0], beta[2])
-        assert np.array_equal(out.seq_vectors.value[0, 0], out.seq_vectors.value[0, 2])
+        assert np.array_equal(out.seq_vectors.value[0], out.seq_vectors.value[2])
 
     def test_gradcheck_self_attention_and_none_modes(self):
         for mode in ("self_attention", "none"):
