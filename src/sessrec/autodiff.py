@@ -14,10 +14,14 @@ the session vectors with the item table, which one pass over cache-sized
 blocks of rows turns in place into the loss and, when a gradient will be
 taken, into the gradient of the logits.  That (B, m) array is all the tape
 keeps, and the backward is two BLAS products with it.
-Every scatter-add of a backward pass (`gather`, `batched_gather` and the
-two neighbour ops) goes through `_scatter_add`: one `np.bincount`
-over the rows that occur sums each row's terms in the order they occur,
-which in float64 equals `np.add.at` bit for bit.  The global layer's
+Every scatter-add of a backward pass sums each row's terms in float64 in
+the order they occur, which equals `np.add.at` in float64 bit for bit, in
+one of two ways.  An index fixed for the batch, wrapped in a `RowIndex`,
+scatters through a pass plan built on its first backward and shared by the
+ops given it: the global layer's neighbour tables (both neighbour ops), the
+session-feature gather and the session layer's edge table.  A gather from
+the item table, whose rows repeat as often as items do, goes through
+`_scatter_add`'s one `np.bincount` instead.  The global layer's
 neighbour attention is two ops on its real rows (2-D, no batch axis),
 `neighbor_scores` and `neighbor_mix`, which give the same bits as the
 generic chains they replace: the tape keeps one (R, W, d + 1) array where
@@ -450,6 +454,9 @@ def _scatter_add(out, rows, vals):
     float64 in the order they occur, and the sums are added into `out`.  So
     in float64, into a zero-filled `out`, the result equals
     `np.add.at(out, rows, vals)` bit for bit, with no buffer the size of `out`.
+    A `RowIndex` sums the same bits through its pass plan; this path serves
+    the gathers from the item table, whose Zipf-repeated rows would need a
+    pass per repeat.
     """
     rows = rows.ravel()
     if not rows.size:
@@ -462,23 +469,104 @@ def _scatter_add(out, rows, vals):
     return out
 
 
+def _pass_plan(idx):
+    """The scatter plan of the int index `idx`: (order, rows, ends), the flat
+    slots in pass order, the rows that occur in sum order and the end of
+    each pass in `order` (see `RowIndex`)."""
+    flat = idx.ravel().astype(np.intp, copy=False)
+    n = flat.size
+    counts = np.bincount(flat)
+    rows = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+    rank = np.empty(len(counts), dtype=np.intp)
+    rank[rows] = np.arange(len(rows))
+    slots = np.arange(n)
+    by_row = np.argsort(flat, kind="stable")  # slots grouped by row, in flat order
+    k = np.empty(n, dtype=np.intp)  # each slot's occurrence number in its row
+    k[by_row] = slots - (np.cumsum(counts) - counts)[flat[by_row]]
+    sizes = np.bincount(k)  # slots per pass, falling
+    ends = np.cumsum(sizes)
+    order = np.empty(n, dtype=np.intp)
+    order[(ends - sizes)[k] + rank[flat]] = slots
+    return order, rows, ends
+
+
+class RowIndex:
+    """An int index of rows, of any shape, with the plan its gradient
+    scatters through, built (`_pass_plan`) on the first backward that
+    scatters it; the ops given one `RowIndex` share its plan.
+
+    The plan lays the index's slots out pass-major: pass k holds each row's
+    k-th occurrence, and the rows that occur are ordered by falling count
+    (ties by row), so pass k adds into a prefix of the sums.  The sums start
+    from 0.0 in float64 and take each row's terms in the order they occur,
+    the bits of `_scatter_add`.  Once a single row is left, its remaining
+    passes are one `np.add.accumulate`, which adds strictly in order: the
+    masked slots of a neighbour table all index one row.
+    """
+
+    __slots__ = ("idx", "_plan")
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx)
+        self._plan = None
+
+    def plan(self):
+        if self._plan is None:
+            self._plan = _pass_plan(self.idx)
+        return self._plan
+
+    def add_sums(self, out, terms, zeroed=False):
+        """out[row] += the sum of its slots' terms, for every row that occurs:
+        `terms(slots)` gives the terms (len(slots), d) of an array of flat
+        slots, called once per pass.  A sum is never -0.0, so into a
+        `zeroed` (zero-filled) `out` the sums are written instead.  Returns
+        `out`."""
+        order, rows, ends = self.plan()
+        if not len(rows):
+            return out
+        sums = np.add(terms(order[:ends[0]]), 0.0, dtype=np.float64)  # pass 0, added to 0.0
+        lo = ends[0]
+        for hi in ends[1:]:
+            if hi - lo == 1:  # one row left: add its last passes in order
+                sums[0] = np.add.accumulate(np.concatenate([sums[:1], terms(order[lo:])]), axis=0)[-1]
+                break
+            sums[:hi - lo] += terms(order[lo:hi])
+            lo = hi
+        if zeroed:
+            out[rows] = sums
+        else:
+            out[rows] += sums
+        return out
+
+    def scatter_add(self, out, vals, zeroed=False):
+        """out[idx[i]] += vals[i] for every i, as `_scatter_add`."""
+        vals = vals.reshape(-1, out.shape[1])
+        return self.add_sums(out, lambda slots: np.take(vals, slots, axis=0), zeroed)
+
+
 def _rows_grad(table, rows, g):
     """Gradient of the row lookup table[rows] (table 2-D): added straight into
-    the gradient of a leaf `table`, which gets no flow (None), or returned."""
-    if table._backward is None:
-        _scatter_add(table.grad_buffer(), rows, g)
-        return None
-    return _scatter_add(np.zeros_like(table.value), rows, g)
+    the gradient of a leaf `table`, which gets no flow (None), or returned.
+    `rows` is an int array or a `RowIndex`."""
+    leaf = table._backward is None
+    out = table.grad_buffer() if leaf else np.zeros_like(table.value)
+    if isinstance(rows, RowIndex):
+        rows.scatter_add(out, g, zeroed=not leaf)
+    else:
+        _scatter_add(out, rows, g)
+    return None if leaf else out
 
 
 def gather(table, idx):
-    """Row lookup: table (R, d), idx int array of any shape -> idx.shape + (d,)."""
+    """Row lookup: table (R, d), idx int array of any shape -> idx.shape + (d,).
+    Given a `RowIndex`, the backward scatters through its plan."""
     table = _as_tensor(table)
-    idx = np.asarray(idx)
+    idx = idx if isinstance(idx, RowIndex) else np.asarray(idx)
+    rows = idx.idx if isinstance(idx, RowIndex) else idx
     if table.ndim != 2:
         raise ShapeError(f"gather: table must be 2-D, got {table.shape}")
-    _check_rows("gather", idx, table.shape[0])
-    out = table.value[idx]
+    _check_rows("gather", rows, table.shape[0])
+    out = table.value[rows]
 
     def backward(g):
         return (_rows_grad(table, idx, g),)
@@ -510,8 +598,8 @@ _NBR_BLOCK = 1 << 15
 
 def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     """Neighbour attention scores vec . LeakyReLU(z[idx] + wt * w1b), summed
-    over the last axis: z (R, D), idx (R', ...) int array of rows of z,
-    wt (idx.shape), w1b and vec (D,) -> idx.shape.
+    over the last axis: z (R, D), idx (R', ...) rows of z, an int array or a
+    `RowIndex`, wt (idx.shape), w1b and vec (D,) -> idx.shape.
 
     The forward makes the numpy calls of the chain gather, mul, add,
     leaky_relu, mul, reduce_sum in its order, one block of leading-axis rows
@@ -520,11 +608,15 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     whatever the block.  When a gradient will be taken the tape keeps one
     idx.shape + (D,) array, the activation, whose sign is the LeakyReLU mask,
     where the chain kept five; otherwise no array of that size exists.
+    The backward forms the activation's gradient a block at a time, as
+    g vec times the LeakyReLU factor looked up from [1, slope] by the
+    block's mask, and scatters it into z's rows through the index's plan.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
     z, w1b, vec = _as_tensor(z), _as_tensor(w1b), _as_tensor(vec)
-    idx = np.asarray(idx)
+    index = idx if isinstance(idx, RowIndex) else RowIndex(idx)
+    idx = index.idx
     wt = np.asarray(wt, dtype=z.dtype)
     D = z.shape[1] if z.ndim == 2 else None
     if D is None or w1b.shape != (D,) or vec.shape != (D,) or wt.shape != idx.shape:
@@ -535,18 +627,21 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     act = np.empty(idx.shape + (D,), dtype=z.dtype) if keep else None
     out = np.empty(idx.shape, dtype=np.result_type(z.dtype, vec.dtype))
     step = max(1, _NBR_BLOCK // max(1, idx[:1].size * D))
-    for r0 in range(0, len(idx), step):
-        r = slice(r0, r0 + step)
+    blocks = [slice(r0, r0 + step) for r0 in range(0, len(idx), step)]
+    for r in blocks:
         a = np.take(z.value, idx[r], axis=0, out=act[r] if keep else None, mode="clip")  # z[idx[r]]
         a += wt[r, ..., None] * w1b.value
         np.maximum(a, slope * a, out=a)
         out[r] = (a * vec.value).sum(axis=-1)
 
     def backward(g):
-        gact = g[..., None] * vec.value
-        # the LeakyReLU mask: max(x, slope x) is negative where x is (bar an x whose slope x underflows)
-        np.multiply(gact, slope, out=gact, where=act < 0)
-        gz = _rows_grad(z, idx, gact) if z.requires_grad else None
+        gact = np.empty(act.shape, dtype=np.result_type(g, vec.value))
+        factor = np.array([1, slope], dtype=gact.dtype)
+        for r in blocks:
+            ga = np.multiply(g[r, ..., None], vec.value, out=gact[r])
+            # the LeakyReLU mask: max(x, slope x) is negative where x is (bar an x whose slope x underflows)
+            ga *= np.take(factor, act[r] < 0)
+        gz = _rows_grad(z, index, gact) if z.requires_grad else None
         gw1b = wt.reshape(-1) @ gact.reshape(-1, D) if w1b.requires_grad else None
         gvec = g.reshape(-1) @ act.reshape(-1, D) if vec.requires_grad else None
         return gz, gw1b, gvec
@@ -556,7 +651,8 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
 
 def neighbor_mix(alpha, h, idx):
     """sum_w alpha[r, w] * h[idx[r, w]] accumulated over w in order:
-    alpha (R, W), h (R_in, d), idx (R, W) rows of h -> (R, d).
+    alpha (R, W), h (R_in, d), idx (R, W) rows of h, an int array or a
+    `RowIndex` -> (R, d).
 
     Equals the chain that multiplies each slot's column of `alpha` into
     gather(h, idx[:, w]) and adds the products in slot order, bit for bit,
@@ -564,10 +660,13 @@ def neighbor_mix(alpha, h, idx):
     works one block of rows (`_NBR_BLOCK` elements) at a time: one gather of
     the block's neighbour rows, one product with `alpha`, then the W adds in
     slot order into the block's output rows.  The backward gathers each
-    block's rows again for one einsum against the output gradient.
+    block's rows again for one einsum against the output gradient, and
+    forms h's gradient terms in the pass order of the index's plan, each
+    slot's output gradient row times its `alpha` entry, to sum them per row.
     """
     alpha, h = _as_tensor(alpha), _as_tensor(h)
-    idx = np.asarray(idx)
+    index = idx if isinstance(idx, RowIndex) else RowIndex(idx)
+    idx = index.idx
     if h.ndim != 2 or idx.ndim != 2 or alpha.shape != idx.shape:
         raise ShapeError(f"neighbor_mix: alpha {alpha.shape}, h {h.shape}, idx {idx.shape}")
     _check_rows("neighbor_mix", idx, h.shape[0])
@@ -596,7 +695,13 @@ def neighbor_mix(alpha, h, idx):
                 t = np.take(hv, idx[r], axis=0, out=buf[:r.stop - r.start], mode="clip")
                 galpha[r] = np.einsum("rwd,rd->rw", t, g[r])
         if h.requires_grad:
-            gh = _scatter_add(np.zeros_like(hv), idx, av[..., None] * g[:, None, :])
+            dt = np.result_type(av, g)
+
+            def terms(slots):  # each slot's output gradient row times its alpha entry
+                t = np.take(g, slots // W, axis=0)
+                return np.multiply(np.take(av, slots)[:, None], t, out=t if t.dtype == dt else None)
+
+            gh = index.add_sums(np.zeros_like(hv), terms, zeroed=True)
         return galpha, gh
 
     return _make(out, (alpha, h), backward, "neighbor_mix")

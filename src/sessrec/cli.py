@@ -194,11 +194,12 @@ def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
     result = train_model(examples, meta["num_items"], meta["max_prefix_len"], graph,
                          cfg.model, cfg.train, log=log)
     ckpt_path = out / "model.ckpt"
+    result.model.vocab_sha256 = file_sha256(corpus_dir / "vocab.tsv")
     save_checkpoint(ckpt_path, result.model)
     (out / "train_log.txt").write_text("\n".join(log_lines) + "\n")
     _echo_config(out, cfg)
     write_manifest(out, "train", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json",
+                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", corpus_dir / "vocab.tsv",
                     work_dir / "graphs" / "global_graph.tsv"],
                    [ckpt_path])
     print(f"train: best epoch {result.best_epoch} (val MRR@20 {result.best_val_mrr20:.4f}) -> {ckpt_path}")
@@ -227,6 +228,12 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
         raise StageError(f"checkpoint {ckpt_path} has positions for sessions of up to {model.max_len} "
                          f"items but a test prefix has {longest}; evaluate it against the corpus it "
                          f"was trained on")
+    if model.vocab_sha256 is None:
+        raise StageError(f"checkpoint {ckpt_path} records no corpus vocabulary digest; "
+                         f"rerun `sessrec train` to make one that does")
+    if model.vocab_sha256 != file_sha256(corpus_dir / "vocab.tsv"):
+        raise StageError(f"checkpoint {ckpt_path} was trained on another corpus than "
+                         f"{corpus_dir / 'vocab.tsv'}; evaluate it against the corpus it was trained on")
     report = evaluate_model(model, examples, graph, batch_size=cfg.train.batch_size,
                             label="test", fingerprint=cfg.fingerprint())
     rows = [{"label": "test", "report": report}]
@@ -235,7 +242,8 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
     (out / "eval.jsonl").write_text(rows_to_jsonl(rows))
     _echo_config(out, cfg)
     write_manifest(out, "evaluate", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", work_dir / "graphs" / "global_graph.tsv", ckpt_path],
+                   [corpus_dir / "examples.tsv", corpus_dir / "vocab.tsv", work_dir / "graphs" / "global_graph.tsv",
+                    ckpt_path],
                    [out / "eval.txt", out / "eval.jsonl"])
     print(rows_to_jsonl(rows) if fmt == "jsonl" else table)
     return 0

@@ -102,6 +102,9 @@ class NextItemModel:
 
     `max_len` bounds the session prefix length the position table supports.
     Parameters are initialised from Gaussian(0, 0.1) with the given seed.
+    `vocab_sha256`, the digest of the corpus vocabulary whose items the
+    model scores, is None until the training stage sets it; its checkpoint
+    records it.
     """
 
     def __init__(self, num_items: int, max_len: int, config: ModelConfig, seed: int = 1):
@@ -109,6 +112,7 @@ class NextItemModel:
         self.max_len = max_len
         self.config = config
         self.seed = seed
+        self.vocab_sha256 = None
         self.params = ad.ParameterStore()
         self._init_params(np.random.default_rng(np.random.SeedSequence([seed, 0x5EED])))
 
@@ -166,9 +170,11 @@ class NextItemModel:
         projections (s * h_j) W1a^T plus w_ij W1b, with W1 = [W1a | W1b];
         `ad.neighbor_scores` computes it in one tape op, and `ad.neighbor_mix`
         sums the attention-weighted neighbor vectors without a gathered
-        (R, W, d) copy.  `session_feat` (B, d) is the mean of the session's
-        initial item embeddings; one gather per hop hands each row its
-        example's, and it stays fixed across hops.
+        (R, W, d) copy.  Both ops take the hop's neighbor table as one
+        `ad.RowIndex`, so their backwards scatter through one plan.
+        `session_feat` (B, d) is the mean of the session's initial item
+        embeddings; one gather per hop hands each row its example's, and it
+        stays fixed across hops.
 
         Returns the session rows' final vectors (T_0, d) and, per hop t,
         the neighbor attention (T_{K-t}, W) of the rows within K - t hops,
@@ -184,10 +190,10 @@ class NextItemModel:
             proj = self.params[f"global_att_proj{suffix}"]
             vec = self.params[f"global_att_vec{suffix}"]
             agg = self.params[f"global_agg{suffix}"]
-            s = ad.gather(session_feat, rows.example[:rows_in])                  # (T_in, d)
+            s = ad.gather(session_feat, ad.RowIndex(rows.example[:rows_in]))     # (T_in, d)
             z = ad.matmul(ad.mul(h, s), ad.narrow(proj, 1, 0, d), transpose_b=True)  # (T_in, d+1)
             w1b = ad.reshape(ad.narrow(proj, 1, d, 1), (d + 1,))
-            nbr_idx = rows.nbr_idx[:n]
+            nbr_idx = ad.RowIndex(rows.nbr_idx[:n])
             scores = ad.neighbor_scores(z, nbr_idx, rows.nbr_wt[:n], w1b, vec, LEAKY_SLOPE)
             alpha = ad.masked_softmax(scores, rows.nbr_mask[:n], axis=-1)     # (T_out, W)
             h_nbr = ad.neighbor_mix(alpha, h, nbr_idx)                        # zero rows when isolated
@@ -220,11 +226,12 @@ class NextItemModel:
         weights += [self.params[f"session_rel_{rel}"] for rel in ("in", "out", "inout", "self")]
         rel_table = ad.reshape(ad.concat(weights), (5, d))         # row = relation code
         rel_vecs = ad.gather(rel_table, rows.sess_rel)             # (T_0, W_s, d)
-        h_nbr = ad.gather(h_rows, rows.sess_idx)                   # (T_0, W_s, d)
+        sess_idx = ad.RowIndex(rows.sess_idx)                      # one plan for both scatters
+        h_nbr = ad.gather(h_rows, sess_idx)                        # (T_0, W_s, d)
         prod = ad.mul(ad.reshape(h_rows, (T, 1, d)), h_nbr)
         scores = ad.leaky_relu(ad.reduce_sum(ad.mul(prod, rel_vecs), axis=-1), LEAKY_SLOPE)
         alpha = ad.masked_softmax(scores, rows.sess_rel > 0, axis=-1)  # rows sum to 1 per node
-        return ad.neighbor_mix(alpha, h_rows, rows.sess_idx), alpha  # (T_0, d), (T_0, W_s)
+        return ad.neighbor_mix(alpha, h_rows, sess_idx), alpha  # (T_0, d), (T_0, W_s)
 
     def fuse(self, h_global, h_session, train_mode=False, rng=None):
         """Combine the two levels' (T_0, d) node rows into final item vectors."""
@@ -424,6 +431,7 @@ def save_checkpoint(path, model: NextItemModel):
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(model.config),
         "num_items": model.num_items,
+        "vocab_sha256": model.vocab_sha256,
         "max_len": model.max_len,
         "seed": model.seed,
         "params": entries,
@@ -456,6 +464,7 @@ def load_checkpoint(path) -> NextItemModel:
         raise ValueError(f"{path}: unsupported model settings in the checkpoint: "
                          + ", ".join(f"{k}={config[k]!r}" for k in unsupported))
     model = NextItemModel(header["num_items"], header["max_len"], ModelConfig(**config), seed=header["seed"])
+    model.vocab_sha256 = header.get("vocab_sha256")  # None in a header saved without it
     entries = header["params"]
     try:
         model.params.match_names([ent["name"] for ent in entries])

@@ -580,6 +580,146 @@ class TestSequentialSumsMatchTheSlotLoops:
         assert bits(alpha.grad) == bits(_loop_mix_galpha(g, hv, idx))
 
 
+def _add_at_reference(rows, terms, n, dtype):
+    """Each row's terms summed by `np.add.at` into float64 zeros, in the order
+    they occur, then cast to `dtype`."""
+    out = np.zeros((n, terms.shape[-1]))
+    np.add.at(out, rows.ravel(), terms.reshape(-1, terms.shape[-1]).astype(np.float64))
+    return out.astype(dtype)
+
+
+def _scatter_case(kind, rng, R_in=30, W=5):
+    """(R, W) row indices into R_in rows.  `masked`: about a third of the
+    slots are masked and index row 0, as `SessionBatch.rows` sets them;
+    `hot`: one row is hit 45 times besides; `empty_rows` and `empty_slots`:
+    R = 0 and W = 0."""
+    if kind == "empty_rows":
+        return np.zeros((0, W), dtype=np.int64)
+    if kind == "empty_slots":
+        return np.zeros((12, 0), dtype=np.int64)
+    idx = rng.integers(0, R_in, size=(24, W))
+    idx[rng.random(idx.shape) < 0.35] = 0
+    if kind == "hot":
+        idx.ravel()[rng.choice(idx.size, 45, replace=False)] = 7
+    return idx
+
+
+class TestScatterPlan:
+    """The global layer's neighbour ops and the session-feature gather
+    scatter their gradients through a `RowIndex` pass plan; the sums must be
+    `np.add.at`'s into zeros, bit for bit, taken in float64."""
+
+    KINDS = ["masked", "hot", "empty_rows", "empty_slots"]
+
+    @pytest.mark.parametrize("leaf", [True, False])
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_neighbor_scores_z_gradient(self, monkeypatch, kind, dtype, block, leaf):
+        rng = np.random.default_rng(self.KINDS.index(kind) * 100 + (block or 0))
+        if block is not None:
+            monkeypatch.setattr(ad, "_NBR_BLOCK", block)
+        idx = _scatter_case(kind, rng)
+        D, R_in = 6, 30
+        zv = _signed_zeros(rng, (R_in, D), dtype)
+        wt = rng.integers(0, 4, size=idx.shape).astype(dtype)
+        w1b, vec = (ad.Tensor(rng.normal(size=D).astype(dtype), requires_grad=True) for _ in range(2))
+        z0 = ad.Tensor(zv, requires_grad=True)
+        z = z0 if leaf else ad.reshape(z0, zv.shape)
+        out = ad.neighbor_scores(z, ad.RowIndex(idx), wt, w1b, vec, 0.2)
+        g = _signed_zeros(rng, out.shape, dtype)
+        pre = zv[idx] + wt[..., None] * w1b.value
+        gact = g[..., None] * vec.value
+        gact[np.maximum(pre, dtype(0.2) * pre) < 0] *= dtype(0.2)
+        assert bits(self._rows_gradient(out, g, z0, leaf, 0)) == bits(_add_at_reference(idx, gact, R_in, dtype))
+
+    @staticmethod
+    def _rows_gradient(out, g, x0, leaf, parent):
+        """The gradient of sum(out * g) that the op adds into the leaf `x0`,
+        or, when its operand `parent` is not a leaf, the one it hands on (a
+        leaf's sum would turn -0.0 into 0.0)."""
+        if leaf:
+            ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+            return x0.grad
+        return out._backward(g)[parent]
+
+    @pytest.mark.parametrize("leaf", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_neighbor_mix_h_gradient(self, kind, dtype, leaf):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        idx = _scatter_case(kind, rng)
+        hv = _signed_zeros(rng, (30, 8), dtype)
+        av = _signed_zeros(rng, idx.shape, dtype)
+        h0 = ad.Tensor(hv, requires_grad=True)
+        h = h0 if leaf else ad.reshape(h0, hv.shape)
+        out = ad.neighbor_mix(ad.Tensor(av, requires_grad=True), h, ad.RowIndex(idx))
+        g = _signed_zeros(rng, out.shape, dtype)
+        expect = _add_at_reference(idx, av[..., None] * g[:, None, :], 30, dtype)
+        assert bits(self._rows_gradient(out, g, h0, leaf, 1)) == bits(expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_through_a_plan_equals_scatter_add(self, dtype):
+        # the session-feature gather: rows sorted by example, many per example
+        rng = np.random.default_rng(21)
+        example = np.sort(rng.integers(0, 6, size=80))
+        example[:50] = 2  # one example with 50 rows or more
+        for leaf in (True, False):
+            grads = []
+            for idx in (example, ad.RowIndex(example)):
+                s0 = ad.Tensor(_signed_zeros(np.random.default_rng(3), (6, 5), dtype), requires_grad=True)
+                s0.grad = np.full(s0.shape, -0.0, dtype=dtype) if leaf else None  # a leaf adds into its grad
+                s = s0 if leaf else ad.reshape(s0, s0.shape)
+                out = ad.gather(s, idx)
+                g = _signed_zeros(np.random.default_rng(4), out.shape, dtype)
+                ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+                grads.append(s0.grad)
+            assert bits(grads[0]) == bits(grads[1])
+
+    def test_a_plan_is_built_once_and_only_by_a_backward(self, monkeypatch):
+        built = []
+        plan = ad._pass_plan
+        monkeypatch.setattr(ad, "_pass_plan", lambda idx: built.append(idx) or plan(idx))
+        vals, idx, wt, mask = _neighbor_case(31, 12, 10, 4, 6, np.float64, 0)
+        z, w1b, vec, h = (t(vals[k]) for k in ("z", "w1b", "vec", "h"))
+
+        def forward(index):
+            scores = ad.neighbor_scores(z, index, wt, w1b, vec, 0.2)
+            return ad.neighbor_mix(ad.masked_softmax(scores, mask), h, index)
+
+        index = ad.RowIndex(idx)
+        with ad.no_grad():
+            forward(index)
+        mixed = forward(index)
+        assert not built  # a forward, with a tape or without, plans nothing
+        ad.backward(ad.sum_all(ad.tanh(mixed)))
+        assert len(built) == 1  # both ops' backward share the one plan
+        ad.backward(ad.sum_all(ad.tanh(mixed)))
+        assert len(built) == 1
+
+    def test_model_plans_once_per_index_in_training_and_never_in_evaluation(self, monkeypatch):
+        from sessrec import evaluation, model
+        from sessrec.corpus import Example
+
+        built = []
+        plan = ad._pass_plan
+        monkeypatch.setattr(ad, "_pass_plan", lambda idx: built.append(idx) or plan(idx))
+        cfg = model.ModelConfig(embedding_dim=8, k_hops=2, dropout_global=0.0)
+        batch, num_items = model.toy_batch(cfg)
+        mdl = model.NextItemModel(num_items, max_len=4, config=cfg, seed=3)
+        graph = model.build_global_graph(*model.csr(model.TOY_SESSIONS), 3, 12, num_items=num_items)
+        examples = [Example(tuple(s[:k]), s[k], "test") for s in model.TOY_SESSIONS for k in range(1, len(s))]
+        evaluation.evaluate_model(mdl, examples, graph, batch_size=4)
+        assert not built
+        out = mdl.forward(batch, train_mode=True, rng=np.random.default_rng(0))
+        loss = mdl.loss(out.session_vec, batch.labels)
+        assert not built
+        ad.backward(loss)
+        # per hop: the neighbour table (both neighbour ops) and the session-feature
+        # gather; the session layer's edge table (its gather and neighbor_mix)
+        assert len(built) == 2 * cfg.k_hops + 1
+
+
 def _logsumexp(v):
     top = v.max()
     return top + np.log(np.exp(v - top).sum())

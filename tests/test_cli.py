@@ -178,6 +178,33 @@ class TestPipeline:
         assert str(wd / "corpus" / "examples.tsv") in err and "rerun `sessrec train`" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_evaluate_refuses_an_explicit_checkpoint_trained_on_another_corpus(self, pipeline_cfg, capsys):
+        # passed as --checkpoint, the train manifest is not read: the checkpoint's
+        # own record of the vocabulary catches the rebuilt corpus
+        cfg, events, wd = pipeline_cfg
+        for cmd in (["preprocess", "--events", str(events)], ["build-graph"], ["train"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        ckpt = wd.parent / "kept.ckpt"
+        shutil.copy(wd / "checkpoints" / "model.ckpt", ckpt)
+        argv = ["evaluate", "--config", str(cfg), "--work-dir", str(wd), "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        meta = json.loads((wd / "corpus" / "meta.json").read_text())
+        other = events.with_name("other.csv")
+        other.write_text(reversed_sessions(events.read_text()))
+        for cmd in (["preprocess", "--events", str(other)], ["build-graph"]):
+            assert main(cmd + ["--config", str(cfg), "--work-dir", str(wd)]) == 0
+        assert json.loads((wd / "corpus" / "meta.json").read_text())["num_items"] == meta["num_items"]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(ckpt) in err and "another corpus" in err and len(err.strip().splitlines()) == 1
+
+    def test_evaluate_refuses_a_checkpoint_that_records_no_corpus(self, pipeline_cfg, capsys):
+        rc, err = self._evaluate_saved(pipeline_cfg, capsys)
+        assert rc == 2
+        assert "records no corpus" in err and len(err.strip().splitlines()) == 1
+
     def test_train_refuses_a_graph_built_from_another_corpus(self, pipeline_cfg, capsys):
         cfg, events, wd = pipeline_cfg
         for cmd in (["preprocess", "--events", str(events)], ["build-graph"]):
@@ -235,8 +262,10 @@ class TestPipeline:
         shutil.move(wd, moved)
         for stage, inputs in (("corpus", [str(events.resolve())]),
                               ("graphs", ["corpus/meta.json", "corpus/sessions.tsv"]),
-                              ("checkpoints", ["corpus/examples.tsv", "corpus/meta.json", "graphs/global_graph.tsv"]),
-                              ("reports", ["checkpoints/model.ckpt", "corpus/examples.tsv", "graphs/global_graph.tsv"])):
+                              ("checkpoints", ["corpus/examples.tsv", "corpus/meta.json", "corpus/vocab.tsv",
+                                               "graphs/global_graph.tsv"]),
+                              ("reports", ["checkpoints/model.ckpt", "corpus/examples.tsv", "corpus/vocab.tsv",
+                                           "graphs/global_graph.tsv"])):
             manifest = json.loads((moved / stage / "manifest.json").read_text())
             assert sorted(manifest["inputs"]) == inputs, stage
             assert all(name.startswith(stage + "/") for name in manifest["outputs"]), stage
