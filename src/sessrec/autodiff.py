@@ -14,22 +14,21 @@ the session vectors with the item table, which one pass over cache-sized
 blocks of rows turns in place into the loss and, when a gradient will be
 taken, into the gradient of the logits.  That (B, m) array is all the tape
 keeps, and the backward is two BLAS products with it.
-Every scatter-add of a backward pass sums each row's terms in float64 in
-the order they occur, which equals `np.add.at` in float64 bit for bit, in
-one of two ways.  An index fixed for the batch, wrapped in a `RowIndex`,
-scatters through a pass plan built on its first backward and shared by the
-ops given it: the global layer's neighbour tables (both neighbour ops), the
-session-feature gather and the session layer's edge table.  A gather from
-the item table, whose rows repeat as often as items do, goes through
-`_scatter_add`'s one `np.bincount` instead.  The global layer's
-neighbour attention is two ops on its real rows (2-D, no batch axis),
-`neighbor_scores` and `neighbor_mix`, which give the same bits as the
-generic chains they replace: the tape keeps one (R, W, d + 1) array where
-the chains kept five and an (R, W, d) copy, and `neighbor_scores` runs its
-forward a cache-sized block of rows at a time, keeping that array only when
-a gradient will be taken.  The session layer scores its neighbours from one
-gathered (T_0, W_s, d) copy over its edge table and sums them with
-`neighbor_mix` too.  `weighted_sum` sums a batch's position rows per example.
+Every scatter-add of a backward pass goes through a `RowIndex`: a pass
+plan of the index, built on its first backward and shared by the ops given
+the same `RowIndex` (both neighbour ops of a hop, and the session layer's
+gather and `neighbor_mix` over its edge table).  It sums each row's terms
+in float64 in the order they occur, which equals `np.add.at` in float64
+bit for bit.
+The global layer's neighbour attention is two ops on its real rows (2-D,
+no batch axis), `neighbor_scores` and `neighbor_mix`, which give the same
+bits as the generic chains they replace: the tape keeps one (R, W, d + 1)
+array where the chains kept five and an (R, W, d) copy, and
+`neighbor_scores` runs its forward a cache-sized block of rows at a time,
+keeping that array only when a gradient will be taken.  The session layer
+scores its neighbours from one gathered (T_0, W_s, d) copy over its edge
+table and sums them with `neighbor_mix` too.  `weighted_sum` sums a
+batch's position rows per example.
 
 Two numerical ground rules shape the op set:
 
@@ -445,48 +444,25 @@ def _check_rows(op, idx, n):
         raise IndexError(f"{op}: index out of range for {n} rows")
 
 
-def _scatter_add(out, rows, vals):
-    """out[rows[i]] += vals[i] for every i; returns `out` (R, d).
-
-    `rows` is an int array of any shape and `vals` is rows.shape + (d,).  The
-    rows that occur are found with `np.unique`, one `np.bincount` over the
-    keys (rank of the row) * d + column sums every (row, column)'s terms in
-    float64 in the order they occur, and the sums are added into `out`.  So
-    in float64, into a zero-filled `out`, the result equals
-    `np.add.at(out, rows, vals)` bit for bit, with no buffer the size of `out`.
-    A `RowIndex` sums the same bits through its pass plan; this path serves
-    the gathers from the item table, whose Zipf-repeated rows would need a
-    pass per repeat.
-    """
-    rows = rows.ravel()
-    if not rows.size:
-        return out
-    d = out.shape[1]
-    used, inv = np.unique(rows, return_inverse=True)
-    keys = (inv.reshape(-1, 1) * d + np.arange(d)).ravel()
-    sums = np.bincount(keys, weights=vals.reshape(-1), minlength=used.size * d)
-    out[used] += sums.reshape(used.size, d)
-    return out
-
-
 def _pass_plan(idx):
     """The scatter plan of the int index `idx`: (order, rows, ends), the flat
     slots in pass order, the rows that occur in sum order and the end of
-    each pass in `order` (see `RowIndex`)."""
+    each pass in `order` (see `RowIndex`).  Sorting the slots, not the
+    table's rows, keeps the cost independent of the table's size."""
     flat = idx.ravel().astype(np.intp, copy=False)
     n = flat.size
-    counts = np.bincount(flat)
-    rows = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
-    rank = np.empty(len(counts), dtype=np.intp)
-    rank[rows] = np.arange(len(rows))
-    slots = np.arange(n)
     by_row = np.argsort(flat, kind="stable")  # slots grouped by row, in flat order
-    k = np.empty(n, dtype=np.intp)  # each slot's occurrence number in its row
-    k[by_row] = slots - (np.cumsum(counts) - counts)[flat[by_row]]
+    first = np.flatnonzero(np.diff(flat[by_row], prepend=-1))  # each row's first place in by_row
+    counts = np.diff(first, append=n)
+    by_count = np.argsort(-counts, kind="stable")
+    rows = flat[by_row[first[by_count]]]
+    rank = np.empty_like(by_count)
+    rank[by_count] = np.arange(len(by_count))
+    k = np.arange(n) - np.repeat(first, counts)  # each slot's occurrence number in its row
     sizes = np.bincount(k)  # slots per pass, falling
     ends = np.cumsum(sizes)
     order = np.empty(n, dtype=np.intp)
-    order[(ends - sizes)[k] + rank[flat]] = slots
+    order[(ends - sizes)[k] + np.repeat(rank, counts)] = by_row
     return order, rows, ends
 
 
@@ -499,9 +475,10 @@ class RowIndex:
     k-th occurrence, and the rows that occur are ordered by falling count
     (ties by row), so pass k adds into a prefix of the sums.  The sums start
     from 0.0 in float64 and take each row's terms in the order they occur,
-    the bits of `_scatter_add`.  Once a single row is left, its remaining
-    passes are one `np.add.accumulate`, which adds strictly in order: the
-    masked slots of a neighbour table all index one row.
+    the bits of `np.add.at` in float64 into zeros.  Once a single row is
+    left, its remaining passes are one `np.add.accumulate`, which adds
+    strictly in order: the masked slots of a neighbour table all index one
+    row.
     """
 
     __slots__ = ("idx", "_plan")
@@ -515,12 +492,10 @@ class RowIndex:
             self._plan = _pass_plan(self.idx)
         return self._plan
 
-    def add_sums(self, out, terms, zeroed=False):
+    def add_sums(self, out, terms):
         """out[row] += the sum of its slots' terms, for every row that occurs:
         `terms(slots)` gives the terms (len(slots), d) of an array of flat
-        slots, called once per pass.  A sum is never -0.0, so into a
-        `zeroed` (zero-filled) `out` the sums are written instead.  Returns
-        `out`."""
+        slots, called once per pass.  Returns `out`."""
         order, rows, ends = self.plan()
         if not len(rows):
             return out
@@ -532,44 +507,37 @@ class RowIndex:
                 break
             sums[:hi - lo] += terms(order[lo:hi])
             lo = hi
-        if zeroed:
-            out[rows] = sums
-        else:
-            out[rows] += sums
+        out[rows] += sums  # into zeros this writes the sums: a sum from 0.0 is never -0.0
         return out
 
-    def scatter_add(self, out, vals, zeroed=False):
-        """out[idx[i]] += vals[i] for every i, as `_scatter_add`."""
+    def scatter_add(self, out, vals):
+        """out[idx[i]] += vals[i] for every i: out (R, d), vals idx.shape + (d,)."""
         vals = vals.reshape(-1, out.shape[1])
-        return self.add_sums(out, lambda slots: np.take(vals, slots, axis=0), zeroed)
+        return self.add_sums(out, lambda slots: np.take(vals, slots, axis=0))
 
 
-def _rows_grad(table, rows, g):
-    """Gradient of the row lookup table[rows] (table 2-D): added straight into
-    the gradient of a leaf `table`, which gets no flow (None), or returned.
-    `rows` is an int array or a `RowIndex`."""
+def _rows_grad(table, index, g):
+    """Gradient of the row lookup table[index.idx] (table 2-D), scattered
+    through the `RowIndex`'s plan: added straight into the gradient of a
+    leaf `table`, which gets no flow (None), or returned."""
     leaf = table._backward is None
-    out = table.grad_buffer() if leaf else np.zeros_like(table.value)
-    if isinstance(rows, RowIndex):
-        rows.scatter_add(out, g, zeroed=not leaf)
-    else:
-        _scatter_add(out, rows, g)
+    out = index.scatter_add(table.grad_buffer() if leaf else np.zeros_like(table.value), g)
     return None if leaf else out
 
 
 def gather(table, idx):
-    """Row lookup: table (R, d), idx int array of any shape -> idx.shape + (d,).
-    Given a `RowIndex`, the backward scatters through its plan."""
+    """Row lookup: table (R, d), idx an int array of any shape or a
+    `RowIndex` -> idx.shape + (d,).  The backward scatters through the
+    index's plan."""
     table = _as_tensor(table)
-    idx = idx if isinstance(idx, RowIndex) else np.asarray(idx)
-    rows = idx.idx if isinstance(idx, RowIndex) else idx
+    index = idx if isinstance(idx, RowIndex) else RowIndex(idx)
     if table.ndim != 2:
         raise ShapeError(f"gather: table must be 2-D, got {table.shape}")
-    _check_rows("gather", rows, table.shape[0])
-    out = table.value[rows]
+    _check_rows("gather", index.idx, table.shape[0])
+    out = table.value[index.idx]
 
     def backward(g):
-        return (_rows_grad(table, idx, g),)
+        return (_rows_grad(table, index, g),)
 
     return _make(out, (table,), backward, "gather")
 
@@ -586,7 +554,8 @@ def batched_gather(x, idx):
     out = x.value.reshape(B * R, d)[rows].reshape(idx.shape + (d,))
 
     def backward(g):
-        return (_scatter_add(np.zeros((B * R, d), dtype=x.value.dtype), rows, g).reshape(B, R, d),)
+        gx = RowIndex(rows).scatter_add(np.zeros((B * R, d), dtype=x.value.dtype), g)
+        return (gx.reshape(B, R, d),)
 
     return _make(out, (x,), backward, "batched_gather")
 
@@ -701,7 +670,7 @@ def neighbor_mix(alpha, h, idx):
                 t = np.take(g, slots // W, axis=0)
                 return np.multiply(np.take(av, slots)[:, None], t, out=t if t.dtype == dt else None)
 
-            gh = index.add_sums(np.zeros_like(hv), terms, zeroed=True)
+            gh = index.add_sums(np.zeros_like(hv), terms)
         return galpha, gh
 
     return _make(out, (alpha, h), backward, "neighbor_mix")

@@ -454,11 +454,12 @@ class TestNeighborOps:
         expect = np.zeros((6, 5))
         np.add.at(expect, rows.ravel(), vals.reshape(-1, 5))
         out = np.zeros((6, 5))
-        assert ad._scatter_add(out, rows, vals) is out
+        assert ad.RowIndex(rows).scatter_add(out, vals) is out
         assert bits(out) == bits(expect)
         # into a filled array, each row's terms are summed first, then added
         start = rng.normal(size=(6, 5))
-        np.testing.assert_allclose(ad._scatter_add(start.copy(), rows, vals), start + expect, rtol=1e-15)
+        got = ad.RowIndex(rows).scatter_add(start.copy(), vals)
+        np.testing.assert_allclose(got, start + expect, rtol=1e-15)
 
     def test_leaf_gather_and_narrow_write_the_leaf_gradient_once(self):
         # both add into the leaf's one gradient array; nothing flows on
@@ -658,23 +659,25 @@ class TestScatterPlan:
         expect = _add_at_reference(idx, av[..., None] * g[:, None, :], 30, dtype)
         assert bits(self._rows_gradient(out, g, h0, leaf, 1)) == bits(expect)
 
+    @pytest.mark.parametrize("leaf", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_gather_through_a_plan_equals_scatter_add(self, dtype):
-        # the session-feature gather: rows sorted by example, many per example
+    @pytest.mark.parametrize("kind", ["example", "zipf"])
+    def test_gather_row_gradient(self, kind, dtype, leaf):
+        # the session-feature gather (rows sorted by example, one example with
+        # 50 rows) and an item-table gather (Zipf repeats, most rows unused)
         rng = np.random.default_rng(21)
-        example = np.sort(rng.integers(0, 6, size=80))
-        example[:50] = 2  # one example with 50 rows or more
-        for leaf in (True, False):
-            grads = []
-            for idx in (example, ad.RowIndex(example)):
-                s0 = ad.Tensor(_signed_zeros(np.random.default_rng(3), (6, 5), dtype), requires_grad=True)
-                s0.grad = np.full(s0.shape, -0.0, dtype=dtype) if leaf else None  # a leaf adds into its grad
-                s = s0 if leaf else ad.reshape(s0, s0.shape)
-                out = ad.gather(s, idx)
-                g = _signed_zeros(np.random.default_rng(4), out.shape, dtype)
-                ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
-                grads.append(s0.grad)
-            assert bits(grads[0]) == bits(grads[1])
+        if kind == "example":
+            idx, n = np.sort(rng.integers(0, 6, size=80)), 6
+            idx[:50] = 2
+        else:
+            idx, n = np.minimum(rng.zipf(1.5, size=(40, 5)), 300) - 1, 300
+            assert np.bincount(idx.ravel()).max() >= 40
+        for index in (idx, ad.RowIndex(idx)):
+            s0 = ad.Tensor(_signed_zeros(rng, (n, 5), dtype), requires_grad=True)
+            s = s0 if leaf else ad.reshape(s0, s0.shape)
+            out = ad.gather(s, index)
+            g = _signed_zeros(rng, out.shape, dtype)
+            assert bits(self._rows_gradient(out, g, s0, leaf, 0)) == bits(_add_at_reference(idx, g, n, dtype))
 
     def test_a_plan_is_built_once_and_only_by_a_backward(self, monkeypatch):
         built = []
@@ -715,9 +718,16 @@ class TestScatterPlan:
         loss = mdl.loss(out.session_vec, batch.labels)
         assert not built
         ad.backward(loss)
-        # per hop: the neighbour table (both neighbour ops) and the session-feature
-        # gather; the session layer's edge table (its gather and neighbor_mix)
-        assert len(built) == 2 * cfg.k_hops + 1
+
+        def plans_of(table):
+            return sum(np.shares_memory(idx, table) for idx in built)
+
+        rows = batch.rows
+        # one per hop's neighbour table, shared by both neighbour ops, and one
+        # for the session layer's edge table, shared by its gather and neighbor_mix
+        assert plans_of(rows.nbr_idx) == cfg.k_hops
+        assert plans_of(rows.example) == cfg.k_hops  # the session-feature gathers
+        assert plans_of(rows.sess_idx) == 1
 
 
 def _logsumexp(v):
