@@ -5,7 +5,8 @@ computed value, references to its parent tensors, and a closure that maps the
 output gradient to parent gradients.  `backward()` walks the graph once in
 reverse topological order and accumulates gradients additively, so fan-out
 works without any bookkeeping by the caller; only leaves keep a `grad`.
-`narrow`, `gather` and `score_loss` applied to a leaf write their gradient
+`narrow`, `score_loss` and the row lookups (`gather`, `neighbor_scores`'
+`z` and `neighbor_mix`'s `h`) applied to a leaf write their gradient
 straight into the leaf's `grad`, allocated once, instead of passing a
 leaf-sized array on.
 
@@ -19,16 +20,18 @@ plan of the index, built on its first backward and shared by the ops given
 the same `RowIndex` (both neighbour ops of a hop, and the session layer's
 gather and `neighbor_mix` over its edge table).  It sums each row's terms
 in float64 in the order they occur, which equals `np.add.at` in float64
-bit for bit.
+bit for bit, and a gradient new to its array is written once, not added.
 The global layer's neighbour attention is two ops on its real rows (2-D,
-no batch axis), `neighbor_scores` and `neighbor_mix`, which give the same
-bits as the generic chains they replace: the tape keeps one (R, W, d + 1)
-array where the chains kept five and an (R, W, d) copy, and
-`neighbor_scores` runs its forward a cache-sized block of rows at a time,
-keeping that array only when a gradient will be taken.  The session layer
-scores its neighbours from one gathered (T_0, W_s, d) copy over its edge
-table and sums them with `neighbor_mix` too.  `weighted_sum` sums a
-batch's position rows per example.
+no batch axis), `neighbor_scores` and `neighbor_mix`, whose forwards give
+the same bits as the generic chains they replace.  `neighbor_scores` runs
+its forward a cache-sized block of rows at a time, and when a gradient
+will be taken the tape keeps one (R, W, d + 1) bool array, the LeakyReLU
+mask, where the chains kept five float arrays and an (R, W, d) copy; its
+backward forms all three gradients from one scatter of the upstream
+gradient times the mask's factor, so no (R, W, d + 1) float array exists
+in either pass.  The session layer scores its neighbours from one gathered
+(T_0, W_s, d) copy over its edge table and sums them with `neighbor_mix`
+too.  `weighted_sum` sums a batch's position rows per example.
 
 Two numerical ground rules shape the op set:
 
@@ -492,13 +495,14 @@ class RowIndex:
             self._plan = _pass_plan(self.idx)
         return self._plan
 
-    def add_sums(self, out, terms):
-        """out[row] += the sum of its slots' terms, for every row that occurs:
-        `terms(slots)` gives the terms (len(slots), d) of an array of flat
-        slots, called once per pass.  Returns `out`."""
+    def sums(self, terms):
+        """(rows, sums): the rows that occur, in the plan's order, and the
+        float64 sum (len(rows), d) of each one's slots' terms.  `terms(slots)`
+        gives the terms (len(slots), d) of an array of flat slots, and is
+        called once per pass (once with no slots when no row occurs)."""
         order, rows, ends = self.plan()
         if not len(rows):
-            return out
+            return rows, np.add(terms(order), 0.0, dtype=np.float64)
         sums = np.add(terms(order[:ends[0]]), 0.0, dtype=np.float64)  # pass 0, added to 0.0
         lo = ends[0]
         for hi in ends[1:]:
@@ -507,22 +511,40 @@ class RowIndex:
                 break
             sums[:hi - lo] += terms(order[lo:hi])
             lo = hi
-        out[rows] += sums  # into zeros this writes the sums: a sum from 0.0 is never -0.0
-        return out
+        return rows, sums
 
     def scatter_add(self, out, vals):
-        """out[idx[i]] += vals[i] for every i: out (R, d), vals idx.shape + (d,)."""
-        vals = vals.reshape(-1, out.shape[1])
-        return self.add_sums(out, lambda slots: np.take(vals, slots, axis=0))
+        """out[idx[i]] += vals[i] for every i: out (R, d), vals idx.shape + (d,).
+        Each row's terms are summed first (`sums`), then added."""
+        rows, sums = self.sums(_slot_terms(vals, out.shape[1]))
+        out[rows] += sums
+        return out
 
 
-def _rows_grad(table, index, g):
-    """Gradient of the row lookup table[index.idx] (table 2-D), scattered
-    through the `RowIndex`'s plan: added straight into the gradient of a
-    leaf `table`, which gets no flow (None), or returned."""
+def _slot_terms(vals, d):
+    """`RowIndex.sums`' terms for values laid out like the index: the rows
+    of `vals`, as (-1, d), at the slots."""
+    vals = vals.reshape(-1, d)
+    return lambda slots: np.take(vals, slots, axis=0)
+
+
+def _rows_grad(table, rows, sums):
+    """Hand a row lookup's gradient, the float64 `sums` of `rows` of the 2-D
+    `table` (`RowIndex.sums`), on: added into the gradient of a leaf that
+    has one, or written once into a new zero array, a leaf's first gradient
+    or the one returned for a non-leaf.  A leaf gets no flow (None).  Into
+    zeros, writing gives the bits adding would (a sum from 0.0 is never
+    -0.0), without a fancy-index temporary."""
     leaf = table._backward is None
-    out = index.scatter_add(table.grad_buffer() if leaf else np.zeros_like(table.value), g)
-    return None if leaf else out
+    if leaf and table.grad is not None:
+        table.grad[rows] += sums
+        return None
+    out = np.zeros_like(table.value)
+    out[rows] = sums
+    if leaf:
+        table.grad = out
+        return None
+    return out
 
 
 def gather(table, idx):
@@ -537,7 +559,7 @@ def gather(table, idx):
     out = table.value[index.idx]
 
     def backward(g):
-        return (_rows_grad(table, index, g),)
+        return (_rows_grad(table, *index.sums(_slot_terms(g, table.shape[1]))),)
 
     return _make(out, (table,), backward, "gather")
 
@@ -575,11 +597,16 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     (`_NBR_BLOCK` elements) at a time; every call is elementwise or sums
     each element's own D terms, so the scores equal the chain's bit for bit
     whatever the block.  When a gradient will be taken the tape keeps one
-    idx.shape + (D,) array, the activation, whose sign is the LeakyReLU mask,
-    where the chain kept five; otherwise no array of that size exists.
-    The backward forms the activation's gradient a block at a time, as
-    g vec times the LeakyReLU factor looked up from [1, slope] by the
-    block's mask, and scatters it into z's rows through the index's plan.
+    idx.shape + (D,) bool array, the LeakyReLU mask (activation < 0, one
+    byte an element), where the chain kept five float arrays; otherwise no
+    array of that size exists.
+
+    Slot s of row j(s) has activation f_s (z_j(s) + wt_s w1b), f_s the
+    factor 1 or `slope` its mask picks, so every gradient comes from one
+    scatter through the index's plan: the terms u_s = g_s f_s, formed a
+    pass at a time, summed per row in float64 (U_j) and, weighted by wt_s,
+    into V.  Then z's gradient is vec U_j, w1b's vec V and vec's
+    sum_j z_j U_j + w1b V; no idx.shape + (D,) float array is formed.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -593,26 +620,40 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
                          f"w1b {w1b.shape}, vec {vec.shape}")
     _check_rows("neighbor_scores", idx, z.shape[0])
     keep = _GRAD_ENABLED and (z.requires_grad or w1b.requires_grad or vec.requires_grad)
-    act = np.empty(idx.shape + (D,), dtype=z.dtype) if keep else None
+    mask = np.empty(idx.shape + (D,), dtype=bool) if keep else None
     out = np.empty(idx.shape, dtype=np.result_type(z.dtype, vec.dtype))
     step = max(1, _NBR_BLOCK // max(1, idx[:1].size * D))
-    blocks = [slice(r0, r0 + step) for r0 in range(0, len(idx), step)]
-    for r in blocks:
-        a = np.take(z.value, idx[r], axis=0, out=act[r] if keep else None, mode="clip")  # z[idx[r]]
+    buf = np.empty((min(step, len(idx)),) + idx.shape[1:] + (D,), dtype=z.dtype)  # one block's activation
+    for r0 in range(0, len(idx), step):
+        r = slice(r0, r0 + step)
+        a = np.take(z.value, idx[r], axis=0, out=buf[:len(out[r])], mode="clip")  # z[idx[r]]
         a += wt[r, ..., None] * w1b.value
         np.maximum(a, slope * a, out=a)
+        if keep:
+            # max(x, slope x) is negative where x is (bar an x whose slope x underflows)
+            np.less(a, 0, out=mask[r])
         out[r] = (a * vec.value).sum(axis=-1)
 
     def backward(g):
-        gact = np.empty(act.shape, dtype=np.result_type(g, vec.value))
-        factor = np.array([1, slope], dtype=gact.dtype)
-        for r in blocks:
-            ga = np.multiply(g[r, ..., None], vec.value, out=gact[r])
-            # the LeakyReLU mask: max(x, slope x) is negative where x is (bar an x whose slope x underflows)
-            ga *= np.take(factor, act[r] < 0)
-        gz = _rows_grad(z, index, gact) if z.requires_grad else None
-        gw1b = wt.reshape(-1) @ gact.reshape(-1, D) if w1b.requires_grad else None
-        gvec = g.reshape(-1) @ act.reshape(-1, D) if vec.requires_grad else None
+        g, wt_flat = g.reshape(-1), wt.reshape(-1)
+        factor = np.array([1, slope], dtype=g.dtype)
+        masked = mask.reshape(-1, D).view(np.uint8)  # indexes `factor`
+        V = np.zeros(D)
+
+        def terms(slots):  # u_s = g_s f_s, adding sum_s wt_s u_s into V
+            u = np.take(factor, np.take(masked, slots, axis=0))
+            u *= np.take(g, slots)[:, None]
+            np.add(V, np.take(wt_flat, slots) @ u, out=V)
+            return u
+
+        rows, U = index.sums(terms)
+        gvec = gw1b = gz = None
+        if vec.requires_grad:
+            gvec = (np.einsum("jd,jd->d", z.value[rows], U) + w1b.value * V).astype(vec.dtype, copy=False)
+        if w1b.requires_grad:
+            gw1b = (vec.value * V).astype(w1b.dtype, copy=False)
+        if z.requires_grad:
+            gz = _rows_grad(z, rows, np.multiply(U, vec.value, out=U))
         return gz, gw1b, gvec
 
     return _make(out, (z, w1b, vec), backward, "neighbor_scores")
@@ -670,7 +711,7 @@ def neighbor_mix(alpha, h, idx):
                 t = np.take(g, slots // W, axis=0)
                 return np.multiply(np.take(av, slots)[:, None], t, out=t if t.dtype == dt else None)
 
-            gh = index.add_sums(np.zeros_like(hv), terms)
+            gh = _rows_grad(h, *index.sums(terms))
         return galpha, gh
 
     return _make(out, (alpha, h), backward, "neighbor_mix")
@@ -1021,10 +1062,11 @@ def backward(root, seed=None):
     Intermediate tensors pass their gradients on without storing them.
     A leaf's `grad` is allocated once, zero-filled, and every contribution
     is added into it: the sum of the gradients passed to the leaf, and the
-    writes of `narrow`, `gather` and `score_loss` ops on the leaf, which
-    return no gradient to pass (`score_loss` writes, rather than adds, a
-    `grad` it allocates).  Gradients meeting at one tensor are summed in the
-    order the reverse topological walk reaches their ops.
+    writes of `narrow`, `score_loss` and row-lookup ops on the leaf, which
+    return no gradient to pass (`score_loss` and the row lookups write,
+    rather than add, a `grad` they allocate).  Gradients meeting at one
+    tensor are summed in the order the reverse topological walk reaches
+    their ops.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")

@@ -242,8 +242,8 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
     (out / "eval.jsonl").write_text(rows_to_jsonl(rows))
     _echo_config(out, cfg)
     write_manifest(out, "evaluate", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", corpus_dir / "vocab.tsv", work_dir / "graphs" / "global_graph.tsv",
-                    ckpt_path],
+                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", corpus_dir / "vocab.tsv",
+                    work_dir / "graphs" / "global_graph.tsv", ckpt_path],
                    [out / "eval.txt", out / "eval.jsonl"])
     print(rows_to_jsonl(rows) if fmt == "jsonl" else table)
     return 0
@@ -279,7 +279,7 @@ def cmd_ablate(cfg: RunConfig, work_dir: Path, grid_name: str, fmt: str) -> int:
     (out / f"ablation_{grid_name}.jsonl").write_text(rows_to_jsonl(rows))
     _echo_config(out, cfg)
     write_manifest(out, "ablate", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", work_dir / "graphs" / "global_graph.tsv"],
+                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", work_dir / "graphs" / "global_graph.tsv"],
                    [out / f"ablation_{grid_name}.txt", out / f"ablation_{grid_name}.jsonl"])
     print(rows_to_jsonl(rows) if fmt == "jsonl" else table)
     return 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -390,6 +392,32 @@ class TestNeighborOps:
         for new, old in zip(*grads):
             np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-15)
 
+    def test_scores_keep_a_mask_and_their_backward_forms_no_slot_array(self):
+        # a k_hops=2 step's first hop: 1,293 rows x 12 slots and D = 101; into
+        # 300 rows, so that the per-row sums are small beside a slot array
+        rng = np.random.default_rng(41)
+        R, W, D, R_in = 1293, 12, 101, 300
+        idx = rng.integers(0, R_in, size=(R, W))
+        wt = rng.integers(1, 5, size=(R, W)).astype(np.float64)
+        z = ad.reshape(t(rng.normal(size=(R_in, D))), (R_in, D))  # not a leaf: its gradient is returned
+        w1b, vec = t(rng.normal(size=D)), t(rng.normal(size=D))
+        g = rng.normal(size=(R, W))
+        slot_array = R * W * D * 8  # bytes of a float64 (R, W, D) array
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = ad.neighbor_scores(z, idx, wt, w1b, vec, 0.2)
+            kept = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            grads = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert [x.shape for x in grads] == [(R_in, D), (D,), (D,)]
+        assert kept < slot_array / 4  # the tape's mask takes an eighth of it
+        assert peak < slot_array / 2
+
     @pytest.mark.parametrize("wrt", ["z", "w1b", "vec"])
     def test_gradcheck_neighbor_scores(self, wrt):
         vals, idx, wt, mask = _neighbor_case(5, 8, 6, 3, 5, np.float64, 0)
@@ -630,9 +658,13 @@ class TestScatterPlan:
         out = ad.neighbor_scores(z, ad.RowIndex(idx), wt, w1b, vec, 0.2)
         g = _signed_zeros(rng, out.shape, dtype)
         pre = zv[idx] + wt[..., None] * w1b.value
-        gact = g[..., None] * vec.value
-        gact[np.maximum(pre, dtype(0.2) * pre) < 0] *= dtype(0.2)
-        assert bits(self._rows_gradient(out, g, z0, leaf, 0)) == bits(_add_at_reference(idx, gact, R_in, dtype))
+        u = np.repeat(g[..., None], D, axis=-1)  # g f: the LeakyReLU factor, 1 or slope, times g
+        u[np.maximum(pre, dtype(0.2) * pre) < 0] *= dtype(0.2)
+        sums = np.zeros((R_in, D))
+        np.add.at(sums, idx.ravel(), u.reshape(-1, D).astype(np.float64))
+        hit = np.isin(np.arange(R_in), idx)  # a row no slot reads keeps its +0.0
+        expect = np.where(hit[:, None], vec.value * sums, 0.0).astype(dtype)
+        assert bits(self._rows_gradient(out, g, z0, leaf, 0)) == bits(expect)
 
     @staticmethod
     def _rows_gradient(out, g, x0, leaf, parent):

@@ -264,12 +264,19 @@ class TestPipeline:
                               ("graphs", ["corpus/meta.json", "corpus/sessions.tsv"]),
                               ("checkpoints", ["corpus/examples.tsv", "corpus/meta.json", "corpus/vocab.tsv",
                                                "graphs/global_graph.tsv"]),
-                              ("reports", ["checkpoints/model.ckpt", "corpus/examples.tsv", "corpus/vocab.tsv",
-                                           "graphs/global_graph.tsv"])):
+                              ("reports", ["checkpoints/model.ckpt", "corpus/examples.tsv", "corpus/meta.json",
+                                           "corpus/vocab.tsv", "graphs/global_graph.tsv"])):
             manifest = json.loads((moved / stage / "manifest.json").read_text())
             assert sorted(manifest["inputs"]) == inputs, stage
             assert all(name.startswith(stage + "/") for name in manifest["outputs"]), stage
         assert main(["evaluate", "--config", str(cfg), "--work-dir", str(moved)]) == 0
+        # ablate writes the reports manifest in turn
+        assert main(["ablate", "--config", str(cfg), "--work-dir", moved.name, "--grid", "global",
+                     "--epochs", "1"]) == 0
+        manifest = json.loads((moved / "reports" / "manifest.json").read_text())
+        assert manifest["stage"] == "ablate"
+        assert sorted(manifest["inputs"]) == ["corpus/examples.tsv", "corpus/meta.json", "graphs/global_graph.tsv"]
+        assert all(name.startswith("reports/") for name in manifest["outputs"])
 
     def test_flag_overrides_config(self, pipeline_cfg):
         cfg, events, wd = pipeline_cfg
