@@ -33,7 +33,7 @@ in either pass.  The session layer scores its neighbours from one gathered
 (T_0, W_s, d) copy over its edge table and sums them with `neighbor_mix`
 too.  `weighted_sum` sums a batch's position rows per example.
 
-Two numerical ground rules shape the op set:
+Three ground rules shape the op set:
 
 * A batch's rows are real rows, with one padded axis left: the W slots of
   the neighbour and edge tables, as wide as the batch's largest degree.  A
@@ -62,9 +62,23 @@ Two numerical ground rules shape the op set:
   (`row_stable=False`, and `score_loss` likewise): its logits can differ in
   the last bits between batch sizes, but blocking its (B, d) x (d, m)
   product takes twice as long as plain BLAS at B=100.
+* Work is split between threads by shape only, so bits never depend on the
+  number of CPUs.  Above a fixed size, the work over the item table runs
+  as two halves side by side (`_side_by_side`): the scoring product
+  (`_plain_product`) in two column halves, `score_loss`'s row pass in two
+  halves of its row blocks and its backward's two products, and the
+  optimizer's sweeps (`train.Adam`, `train.couple_l2`) in two row halves.
+  Each half writes its own part of the output with the arithmetic the
+  whole would use, and where the process may use one CPU only the same
+  halves run in turn, so the bits are those of the unsplit work.  BLAS
+  threading is left as it is, and BLAS products are split only where the
+  environment pins OpenBLAS to one thread (`_ONE_BLAS_THREAD`).
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -235,6 +249,70 @@ def constant(x, dtype=None):
     return Tensor(arr, requires_grad=False, op="const")
 
 
+# -- two threads ---------------------------------------------------------------
+
+# Multiply-adds below which a product, and `score_loss`'s row pass and
+# backward with it, stays whole on the caller: a gradient check's d=8 ops
+# never wait on a thread.
+_SPLIT_WORK = 1 << 20
+_WORKER = None  # the one worker thread's executor, made on first use
+
+
+def _one_blas_thread():
+    """Whether the environment pins OpenBLAS to one thread.  OpenBLAS takes
+    its thread count, when it loads, from the first of these variables that
+    is set, and every CPU when none is."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value:
+            return value == "1"
+    return False
+
+
+# BLAS products are split and run side by side only on a one-thread BLAS:
+# two threaded BLAS calls at once contend for the same cores (the scoring
+# backward's pair took 68-86 ms against 36 ms in turn with two OpenBLAS
+# threads), and a threaded BLAS may round a product's halves unlike the whole.
+_ONE_BLAS_THREAD = _one_blas_thread()
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _side_by_side(first, second):
+    """(first(), second()): `first` on the worker thread while the caller
+    runs `second` when the process may use two or more CPUs, both in turn on
+    the caller otherwise.  The two must write disjoint arrays.  The worker
+    is always waited for, also when `second` raises, so it never writes
+    into arrays its caller has given up; then `second`'s exception, or else
+    `first`'s, is raised."""
+    global _WORKER
+    if _cpus() < 2:
+        return first(), second()
+    if _WORKER is None:
+        _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sessrec-worker")
+    future = _WORKER.submit(first)
+    try:
+        done = second()
+    finally:
+        wait((future,))
+    return future.result(), done
+
+
+def _forget_worker():
+    global _WORKER
+    _WORKER = None
+
+
+# a forked child has no worker thread, only the executor that had one
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _make(value, parents, backward, op):
     if not _GRAD_ENABLED or not any(p.requires_grad for p in parents):
         return Tensor(value, op=op, requires_grad=False)
@@ -355,6 +433,33 @@ def _row_stable_product(av, bv):
     return out
 
 
+# A plain product is split at a multiple of this many columns, and only when
+# each half has at least `_SPLIT_MIN_COLUMNS`.  With one OpenBLAS 0.3.31
+# thread (x86-64), such halves gave the whole product's bits at every shape
+# tried: rows 1-100, inner sizes 1-128 and 2,048 to 40,835 columns, in both
+# dtypes.  Narrower halves did not always: split at 128, the last 4 of 300
+# columns (100 x 100 x 300) came out different, and so did a 2 x 100 x 1,000
+# product split at 448.
+_SPLIT_COLUMNS = 64
+_SPLIT_MIN_COLUMNS = 1024
+
+
+def _plain_product(av, bv):
+    """av @ bv on plain BLAS: the scoring head's product, shared by
+    `score_loss` and `predict` (`matmul(row_stable=False)`) so that both see
+    the same logits.  From `_SPLIT_WORK` multiply-adds on, on a one-thread
+    BLAS, it runs as two products over column halves of `bv` (see
+    `_SPLIT_COLUMNS`), side by side, which give the whole product's bits."""
+    M, (K, N) = av.shape[0], bv.shape
+    cut = N // 2 // _SPLIT_COLUMNS * _SPLIT_COLUMNS
+    if not _ONE_BLAS_THREAD or cut < _SPLIT_MIN_COLUMNS or M * K * N < _SPLIT_WORK:
+        return av @ bv
+    out = np.empty((M, N), dtype=np.result_type(av, bv))
+    _side_by_side(lambda: np.matmul(av, bv[:, :cut], out=out[:, :cut]),
+                  lambda: np.matmul(av, bv[:, cut:], out=out[:, cut:]))
+    return out
+
+
 def matmul(a, b, transpose_b=False, row_stable=True):
     """2-D matrix product a @ b (or a @ b.T).
 
@@ -362,8 +467,8 @@ def matmul(a, b, transpose_b=False, row_stable=True):
     count of `a`, so an example's rows do not depend on its batch:
     fixed-shape BLAS blocks where the shape passed its probe, einsum where
     it did not.  Plain BLAS
-    (`row_stable=False`) is for products whose rows may differ in the last
-    bits between row counts.
+    (`row_stable=False`, `_plain_product`) is for products whose rows may
+    differ in the last bits between row counts.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -373,7 +478,7 @@ def matmul(a, b, transpose_b=False, row_stable=True):
     if inner_a != inner_b:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape} (transpose_b={transpose_b})")
     bv = b.value.T if transpose_b else b.value
-    out = _row_stable_product(a.value, bv) if row_stable else a.value @ bv
+    out = _row_stable_product(a.value, bv) if row_stable else _plain_product(a.value, bv)
 
     def backward(g):
         if transpose_b:
@@ -448,10 +553,15 @@ def _check_rows(op, idx, n):
 
 
 def _pass_plan(idx):
-    """The scatter plan of the int index `idx`: (order, rows, ends), the flat
-    slots in pass order, the rows that occur in sum order and the end of
-    each pass in `order` (see `RowIndex`).  Sorting the slots, not the
-    table's rows, keeps the cost independent of the table's size."""
+    """The scatter plan of the int index `idx`: (order, rows, ends, by_row),
+    the flat slots in pass order, the rows that occur in sum order and the
+    end of each pass in `order` (see `RowIndex`).  When fewer rows occur
+    than there are passes of two or more rows, `by_row` is (slots, starts,
+    stops): the slots
+    grouped by row, each row's in flat order, and where the slots of each
+    of `rows` start and stop in it; otherwise it is None.  Sorting the
+    slots, not the table's rows, keeps the cost independent of the table's
+    size."""
     flat = idx.ravel().astype(np.intp, copy=False)
     n = flat.size
     by_row = np.argsort(flat, kind="stable")  # slots grouped by row, in flat order
@@ -466,7 +576,18 @@ def _pass_plan(idx):
     ends = np.cumsum(sizes)
     order = np.empty(n, dtype=np.intp)
     order[(ends - sizes)[k] + np.repeat(rank, counts)] = by_row
-    return order, rows, ends
+    starts = first[by_count]
+    few = len(rows) < np.count_nonzero(sizes > 1)  # fewer rows than passes before one row is left
+    return order, rows, ends, (by_row, starts, starts + counts[by_count]) if few else None
+
+
+def _sum_in_order(terms):
+    """The float64 sum, from 0.0, of the rows of `terms` (k, d) added in
+    order.  A reduction along the outer axis adds whole rows in order; one
+    column alone would be summed pairwise, so it accumulates instead."""
+    if terms.shape[1] != 1:
+        return np.add.reduce(terms, axis=0, dtype=np.float64, initial=0.0)
+    return np.add.accumulate(np.concatenate([np.zeros((1, 1)), terms]), axis=0, dtype=np.float64)[-1]
 
 
 class RowIndex:
@@ -481,7 +602,12 @@ class RowIndex:
     the bits of `np.add.at` in float64 into zeros.  Once a single row is
     left, its remaining passes are one `np.add.accumulate`, which adds
     strictly in order: the masked slots of a neighbour table all index one
-    row.
+    row.  A small table whose rows repeat more often than there are rows
+    (the session layer's relation table, the position table) is summed one
+    row at a time instead, each row's slots in order, from the plan's
+    by-row layout: 5 sums in place of about 1,300 passes.  The masked slots
+    alone do not make a table small: the passes are counted up to the
+    single row's tail.
     """
 
     __slots__ = ("idx", "_plan")
@@ -495,12 +621,18 @@ class RowIndex:
             self._plan = _pass_plan(self.idx)
         return self._plan
 
-    def sums(self, terms):
+    def sums(self, terms, by_pass=False):
         """(rows, sums): the rows that occur, in the plan's order, and the
         float64 sum (len(rows), d) of each one's slots' terms.  `terms(slots)`
         gives the terms (len(slots), d) of an array of flat slots, and is
-        called once per pass (once with no slots when no row occurs)."""
-        order, rows, ends = self.plan()
+        called once per pass (once with no slots when no row occurs), or once
+        per row where the plan lays the slots out by row, unless `by_pass`
+        asks for the passes (for terms that also add into a sum of their own
+        in pass order)."""
+        order, rows, ends, by_row = self.plan()
+        if by_row is not None and not by_pass:
+            slots, starts, stops = by_row
+            return rows, np.stack([_sum_in_order(terms(slots[lo:hi])) for lo, hi in zip(starts, stops)])
         if not len(rows):
             return rows, np.add(terms(order), 0.0, dtype=np.float64)
         sums = np.add(terms(order[:ends[0]]), 0.0, dtype=np.float64)  # pass 0, added to 0.0
@@ -646,7 +778,7 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
             np.add(V, np.take(wt_flat, slots) @ u, out=V)
             return u
 
-        rows, U = index.sums(terms)
+        rows, U = index.sums(terms, by_pass=True)  # V's bits follow the passes
         gvec = gw1b = gz = None
         if vec.requires_grad:
             gvec = (np.einsum("jd,jd->d", z.value[rows], U) + w1b.value * V).astype(vec.dtype, copy=False)
@@ -931,15 +1063,20 @@ def score_loss(s, table, labels, mode):
     the excluded sum, so a saturated softmax (1 - p_j* rounding to 0) keeps a
     finite loss and gradient.
 
-    The forward is one BLAS product, then one pass over blocks of whole rows
-    (`_HEAD_BLOCK` logits each) that does every per-row step while the block
-    is in cache: the max, the exponentials, the excluded sum, the loss and,
-    when a gradient will be taken, the logit gradient for an upstream
-    gradient of 1, written over the logits.  The tape keeps that one (B, m)
-    array, and the backward is two products that apply the upstream gradient
-    g to the (B, d) operands: (G @ table[1:]) g for `s` and G^T (g s) for the
-    table rows.  Every row sum runs over a whole row, so the losses do not
-    depend on the block size.
+    The forward is one BLAS product (`_plain_product`, which `predict`
+    shares), then one pass over blocks of whole rows (`_HEAD_BLOCK` logits
+    each) that does every per-row step while the block is in cache: the max,
+    the exponentials, the excluded sum, the loss and, when a gradient will be
+    taken, the logit gradient for an upstream gradient of 1, written over
+    the logits.  The tape keeps that one (B, m) array, and the backward is
+    two products that apply the upstream gradient g to the (B, d) operands:
+    (G @ table[1:]) g for `s` and G^T (g s) for the table rows.  Every row
+    sum runs over a whole row, so the losses do not depend on the block size.
+    From `_SPLIT_WORK` multiply-adds on, the row pass runs in two halves of
+    its blocks and, on a one-thread BLAS, the product in two column halves
+    and the backward's two products at once, each pair side by side
+    (`_side_by_side`); every half does the arithmetic of the unsplit op, so
+    the bits are the same.
     """
     s, table = _as_tensor(s), _as_tensor(table)
     labels = np.asarray(labels)
@@ -952,68 +1089,88 @@ def score_loss(s, table, labels, mode):
     B, m = sv.shape[0], cand.shape[0]
     rows = np.arange(B)
     keep = _GRAD_ENABLED and (s.requires_grad or table.requires_grad)
-    e = sv @ cand.T                               # the logits z, made e, then G, in place
+    split = B * m * sv.shape[1] >= _SPLIT_WORK
+    e = _plain_product(sv, cand.T)                # the logits z, made e, then G, in place
     out = e[rows, labels]                         # z_y; each row block makes its entries losses
     step = _HEAD_BLOCK // m or 1
-    for r0 in range(0, B, step):
-        r = slice(r0, r0 + step)
-        eb, y = e[r], labels[r]
-        i = rows[:eb.shape[0]]
-        t = eb.argmax(axis=1)
-        mx = eb[i, t]
-        zy = out[r] - mx                          # z_y - z_j*
-        eb -= mx[:, None]
-        np.exp(eb, out=eb)
-        eb[i, t] = 0.0
-        excl = eb.sum(axis=1)                     # sum_{k != j*} e^(z_k - z_j*)
-        total = 1.0 + excl                        # S
-        log_s = np.log1p(excl)
-        out[r] = log_s - zy                       # -log p_y
-        if mode == "categorical":
-            if keep:                              # p - onehot
-                eb[i, t] = 1.0
-                eb /= total[:, None]
-                eb[i, y] -= 1.0
-            continue
-        o = t != y                                # rows whose top logit is a miss
-        p = eb / total[:, None]                   # p_j* is 0 while e_j* is
-        if keep:
-            a = 1.0 - p
-            a[i, t] = 1.0
-            np.divide(p, a, out=a)                # p_j / (1 - p_j)
-            a[i, y] = -1.0
-            a[i, t] = 0.0
-            rest = a.sum(axis=1)                  # sum of a over j != j*
-            a_top = np.full_like(excl, -1.0)      # a_j*: the label's -1, or 1 / excluded sum
-            np.divide(1.0, excl, out=a_top, where=o)
-            np.multiply(p, (a_top + rest)[:, None], out=eb)
-            np.subtract(a, eb, out=eb)            # a - p sum(a)
-            # a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the label;
-            # forming a_j* - p_j* sum(a) instead would cancel
-            eb[i, t] = np.where(o, 1.0, -excl) / total - (1.0 / total) * rest
-        np.negative(p, out=p)
-        np.log1p(p, out=p)                        # log(1 - p_j); 0 at j* for now
-        p[i[o], t[o]] = np.log(excl[o]) - log_s[o]
-        p[i, y] = 0.0
-        out[r] -= p.sum(axis=1)
+
+    def row_blocks(starts):
+        for r0 in starts:
+            r = slice(r0, r0 + step)
+            eb, y = e[r], labels[r]
+            i = rows[:eb.shape[0]]
+            t = eb.argmax(axis=1)
+            mx = eb[i, t]
+            zy = out[r] - mx                      # z_y - z_j*
+            eb -= mx[:, None]
+            np.exp(eb, out=eb)
+            eb[i, t] = 0.0
+            excl = eb.sum(axis=1)                 # sum_{k != j*} e^(z_k - z_j*)
+            total = 1.0 + excl                    # S
+            log_s = np.log1p(excl)
+            out[r] = log_s - zy                   # -log p_y
+            if mode == "categorical":
+                if keep:                          # p - onehot
+                    eb[i, t] = 1.0
+                    eb /= total[:, None]
+                    eb[i, y] -= 1.0
+                continue
+            o = t != y                            # rows whose top logit is a miss
+            p = eb / total[:, None]               # p_j* is 0 while e_j* is
+            if keep:
+                a = 1.0 - p
+                a[i, t] = 1.0
+                np.divide(p, a, out=a)            # p_j / (1 - p_j)
+                a[i, y] = -1.0
+                a[i, t] = 0.0
+                rest = a.sum(axis=1)              # sum of a over j != j*
+                a_top = np.full_like(excl, -1.0)  # a_j*: the label's -1, or 1 / excluded sum
+                np.divide(1.0, excl, out=a_top, where=o)
+                np.multiply(p, (a_top + rest)[:, None], out=eb)
+                np.subtract(a, eb, out=eb)        # a - p sum(a)
+                # a_j* (1 - p_j*) is 1/S for a miss and -excl/S for the label;
+                # forming a_j* - p_j* sum(a) instead would cancel
+                eb[i, t] = np.where(o, 1.0, -excl) / total - (1.0 / total) * rest
+            np.negative(p, out=p)
+            np.log1p(p, out=p)                    # log(1 - p_j); 0 at j* for now
+            p[i[o], t[o]] = np.log(excl[o]) - log_s[o]
+            p[i, y] = 0.0
+            out[r] -= p.sum(axis=1)
+
+    starts = range(0, B, step)
+    half = len(starts) // 2
+    if split and half:
+        _side_by_side(lambda: row_blocks(starts[:half]), lambda: row_blocks(starts[half:]))
+    else:
+        row_blocks(starts)
 
     def backward(g):
-        leaf = table._backward is None
-        gs = None
-        if s.requires_grad:
-            gs = e @ cand
-            gs *= g[:, None]
         gt = None
-        if table.requires_grad:
-            gsv = g[:, None] * sv
-            if leaf and table.grad is not None:
-                table.grad[1:] += e.T @ gsv
-            else:
-                gt = np.empty_like(table.value)
-                gt[0] = 0.0
-                np.matmul(e.T, gsv, out=gt[1:])
-                if leaf:
-                    table.grad, gt = gt, None
+        if table.requires_grad and (table._backward is not None or table.grad is None):
+            gt = np.empty_like(table.value)       # a new gradient, written once
+            gt[0] = 0.0
+
+        def s_grad():
+            if s.requires_grad:
+                gs = e @ cand
+                gs *= g[:, None]
+                return gs
+
+        def table_grad():
+            if table.requires_grad:
+                gsv = g[:, None] * sv
+                if gt is None:                    # a leaf's gradient, added into
+                    table.grad[1:] += e.T @ gsv
+                else:
+                    np.matmul(e.T, gsv, out=gt[1:])
+
+        if split and _ONE_BLAS_THREAD and s.requires_grad and table.requires_grad:
+            gs = _side_by_side(s_grad, table_grad)[0]
+        else:
+            gs = s_grad()
+            table_grad()
+        if gt is not None and table._backward is None:
+            table.grad, gt = gt, None
         return gs, gt
 
     return _make(out, (s, table), backward, "score_loss")

@@ -53,11 +53,24 @@ def effective_lr(cfg: TrainConfig, epoch: int) -> float:
 _ADAM_BLOCK = 1 << 15
 
 
+def _in_halves(size, n, sweep):
+    """sweep(0, n, 0) over the n rows of a parameter of `size` elements; one
+    of at least two scratch blocks is swept as sweep(0, n // 2, 0) and
+    sweep(n // 2, n, 1) side by side (`autodiff._side_by_side`).  The
+    sweeps are elementwise, so the bits do not depend on the split."""
+    if size >= 2 * _ADAM_BLOCK and n >= 2:
+        ad._side_by_side(lambda: sweep(0, n // 2, 0), lambda: sweep(n // 2, n, 1))
+    else:
+        sweep(0, n, 0)
+
+
 class Adam:
     """Standard Adam with bias correction; one moment pair per parameter.
 
     `step` updates the moments and the parameters in place, a block of rows
-    at a time through two scratch buffers per dtype.
+    at a time through two scratch buffers per dtype; a parameter of at
+    least two blocks is updated in two row halves side by side, each half
+    through scratch of its own (`_in_halves`).
     """
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -73,7 +86,8 @@ class Adam:
         for p in self.params:
             dt = p.value.dtype
             sizes[dt] = max(sizes.get(dt, _ADAM_BLOCK), _row_size(p.value))
-        self._scratch = {dt: np.empty((2, n), dtype=dt) for dt, n in sizes.items()}
+        # [half][buffer]: one pair of buffers for each half of a split parameter
+        self._scratch = {dt: np.empty((2, 2, n), dtype=dt) for dt, n in sizes.items()}
 
     def step(self, lr: float):
         self.step_count += 1
@@ -86,27 +100,31 @@ class Adam:
                 g = np.zeros_like(p.value)
             arrays = [np.atleast_1d(x) for x in (p.value, g, self.m[p.name], self.v[p.name])]
             scratch = self._scratch[p.value.dtype]
-            rows = scratch.shape[1] // _row_size(p.value)  # >= 1: scratch holds the longest row
-            for start in range(0, len(arrays[0]), rows):
-                value, g_rows, m, v = (x[start:start + rows] for x in arrays)
-                a, b = (buf[:value.size].reshape(value.shape) for buf in scratch)
-                # the same operations, in the same order, as
-                #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
-                #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
-                m *= self.beta1
-                np.multiply(g_rows, 1.0 - self.beta1, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(g_rows, g_rows, out=a)
-                a *= 1.0 - self.beta2
-                v += a
-                np.divide(m, bc1, out=a)
-                a *= lr
-                np.divide(v, bc2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                value -= a
+            rows = scratch.shape[2] // _row_size(p.value)  # >= 1: scratch holds the longest row
+
+            def sweep(lo, hi, half):
+                for start in range(lo, hi, rows):
+                    value, g_rows, m, v = (x[start:min(start + rows, hi)] for x in arrays)
+                    a, b = (buf[:value.size].reshape(value.shape) for buf in scratch[half])
+                    # the same operations, in the same order, as
+                    #   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g^2
+                    #   p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+                    m *= self.beta1
+                    np.multiply(g_rows, 1.0 - self.beta1, out=a)
+                    m += a
+                    v *= self.beta2
+                    np.multiply(g_rows, g_rows, out=a)
+                    a *= 1.0 - self.beta2
+                    v += a
+                    np.divide(m, bc1, out=a)
+                    a *= lr
+                    np.divide(v, bc2, out=b)
+                    np.sqrt(b, out=b)
+                    b += self.eps
+                    a /= b
+                    value -= a
+
+            _in_halves(p.value.size, len(arrays[0]), sweep)
 
 
 def _row_size(arr):
@@ -117,18 +135,24 @@ def _row_size(arr):
 def couple_l2(params, l2: float):
     """Apply the L2 penalty as grad += l2 * param in place, then reject
     non-finite grads; a block of rows at a time, so no temporary is the size
-    of a parameter."""
+    of a parameter, and a parameter of at least two blocks in two row halves
+    side by side (`_in_halves`)."""
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.value)
         grad, value = np.atleast_1d(p.grad), np.atleast_1d(p.value)
         rows = max(1, _ADAM_BLOCK // _row_size(value))
-        for start in range(0, len(grad), rows):
-            g = grad[start:start + rows]
-            if l2:
-                g += l2 * value[start:start + rows]
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
+
+        def sweep(lo, hi, half):
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                g = grad[start:stop]
+                if l2:
+                    g += l2 * value[start:stop]
+                if not np.isfinite(g).all():
+                    raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
+
+        _in_halves(value.size, len(grad), sweep)
 
 
 @dataclass

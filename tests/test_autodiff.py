@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -711,6 +714,29 @@ class TestScatterPlan:
             g = _signed_zeros(rng, out.shape, dtype)
             assert bits(self._rows_gradient(out, g, s0, leaf, 0)) == bits(_add_at_reference(idx, g, n, dtype))
 
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_small_table_hit_many_times_sums_row_by_row(self, dtype, d):
+        # the relation table: 5 rows, each hit hundreds of times, so the plan
+        # has fewer rows than passes of two or more rows and sums each row's
+        # slots in one call
+        rng = np.random.default_rng(8)
+        idx = rng.choice(5, size=(1200,), p=[0.5, 0.2, 0.15, 0.1, 0.05])
+        index = ad.RowIndex(idx)
+        order, rows, ends, by_row = index.plan()
+        assert len(rows) == 5 and len(ends) > 500 and by_row is not None
+        for leaf in (True, False):
+            s0 = ad.Tensor(_signed_zeros(rng, (5, d), dtype), requires_grad=True)
+            s = s0 if leaf else ad.reshape(s0, s0.shape)
+            out = ad.gather(s, index)
+            g = (_signed_zeros(rng, out.shape, dtype) * 10.0 ** rng.integers(-6, 6, size=out.shape)).astype(dtype)
+            assert bits(self._rows_gradient(out, g, s0, leaf, 0)) == bits(_add_at_reference(idx, g, 5, dtype))
+        # the float64 sums themselves, before a float32 gradient rounds them
+        rows, sums = index.sums(ad._slot_terms(g, d))
+        expect = np.zeros((5, d))
+        np.add.at(expect, idx, g.astype(np.float64))
+        assert bits(sums) == bits(expect[rows])
+
     def test_a_plan_is_built_once_and_only_by_a_backward(self, monkeypatch):
         built = []
         plan = ad._pass_plan
@@ -924,6 +950,129 @@ class TestScoreLoss:
         params = [ad.Parameter("s", s), ad.Parameter("table", table)]
         loss = lambda: ad.sum_all(ad.score_loss(params[0], params[1], labels, mode))
         assert ad.gradcheck_params(loss, params) < 1e-8
+
+
+class TestSplitWork:
+    """Work split in two by shape (`ad._side_by_side`) has the bits of the
+    unsplit work, whether the halves run on the worker thread or in turn."""
+
+    @staticmethod
+    def _run(monkeypatch, split, cpus, fn):
+        """fn() with the split forced on or off, BLAS products split too, and
+        `cpus` usable CPUs; the result and the number of pairs made."""
+        calls = []
+        side_by_side = ad._side_by_side
+        monkeypatch.setattr(ad, "_SPLIT_WORK", 1 if split else 1 << 62)
+        monkeypatch.setattr(ad, "_ONE_BLAS_THREAD", True)
+        monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+        monkeypatch.setattr(ad, "_side_by_side", lambda f, g: calls.append(1) or side_by_side(f, g))
+        return fn(), len(calls)
+
+    @pytest.mark.parametrize("mode", ["binary", "categorical"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_score_loss_losses_and_gradients(self, monkeypatch, mode, dtype):
+        # 2,100 items: a column cut at 1,024, and row blocks of 31, 31 and 8 rows
+        B, d, m = 70, 100, 2100
+        rng = np.random.default_rng(41)
+        s = rng.normal(size=(B, d)).astype(dtype)
+        table = (0.3 * rng.normal(size=(m + 1, d))).astype(dtype)
+        labels = rng.integers(0, m, size=B)
+        w = rng.uniform(0.5, 2.0, size=B).astype(dtype)
+
+        def step():
+            sp, tp = ad.Parameter("s", s), ad.Parameter("table", table)
+            losses = ad.score_loss(sp, tp, labels, mode)
+            ad.backward(ad.sum_all(ad.mul(losses, w)))
+            written = tp.grad.copy()
+            ad.backward(ad.sum_all(ad.mul(ad.score_loss(sp, tp, labels, mode), w)))  # adds into .grad
+            return [bits(x) for x in (losses.value, sp.grad, written, tp.grad)]
+
+        pinned = ad._ONE_BLAS_THREAD  # as the environment set BLAS up
+        whole, pairs = self._run(monkeypatch, False, 2, step)
+        assert pairs == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the two threads' Python steps interleave finely
+        try:
+            runs = [self._run(monkeypatch, True, cpus, step) for cpus in (1, 2)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [pairs for _, pairs in runs] == [2 * 3] * 2  # product, row pass and backward, twice
+        assert runs[1][0] == runs[0][0]  # on the worker as in turn
+        if pinned:  # on one BLAS thread, as the unsplit work; a threaded BLAS may round halves otherwise
+            assert runs[0][0] == whole
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_sees_the_logits_score_loss_forms(self, monkeypatch, dtype):
+        from sessrec.model import ModelConfig, NextItemModel
+
+        mdl = NextItemModel(2100, max_len=4, seed=5,
+                            config=ModelConfig(embedding_dim=8, precision="single" if dtype == np.float32 else "double"))
+        sv = ad.constant(np.random.default_rng(6).normal(size=(5, 8)).astype(dtype))
+        formed = []
+        product = ad._plain_product
+
+        def record(a, b):
+            out = product(a, b)
+            formed.append(out.copy())  # before score_loss turns it into exponentials
+            return out
+
+        monkeypatch.setattr(ad, "_plain_product", record)
+
+        def both():
+            with ad.no_grad():
+                mdl.example_losses(sv, np.arange(1, 6))
+                return mdl.predict(sv).value
+
+        logits, pairs = self._run(monkeypatch, True, 2, both)
+        assert pairs == 2  # one split product each; 5 rows make one row block
+        assert bits(formed[0]) == bits(logits) == bits(formed[1])
+        assert logits.shape == (5, 2100)
+
+    def test_blas_products_split_only_on_one_blas_thread(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert not ad._one_blas_thread()  # unset: OpenBLAS takes every CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert ad._one_blas_thread()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")  # read before OMP_NUM_THREADS
+        assert not ad._one_blas_thread()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", " 1")
+        assert ad._one_blas_thread()
+        monkeypatch.setattr(ad, "_ONE_BLAS_THREAD", False)
+        monkeypatch.setattr(ad, "_side_by_side", lambda f, g: pytest.fail("split a product"))
+        a, b = np.ones((100, 100)), np.ones((100, 4096))
+        assert np.array_equal(ad._plain_product(a, b), a @ b)
+
+    def test_the_worker_runs_the_first_half_and_is_awaited_when_the_second_raises(self, monkeypatch):
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        seen = []
+
+        def first():
+            time.sleep(0.05)
+            seen.append(threading.current_thread().name)
+
+        def second():
+            raise KeyError("second")
+
+        with pytest.raises(KeyError):
+            ad._side_by_side(first, second)
+        assert len(seen) == 1 and seen[0].startswith("sessrec-worker")
+        with pytest.raises(ZeroDivisionError):
+            ad._side_by_side(lambda: 1 / 0, lambda: None)
+        monkeypatch.setattr(ad, "_cpus", lambda: 1)
+        order = []
+        assert ad._side_by_side(lambda: order.append(1) or "a", lambda: order.append(2) or "b") == ("a", "b")
+        assert order == [1, 2]
+
+    @pytest.mark.parametrize("k_hops", [1, 2])
+    def test_a_gradcheck_sized_model_submits_nothing(self, monkeypatch, k_hops):
+        from sessrec import model
+
+        calls = []
+        monkeypatch.setattr(ad, "_side_by_side", lambda f, g: calls.append(1))
+        cfg = model.ModelConfig(embedding_dim=8, dropout_global=0.0, k_hops=k_hops)
+        assert model.model_gradcheck(cfg) < 1e-6
+        assert not calls
 
 
 def _operands(rng, m, k, n, transpose_b, dtype):

@@ -69,34 +69,52 @@ def reference_adam_step(value, m, v, g, lr, t, beta1=0.9, beta2=0.999, eps=1e-8)
 
 class TestInPlaceAdam:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_matches_reference_bit_for_bit(self, dtype):
-        # "table" and "vec" span several scratch blocks, with a short last block
-        rng = np.random.default_rng(4)
+    def test_matches_reference_bit_for_bit(self, monkeypatch, dtype):
+        # "table" and "vec" span several scratch blocks, with a short last block;
+        # "table" and "wide" (two rows longer than a block) have at least two
+        # blocks, so each is swept in two row halves, on the worker thread and
+        # the caller or (one CPU) in turn
+        side_by_side = ad._side_by_side
+        for cpus in (1, 2):
+            monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+            split = []
+            monkeypatch.setattr(ad, "_side_by_side", lambda f, g: split.append(1) or side_by_side(f, g))
+            rng = np.random.default_rng(4)
+            store = ad.ParameterStore()
+            params = [store.register(name, rng.normal(size=shape).astype(dtype))
+                      for name, shape in (("table", (301, 250)), ("vec", (40000,)), ("wide", (2, 40000)),
+                                          ("mat", (2, 2)), ("scalar", ()))]
+            ref = {p.name: (p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params}
+            values = [p.value for p in params]
+            opt = Adam(params)
+            for t in range(1, 4):
+                for p in params:
+                    p.grad = rng.normal(size=p.value.shape).astype(dtype)
+                expected_grads = {p.name: p.grad + 1e-2 * p.value for p in params}
+                grads = [p.grad for p in params]
+                couple_l2(params, 1e-2)
+                for p, g in zip(params, grads):
+                    assert p.grad is g  # coupled in place
+                    assert np.array_equal(p.grad, expected_grads[p.name])
+                opt.step(0.01)
+                for p in params:
+                    value, m, v = reference_adam_step(*ref[p.name], expected_grads[p.name], 0.01, t)
+                    ref[p.name] = (value, m, v)
+                    assert p.value.dtype == dtype
+                    assert np.array_equal(p.value, value)
+                    assert np.array_equal(opt.m[p.name], m)
+                    assert np.array_equal(opt.v[p.name], v)
+            assert all(p.value is arr for p, arr in zip(params, values))  # updated in place
+            assert len(split) == 3 * 2 * 2  # three steps, L2 and Adam, "table" and "wide"
+
+    def test_non_finite_gradient_in_the_workers_half_names_the_parameter(self, monkeypatch):
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
         store = ad.ParameterStore()
-        params = [store.register(name, rng.normal(size=shape).astype(dtype))
-                  for name, shape in (("table", (301, 250)), ("vec", (40000,)), ("mat", (2, 2)),
-                                      ("scalar", ()))]
-        ref = {p.name: (p.value.copy(), np.zeros_like(p.value), np.zeros_like(p.value)) for p in params}
-        values = [p.value for p in params]
-        opt = Adam(params)
-        for t in range(1, 4):
-            for p in params:
-                p.grad = rng.normal(size=p.value.shape).astype(dtype)
-            expected_grads = {p.name: p.grad + 1e-2 * p.value for p in params}
-            grads = [p.grad for p in params]
-            couple_l2(params, 1e-2)
-            for p, g in zip(params, grads):
-                assert p.grad is g  # coupled in place
-                assert np.array_equal(p.grad, expected_grads[p.name])
-            opt.step(0.01)
-            for p in params:
-                value, m, v = reference_adam_step(*ref[p.name], expected_grads[p.name], 0.01, t)
-                ref[p.name] = (value, m, v)
-                assert p.value.dtype == dtype
-                assert np.array_equal(p.value, value)
-                assert np.array_equal(opt.m[p.name], m)
-                assert np.array_equal(opt.v[p.name], v)
-        assert all(p.value is arr for p, arr in zip(params, values))  # updated in place
+        small, table = store.register("small", np.ones(3)), store.register("table", np.ones((301, 250)))
+        small.grad, table.grad = np.ones(3), np.ones((301, 250))
+        table.grad[0, 5] = np.nan  # row 0: the first half, which the worker sweeps
+        with pytest.raises(TrainingError, match="'table'"):
+            couple_l2([small, table], 1e-2)
 
 
 class TestSchedule:
