@@ -2,13 +2,14 @@
 
 A tape is built implicitly: every operation returns a `Tensor` holding the
 computed value, references to its parent tensors, and a closure that maps the
-output gradient to parent gradients.  `backward()` walks the graph once in
-reverse topological order and accumulates gradients additively, so fan-out
-works without any bookkeeping by the caller; only leaves keep a `grad`.
-`narrow`, `score_loss` and the row lookups (`gather`, `neighbor_scores`'
-`z` and `neighbor_mix`'s `h`) applied to a leaf write their gradient
-straight into the leaf's `grad`, allocated once, instead of passing a
-leaf-sized array on.
+output gradient to its parents' gradients.  The closures return gradients
+and write none: `backward()` walks the graph once in reverse topological
+order and lands every gradient by one rule (see its docstring), so fan-out
+works without any bookkeeping by the caller; only leaves keep a `grad`.  A
+row lookup (`gather`, `batched_gather`, `narrow`, `neighbor_scores`' `z` and
+`neighbor_mix`'s `h`) returns a `RowSums` record, the rows it reached and
+their sums, which `backward` adds where they belong without forming an
+operand-sized array unless no gradient is there to add into.
 
 The scoring head and its loss are one op, `score_loss`: one BLAS product of
 the session vectors with the item table, which one pass over cache-sized
@@ -20,18 +21,17 @@ plan of the index, built on its first backward and shared by the ops given
 the same `RowIndex` (both neighbour ops of a hop, and the session layer's
 gather and `neighbor_mix` over its edge table).  It sums each row's terms
 in float64 in the order they occur, which equals `np.add.at` in float64
-bit for bit, and a gradient new to its array is written once, not added.
+bit for bit.
 The global layer's neighbour attention is two ops on its real rows (2-D,
-no batch axis), `neighbor_scores` and `neighbor_mix`, whose forwards give
-the same bits as the generic chains they replace.  `neighbor_scores` runs
-its forward a cache-sized block of rows at a time, and when a gradient
-will be taken the tape keeps one (R, W, d + 1) bool array, the LeakyReLU
-mask, where the chains kept five float arrays and an (R, W, d) copy; its
-backward forms all three gradients from one scatter of the upstream
-gradient times the mask's factor, so no (R, W, d + 1) float array exists
-in either pass.  The session layer scores its neighbours from one gathered
-(T_0, W_s, d) copy over its edge table and sums them with `neighbor_mix`
-too.  `weighted_sum` sums a batch's position rows per example.
+no batch axis), `neighbor_scores` and `neighbor_mix`.  `neighbor_scores`
+runs its forward a cache-sized block of rows at a time, and when a
+gradient will be taken the tape keeps one (R, W, d + 1) bool array, the
+LeakyReLU mask; its backward forms all three gradients from one scatter of
+the upstream gradient times the mask's factor, so no (R, W, d + 1) float
+array exists in either pass.  The session layer scores its neighbours from
+one gathered (T_0, W_s, d) copy over its edge table and sums them with
+`neighbor_mix` too.  `weighted_sum` sums a batch's position rows per
+example.
 
 Three ground rules shape the op set:
 
@@ -67,7 +67,7 @@ Three ground rules shape the op set:
   as two halves side by side (`_side_by_side`): the scoring product
   (`_plain_product`) in two column halves, `score_loss`'s row pass in two
   halves of its row blocks and its backward's two products, and the
-  optimizer's sweeps (`train.Adam`, `train.couple_l2`) in two row halves.
+  optimizer's sweep (`train.Adam`) in two row halves.
   Each half writes its own part of the output with the arithmetic the
   whole would use, and where the process may use one CPU only the same
   halves run in turn, so the bits are those of the unsplit work.  BLAS
@@ -141,16 +141,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def grad_buffer(self):
-        """The gradient array, zero-filled on first use, to add into in place."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        return self.grad
-
-    def accumulate_grad(self, g):
-        grad = self.grad_buffer()
-        grad += g
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.value.shape}, grad={'set' if self.grad is not None else 'none'})"
@@ -532,12 +522,7 @@ def narrow(a, axis, start, length):
     out = a.value[idx]
 
     def backward(g):
-        if a._backward is None:  # a leaf: add into its gradient, pass nothing on
-            a.grad_buffer()[idx] += g
-            return (None,)
-        full = np.zeros_like(a.value)
-        full[idx] = g
-        return (full,)
+        return (RowSums(idx, g),)
 
     return _make(out, (a,), backward, "narrow")
 
@@ -645,13 +630,6 @@ class RowIndex:
             lo = hi
         return rows, sums
 
-    def scatter_add(self, out, vals):
-        """out[idx[i]] += vals[i] for every i: out (R, d), vals idx.shape + (d,).
-        Each row's terms are summed first (`sums`), then added."""
-        rows, sums = self.sums(_slot_terms(vals, out.shape[1]))
-        out[rows] += sums
-        return out
-
 
 def _slot_terms(vals, d):
     """`RowIndex.sums`' terms for values laid out like the index: the rows
@@ -660,23 +638,22 @@ def _slot_terms(vals, d):
     return lambda slots: np.take(vals, slots, axis=0)
 
 
-def _rows_grad(table, rows, sums):
-    """Hand a row lookup's gradient, the float64 `sums` of `rows` of the 2-D
-    `table` (`RowIndex.sums`), on: added into the gradient of a leaf that
-    has one, or written once into a new zero array, a leaf's first gradient
-    or the one returned for a non-leaf.  A leaf gets no flow (None).  Into
-    zeros, writing gives the bits adding would (a sum from 0.0 is never
-    -0.0), without a fancy-index temporary."""
-    leaf = table._backward is None
-    if leaf and table.grad is not None:
-        table.grad[rows] += sums
-        return None
-    out = np.zeros_like(table.value)
-    out[rows] = sums
-    if leaf:
-        table.grad = out
-        return None
-    return out
+class RowSums:
+    """A row lookup's gradient: `sums` at `rows` of its operand and zero
+    elsewhere.  `rows` indexes the operand: the distinct rows a `RowIndex`
+    summed (their float64 `sums`), a pair of index arrays for
+    `batched_gather`'s (B, R, d) operand, or `narrow`'s tuple of slices."""
+
+    __slots__ = ("rows", "sums")
+
+    def __init__(self, rows, sums):
+        self.rows, self.sums = rows, sums
+
+    def dense(self, like):
+        """The array it stands for, in the dtype and shape of `like`."""
+        out = np.zeros_like(like)
+        out[self.rows] = self.sums
+        return out
 
 
 def gather(table, idx):
@@ -691,7 +668,7 @@ def gather(table, idx):
     out = table.value[index.idx]
 
     def backward(g):
-        return (_rows_grad(table, *index.sums(_slot_terms(g, table.shape[1]))),)
+        return (RowSums(*index.sums(_slot_terms(g, table.shape[1]))),)
 
     return _make(out, (table,), backward, "gather")
 
@@ -708,8 +685,8 @@ def batched_gather(x, idx):
     out = x.value.reshape(B * R, d)[rows].reshape(idx.shape + (d,))
 
     def backward(g):
-        gx = RowIndex(rows).scatter_add(np.zeros((B * R, d), dtype=x.value.dtype), g)
-        return (gx.reshape(B, R, d),)
+        at, sums = RowIndex(rows).sums(_slot_terms(g, d))
+        return (RowSums(divmod(at, R), sums),)
 
     return _make(out, (x,), backward, "batched_gather")
 
@@ -730,15 +707,14 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
     each element's own D terms, so the scores equal the chain's bit for bit
     whatever the block.  When a gradient will be taken the tape keeps one
     idx.shape + (D,) bool array, the LeakyReLU mask (activation < 0, one
-    byte an element), where the chain kept five float arrays; otherwise no
-    array of that size exists.
+    byte an element); otherwise no array of that size exists.
 
     Slot s of row j(s) has activation f_s (z_j(s) + wt_s w1b), f_s the
     factor 1 or `slope` its mask picks, so every gradient comes from one
     scatter through the index's plan: the terms u_s = g_s f_s, formed a
     pass at a time, summed per row in float64 (U_j) and, weighted by wt_s,
-    into V.  Then z's gradient is vec U_j, w1b's vec V and vec's
-    sum_j z_j U_j + w1b V; no idx.shape + (D,) float array is formed.
+    into V.  Then z's gradient is vec U_j (a `RowSums`), w1b's vec V and
+    vec's sum_j z_j U_j + w1b V; no idx.shape + (D,) float array is formed.
     """
     if not 0.0 < slope < 1.0:
         raise ValueError(f"leaky_relu slope must be in (0, 1), got {slope}")
@@ -785,7 +761,7 @@ def neighbor_scores(z, idx, wt, w1b, vec, slope=0.2):
         if w1b.requires_grad:
             gw1b = (vec.value * V).astype(w1b.dtype, copy=False)
         if z.requires_grad:
-            gz = _rows_grad(z, rows, np.multiply(U, vec.value, out=U))
+            gz = RowSums(rows, np.multiply(U, vec.value, out=U))
         return gz, gw1b, gvec
 
     return _make(out, (z, w1b, vec), backward, "neighbor_scores")
@@ -843,7 +819,7 @@ def neighbor_mix(alpha, h, idx):
                 t = np.take(g, slots // W, axis=0)
                 return np.multiply(np.take(av, slots)[:, None], t, out=t if t.dtype == dt else None)
 
-            gh = _rows_grad(h, *index.sums(terms))
+            gh = RowSums(*index.sums(terms))
         return galpha, gh
 
     return _make(out, (alpha, h), backward, "neighbor_mix")
@@ -1145,33 +1121,22 @@ def score_loss(s, table, labels, mode):
         row_blocks(starts)
 
     def backward(g):
-        gt = None
-        if table.requires_grad and (table._backward is not None or table.grad is None):
-            gt = np.empty_like(table.value)       # a new gradient, written once
-            gt[0] = 0.0
-
         def s_grad():
             if s.requires_grad:
                 gs = e @ cand
                 gs *= g[:, None]
                 return gs
 
-        def table_grad():
+        def table_grad():  # a whole array of its own, written by one product
             if table.requires_grad:
-                gsv = g[:, None] * sv
-                if gt is None:                    # a leaf's gradient, added into
-                    table.grad[1:] += e.T @ gsv
-                else:
-                    np.matmul(e.T, gsv, out=gt[1:])
+                gt = np.empty_like(table.value)
+                gt[0] = 0.0
+                np.matmul(e.T, g[:, None] * sv, out=gt[1:])
+                return gt
 
         if split and _ONE_BLAS_THREAD and s.requires_grad and table.requires_grad:
-            gs = _side_by_side(s_grad, table_grad)[0]
-        else:
-            gs = s_grad()
-            table_grad()
-        if gt is not None and table._backward is None:
-            table.grad, gt = gt, None
-        return gs, gt
+            return _side_by_side(s_grad, table_grad)
+        return s_grad(), table_grad()
 
     return _make(out, (s, table), backward, "score_loss")
 
@@ -1210,20 +1175,27 @@ def masked_softmax(a, mask, axis=-1):
 
 
 def backward(root, seed=None):
-    """Populate the gradients of every leaf tensor reachable from a scalar
-    `root`.
+    """Add the gradient of the scalar `root` into the `grad` of every leaf
+    it depends on; calling twice without resetting doubles the gradients.
 
-    Each call propagates a fresh pass and adds its result into every
-    reachable leaf's `grad`, so calling twice without resetting doubles
-    the gradients (fan-out within one pass accumulates as well).
-    Intermediate tensors pass their gradients on without storing them.
-    A leaf's `grad` is allocated once, zero-filled, and every contribution
-    is added into it: the sum of the gradients passed to the leaf, and the
-    writes of `narrow`, `score_loss` and row-lookup ops on the leaf, which
-    return no gradient to pass (`score_loss` and the row lookups write,
-    rather than add, a `grad` they allocate).  Gradients meeting at one
-    tensor are summed in the order the reverse topological walk reaches
-    their ops.
+    The walk visits the tape once, in reverse topological order, and lands
+    the gradients each op returns, releasing each as it lands; no op writes
+    one.  The rule:
+
+    * Into a leaf, a gradient is added into `grad`.  A leaf's first
+      `RowSums` is written into a new zero array, and its first whole array
+      becomes `grad` as it is if an op made it.
+    * Into another tensor, it joins the flow its op will be handed.  Once
+      that flow is an array the walk or an op made, the next gradient is
+      added into it in place (a `RowSums` rounded to its dtype first, as
+      the array it stands for would be).  An array an op passed through is
+      never written: `add`, `reshape` and `concat` hand on `g` or views of
+      it, and the seed is the caller's.
+
+    An op made the array it returns if that is not `g`, owns its data and
+    has its tensor's dtype and shape; no op returns an array it keeps, or
+    one array twice.  Gradients meeting at one tensor are summed in the
+    order the walk reaches their ops.
     """
     if root.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
@@ -1231,20 +1203,47 @@ def backward(root, seed=None):
     if seed is None:
         seed = np.ones_like(root.value)
     flow = {id(root): np.asarray(seed, dtype=root.value.dtype)}
+    made = set()  # ids of the tensors whose flow the walk or an op made
     for node in order:
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node._backward is None:
-            node.accumulate_grad(g)
-            continue
-        for parent, pg in zip(node.parents, node._backward(g)):
-            if parent.requires_grad and pg is not None:
-                key = id(parent)
-                if key in flow:
-                    flow[key] = flow[key] + pg
+        targets, grads = ((node,), [g]) if node._backward is None else (node.parents, list(node._backward(g)))
+        passed, g = id(g), None
+        for t in targets:
+            pg = grads.pop(0)
+            if pg is None or not t.requires_grad:
+                continue
+            rows = isinstance(pg, RowSums)
+            own = rows or (isinstance(pg, np.ndarray) and id(pg) != passed and pg.base is None
+                           and pg.dtype == t.dtype and pg.shape == t.shape)
+            key = id(t)
+            if t._backward is None:  # a leaf
+                if t.grad is None and own:
+                    t.grad = pg.dense(t.value) if rows else pg
+                    continue
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.value)
+                if rows:
+                    t.grad[pg.rows] += pg.sums
                 else:
-                    flow[key] = pg
+                    t.grad += pg
+            elif key in made:
+                if rows:
+                    flow[key][pg.rows] += pg.sums.astype(flow[key].dtype, copy=False)
+                else:
+                    flow[key] += pg
+            else:
+                if rows:
+                    pg = pg.dense(t.value)
+                if key in flow and own:
+                    pg += flow[key]  # addition commutes bit for bit
+                elif key in flow:
+                    pg, own = flow[key] + pg, True
+                flow[key] = pg
+                if own:
+                    made.add(key)
+        pg = None  # not held through the next op's backward
 
 
 def _toposort(root):

@@ -172,16 +172,19 @@ def cmd_build_graph(cfg: RunConfig, work_dir: Path) -> int:
 
 
 def _model_inputs(work_dir: Path):
-    """Check the preprocess and build-graph stages; read meta, examples and graph."""
+    """Check the preprocess and build-graph stages; read meta, examples and
+    graph.  Also returns the work-dir files read, for the stage's manifest."""
     verify_upstream(work_dir, "preprocess")
     verify_upstream(work_dir, "build-graph")
-    corpus_dir = work_dir / "corpus"
-    return (json.loads((corpus_dir / "meta.json").read_text()), read_examples(corpus_dir / "examples.tsv"),
-            read_global_graph(work_dir / "graphs" / "global_graph.tsv"))
+    read = [work_dir / "corpus" / "examples.tsv", work_dir / "corpus" / "meta.json",
+            work_dir / "graphs" / "global_graph.tsv"]
+    examples_path, meta_path, graph_path = read
+    return (json.loads(meta_path.read_text()), read_examples(examples_path), read_global_graph(graph_path),
+            read)
 
 
 def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
-    meta, examples, graph = _model_inputs(work_dir)
+    meta, examples, graph, read = _model_inputs(work_dir)
     out = _stage_dir(work_dir, "checkpoints")
     corpus_dir = work_dir / "corpus"
 
@@ -198,16 +201,13 @@ def cmd_train(cfg: RunConfig, work_dir: Path) -> int:
     save_checkpoint(ckpt_path, result.model)
     (out / "train_log.txt").write_text("\n".join(log_lines) + "\n")
     _echo_config(out, cfg)
-    write_manifest(out, "train", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", corpus_dir / "vocab.tsv",
-                    work_dir / "graphs" / "global_graph.tsv"],
-                   [ckpt_path])
+    write_manifest(out, "train", cfg.fingerprint(), read + [corpus_dir / "vocab.tsv"], [ckpt_path])
     print(f"train: best epoch {result.best_epoch} (val MRR@20 {result.best_val_mrr20:.4f}) -> {ckpt_path}")
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
-    meta, examples, graph = _model_inputs(work_dir)
+    meta, examples, graph, read = _model_inputs(work_dir)
     ckpt_path = Path(cfg.paths.checkpoint) if cfg.paths.checkpoint else work_dir / "checkpoints" / "model.ckpt"
     if not cfg.paths.checkpoint:
         verify_upstream(work_dir, "train")
@@ -241,9 +241,7 @@ def cmd_evaluate(cfg: RunConfig, work_dir: Path, fmt: str) -> int:
     (out / "eval.txt").write_text(table + "\n")
     (out / "eval.jsonl").write_text(rows_to_jsonl(rows))
     _echo_config(out, cfg)
-    write_manifest(out, "evaluate", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", corpus_dir / "vocab.tsv",
-                    work_dir / "graphs" / "global_graph.tsv", ckpt_path],
+    write_manifest(out, "evaluate", cfg.fingerprint(), read + [corpus_dir / "vocab.tsv", ckpt_path],
                    [out / "eval.txt", out / "eval.jsonl"])
     print(rows_to_jsonl(rows) if fmt == "jsonl" else table)
     return 0
@@ -263,9 +261,8 @@ ABLATION_GRIDS = {
 
 
 def cmd_ablate(cfg: RunConfig, work_dir: Path, grid_name: str, fmt: str) -> int:
-    meta, examples, graph = _model_inputs(work_dir)
+    meta, examples, graph, read = _model_inputs(work_dir)
     out = _stage_dir(work_dir, "reports")
-    corpus_dir = work_dir / "corpus"
     grid = ABLATION_GRIDS[grid_name]
     rows = run_ablations(examples, meta["num_items"], meta["max_prefix_len"], graph,
                          cfg.model, cfg.train, grid, fingerprint=cfg.fingerprint(), log=print)
@@ -278,8 +275,7 @@ def cmd_ablate(cfg: RunConfig, work_dir: Path, grid_name: str, fmt: str) -> int:
     (out / f"ablation_{grid_name}.txt").write_text(table + "\n")
     (out / f"ablation_{grid_name}.jsonl").write_text(rows_to_jsonl(rows))
     _echo_config(out, cfg)
-    write_manifest(out, "ablate", cfg.fingerprint(),
-                   [corpus_dir / "examples.tsv", corpus_dir / "meta.json", work_dir / "graphs" / "global_graph.tsv"],
+    write_manifest(out, "ablate", cfg.fingerprint(), read,
                    [out / f"ablation_{grid_name}.txt", out / f"ablation_{grid_name}.jsonl"])
     print(rows_to_jsonl(rows) if fmt == "jsonl" else table)
     return 0

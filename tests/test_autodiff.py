@@ -1,3 +1,4 @@
+import ast
 import sys
 import threading
 import time
@@ -166,6 +167,209 @@ class TestBackward:
         g = lambda x: ad.sum_all(ad.tanh(x))
         combo = lambda x: ad.add(ad.mul(f(x), a), ad.mul(g(x), b))
         assert np.allclose(grad_of(combo), a * grad_of(f) + b * grad_of(g), atol=1e-12)
+
+
+def _summed_into_new_arrays(root):
+    """Every leaf's gradient of the scalar `root`, by a walk that sums each
+    fan-in into a new array (`flow + g`) and adds a leaf's sum into zeros:
+    the reference for `backward`'s in-place sums."""
+    grads, flow = {}, {id(root): np.ones_like(root.value)}
+    for node in ad._toposort(root):
+        g = flow.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            grads[id(node)] = np.zeros_like(node.value) + g
+            continue
+        for p, pg in zip(node.parents, node._backward(g)):
+            if pg is not None and p.requires_grad:
+                pg = pg.dense(p.value) if isinstance(pg, ad.RowSums) else pg
+                flow[id(p)] = flow[id(p)] + pg if id(p) in flow else pg
+    return grads
+
+
+def _watched(tensor, seen):
+    """`tensor`, whose op records each gradient it is handed, and a copy."""
+    inner = tensor._backward
+
+    def backward(g):
+        seen.append((g, g.copy()))
+        return inner(g)
+
+    tensor._backward = backward
+    return tensor
+
+
+FAN_IN_KINDS = ["add_self", "add_shared", "reshape", "concat", "three_way", "rows"]
+
+
+def _fan_in_case(kind, flip, dtype, seen):
+    """(root, leaves) of a tape where gradients meet at a non-leaf `x`, in
+    one order or (`flip`) the other; the ops that pass on `g` or views of
+    it are `_watched`."""
+    rng = np.random.default_rng(FAN_IN_KINDS.index(kind))
+    w, w2 = (ad.Tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad=True) for _ in range(2))
+    c = [ad.constant(rng.normal(size=(6, 4)), dtype) for _ in range(4)]
+    x = ad.mul(w, c[0])  # not a leaf: its gradients meet in a flow
+    if kind == "add_self":  # one array handed on twice to one tensor
+        terms = [ad.mul(_watched(ad.add(x, x), seen), c[1])]
+    elif kind == "add_shared":  # one array handed to two tensors, each with a gradient of its own
+        y = ad.mul(w2, c[1])
+        terms = [ad.mul(_watched(ad.add(x, y), seen), c[2]), ad.mul(x, c[3]), ad.mul(y, c[3])]
+    elif kind == "reshape":  # a view of g meets arrays an op made, in either order
+        r = _watched(ad.reshape(x, (4, 6)), seen)
+        terms = [ad.mul(x, c[1]), ad.mul(r, ad.constant(rng.normal(size=(4, 6)), dtype)), ad.mul(x, c[3])]
+    elif kind == "concat":  # two pieces of one g meet at x, beside a piece for another tensor
+        cat = _watched(ad.concat([x, ad.mul(w2, c[1]), x], axis=1), seen)
+        terms = [ad.mul(cat, ad.constant(rng.normal(size=(6, 12)), dtype)), ad.mul(x, c[2])]
+    elif kind == "three_way":  # an array an op made, a pass-through and row sums
+        terms = [ad.mul(x, c[1]), _watched(ad.add(x, c[2]), seen), ad.gather(x, rng.integers(0, 6, size=(9, 2)))]
+    else:  # row sums of two lookups, the one of `narrow` by slices, and a pass-through
+        terms = [ad.narrow(x, 1, 1, 2), _watched(ad.add(x, c[1]), seen), ad.gather(x, [[5, 0], [0, 0]])]
+    if flip:
+        terms.reverse()
+    root = ad.sum_all(ad.tanh(terms[0]))
+    for term in terms[1:]:
+        root = ad.add(root, ad.sum_all(ad.tanh(term)))
+    return root, (w, w2)
+
+
+class TestFanInSums:
+    """`backward` sums gradients that meet at a tensor in place, but only
+    into arrays the walk or an op made for it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("kind", FAN_IN_KINDS)
+    def test_in_place_sums_leave_shared_arrays_alone(self, kind, flip, dtype):
+        seen = []
+        root, leaves = _fan_in_case(kind, flip, dtype, seen)
+        expect = _summed_into_new_arrays(root)  # also runs the watched ops once
+        ad.backward(root)
+        for leaf in leaves:
+            if id(leaf) in expect:
+                assert bits(leaf.grad) == bits(expect[id(leaf)])
+            else:
+                assert leaf.grad is None
+        assert len(seen) == 2 and all(bits(g) == bits(copy) for g, copy in seen)
+
+    def test_the_callers_seed_is_left_unchanged(self):
+        w = t(np.arange(1.0, 7.0))
+        s = ad.sum_all(ad.mul(w, w))
+        seed = np.array(1.5)
+        ad.backward(ad.add(s, s), seed)  # the seed reaches `s` twice
+        assert seed == 1.5 and bits(w.grad) == bits(np.arange(1.0, 7.0) * 6.0)
+
+    def test_a_three_way_fan_in_is_summed_in_place(self):
+        # each consumer hands x a new (n, d) array made from an (n, 1) gradient;
+        # summing the second into a new array would hold three at once
+        rng = np.random.default_rng(3)
+        w = t(rng.normal(size=(2000, 100)))
+        x = ad.mul(w, 2.0)
+        root = None
+        for _ in range(3):
+            s = ad.sum_all(ad.matmul(x, ad.constant(rng.normal(size=(100, 1)))))
+            root = s if root is None else ad.add(root, s)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ad.backward(root)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.value.nbytes
+
+    def test_row_sums_are_added_into_a_flow_in_place(self):
+        # a whole (n, d) gradient reaches x first, then two lookups' rows: they
+        # add into it, where forming the (n, d) arrays they stand for would
+        # hold two such arrays before x's op runs
+        rng = np.random.default_rng(4)
+        x = ad.mul(t(rng.normal(size=(2000, 100))), 2.0)
+        root = ad.add(ad.add(ad.sum_all(ad.matmul(x, ad.constant(rng.normal(size=(100, 1))))),
+                             ad.sum_all(ad.gather(x, rng.integers(0, 2000, size=10)))),
+                      ad.sum_all(ad.narrow(x, 0, 5, 10)))
+        ops = [node.op for node in ad._toposort(root)]
+        assert ops.index("matmul") < ops.index("gather") < ops.index("narrow") < ops.index("mul")
+        peaks = []
+        inner = x._backward
+
+        def backward(g):  # the peak of the walk until x's op runs
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return inner(g)
+
+        x._backward = backward
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ad.backward(root)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < 1.5 * x.value.nbytes
+
+
+def _grad_writers(source):
+    """'function:line' of every statement of `source` that assigns or
+    augments a `.grad` (or an item of one, or passes one as `out=`), except
+    inside the module-level `backward` and the `= None` of a new tensor
+    (`__init__`) and of the resets `zero_grad` and `zero_grads`."""
+    tree = ast.parse(source)
+    owner = {}  # node -> name of the innermost function around it
+
+    def mark(node, name):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = child.name if isinstance(child, ast.FunctionDef) else name
+            mark(child, owner[child])
+
+    def writes_grad(target):
+        while isinstance(target, (ast.Subscript, ast.Starred)):
+            target = target.value
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes_grad(e) for e in target.elts)
+        return isinstance(target, ast.Attribute) and target.attr == "grad"
+
+    mark(tree, None)
+    walk = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "backward"]
+    exempt = {n for w in walk for n in ast.walk(w)}
+    found = []
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            targets = [k.value for k in node.keywords if k.arg == "out"]
+            if isinstance(node.func, ast.Name) and node.func.id == "setattr" and len(node.args) > 1 and \
+                    isinstance(node.args[1], ast.Constant) and node.args[1].value == "grad":
+                found.append(f"{owner[node]}:{node.lineno}")
+        else:
+            continue
+        reset = (owner[node] in ("__init__", "zero_grad", "zero_grads") and isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant) and node.value.value is None)
+        if any(writes_grad(x) for x in targets) and not reset:
+            found.append(f"{owner[node]}:{node.lineno}")
+    return found
+
+
+class TestOneLandingRule:
+    def test_only_backward_writes_gradients(self):
+        with open(ad.__file__) as f:
+            assert _grad_writers(f.read()) == []
+
+    def test_the_check_finds_every_kind_of_write(self):
+        source = "\n".join([
+            "def backward(root):", "    root.grad = 1",                # allowed
+            "def zero_grad(self):", "    self.grad = None",            # allowed, as in __init__
+            "def zero_grads(ps):", "    ps[0].grad = 0",               # not a reset
+            "def narrow(a):",
+            "    def backward(g):", "        a.grad[0] += g",          # an op's own backward
+            "    a.grad, b = 1, 2",
+            "    np.add(a.grad, 1, out=a.grad)",
+            "    setattr(a, 'grad', 1)",
+        ])
+        assert sorted(_grad_writers(source)) == ["backward:9", "narrow:10", "narrow:11", "narrow:12",
+                                                 "zero_grads:6"]
 
 
 class TestSoftmaxProperties:
@@ -402,7 +606,7 @@ class TestNeighborOps:
         R, W, D, R_in = 1293, 12, 101, 300
         idx = rng.integers(0, R_in, size=(R, W))
         wt = rng.integers(1, 5, size=(R, W)).astype(np.float64)
-        z = ad.reshape(t(rng.normal(size=(R_in, D))), (R_in, D))  # not a leaf: its gradient is returned
+        z = t(rng.normal(size=(R_in, D)))
         w1b, vec = t(rng.normal(size=D)), t(rng.normal(size=D))
         g = rng.normal(size=(R, W))
         slot_array = R * W * D * 8  # bytes of a float64 (R, W, D) array
@@ -413,11 +617,12 @@ class TestNeighborOps:
             kept = tracemalloc.get_traced_memory()[0] - start
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            grads = out._backward(g)
+            gz, gw1b, gvec = out._backward(g)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert [x.shape for x in grads] == [(R_in, D), (D,), (D,)]
+        assert isinstance(gz, ad.RowSums) and gz.dense(z.value).shape == (R_in, D)
+        assert gw1b.shape == gvec.shape == (D,)
         assert kept < slot_array / 4  # the tape's mask takes an eighth of it
         assert peak < slot_array / 2
 
@@ -484,12 +689,12 @@ class TestNeighborOps:
         vals = rng.normal(size=rows_shape + (5,))
         expect = np.zeros((6, 5))
         np.add.at(expect, rows.ravel(), vals.reshape(-1, 5))
-        out = np.zeros((6, 5))
-        assert ad.RowIndex(rows).scatter_add(out, vals) is out
-        assert bits(out) == bits(expect)
+        summed = ad.RowSums(*ad.RowIndex(rows).sums(ad._slot_terms(vals, 5)))
+        assert bits(summed.dense(expect)) == bits(expect)
         # into a filled array, each row's terms are summed first, then added
         start = rng.normal(size=(6, 5))
-        got = ad.RowIndex(rows).scatter_add(start.copy(), vals)
+        got = start.copy()
+        got[summed.rows] += summed.sums
         np.testing.assert_allclose(got, start + expect, rtol=1e-15)
 
     def test_leaf_gather_and_narrow_write_the_leaf_gradient_once(self):
@@ -671,13 +876,14 @@ class TestScatterPlan:
 
     @staticmethod
     def _rows_gradient(out, g, x0, leaf, parent):
-        """The gradient of sum(out * g) that the op adds into the leaf `x0`,
-        or, when its operand `parent` is not a leaf, the one it hands on (a
-        leaf's sum would turn -0.0 into 0.0)."""
+        """The gradient of sum(out * g) that `backward` writes into the leaf
+        `x0`, or, when its operand `parent` is not a leaf, the array that the
+        op's `RowSums` stands for (a non-leaf's view would reach the leaf
+        added into zeros, which turns -0.0 into 0.0)."""
         if leaf:
             ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
             return x0.grad
-        return out._backward(g)[parent]
+        return out._backward(g)[parent].dense(x0.value)
 
     @pytest.mark.parametrize("leaf", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

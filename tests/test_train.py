@@ -72,8 +72,8 @@ class TestInPlaceAdam:
     def test_matches_reference_bit_for_bit(self, monkeypatch, dtype):
         # "table" and "vec" span several scratch blocks, with a short last block;
         # "table" and "wide" (two rows longer than a block) have at least two
-        # blocks, so each is swept in two row halves, on the worker thread and
-        # the caller or (one CPU) in turn
+        # blocks, so Adam sweeps each in two row halves, on the worker thread
+        # and the caller or (one CPU) in turn; L2 sweeps every parameter whole
         side_by_side = ad._side_by_side
         for cpus in (1, 2):
             monkeypatch.setattr(ad, "_cpus", lambda: cpus)
@@ -105,14 +105,14 @@ class TestInPlaceAdam:
                     assert np.array_equal(opt.m[p.name], m)
                     assert np.array_equal(opt.v[p.name], v)
             assert all(p.value is arr for p, arr in zip(params, values))  # updated in place
-            assert len(split) == 3 * 2 * 2  # three steps, L2 and Adam, "table" and "wide"
+            assert len(split) == 3 * 2  # three steps of Adam, "table" and "wide"
 
     def test_non_finite_gradient_in_the_workers_half_names_the_parameter(self, monkeypatch):
         monkeypatch.setattr(ad, "_cpus", lambda: 2)
         store = ad.ParameterStore()
         small, table = store.register("small", np.ones(3)), store.register("table", np.ones((301, 250)))
         small.grad, table.grad = np.ones(3), np.ones((301, 250))
-        table.grad[0, 5] = np.nan  # row 0: the first half, which the worker sweeps
+        table.grad[0, 5] = np.nan  # row 0: the first half, the worker's when a sweep is split
         with pytest.raises(TrainingError, match="'table'"):
             couple_l2([small, table], 1e-2)
 
