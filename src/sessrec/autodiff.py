@@ -6,10 +6,11 @@ output gradient to its parents' gradients.  The closures return gradients
 and write none: `backward()` walks the graph once in reverse topological
 order and lands every gradient by one rule (see its docstring), so fan-out
 works without any bookkeeping by the caller; only leaves keep a `grad`.  A
-row lookup (`gather`, `batched_gather`, `narrow`, `neighbor_scores`' `z` and
-`neighbor_mix`'s `h`) returns a `RowSums` record, the rows it reached and
-their sums, which `backward` adds where they belong without forming an
-operand-sized array unless no gradient is there to add into.
+row lookup (`gather`, `narrow`, `neighbor_scores`' `z` and `neighbor_mix`'s
+`h`) returns a `RowSums` record, the rows it reached and their sums, which
+`backward` adds where they belong without forming an operand-sized array
+unless no gradient is there to add into; `batched_gather` is a `gather`
+between two reshapes.
 
 The scoring head and its loss are one op, `score_loss`: one BLAS product of
 the session vectors with the item table, which one pass over cache-sized
@@ -641,8 +642,7 @@ def _slot_terms(vals, d):
 class RowSums:
     """A row lookup's gradient: `sums` at `rows` of its operand and zero
     elsewhere.  `rows` indexes the operand: the distinct rows a `RowIndex`
-    summed (their float64 `sums`), a pair of index arrays for
-    `batched_gather`'s (B, R, d) operand, or `narrow`'s tuple of slices."""
+    summed (their float64 `sums`), or `narrow`'s tuple of slices."""
 
     __slots__ = ("rows", "sums")
 
@@ -674,21 +674,18 @@ def gather(table, idx):
 
 
 def batched_gather(x, idx):
-    """Per-batch row lookup: x (B, R, d), idx (B, ...) -> (B, ..., d)."""
+    """Per-batch row lookup: x (B, R, d), idx (B, ...) -> (B, ..., d), a
+    `gather` from x's rows as (B * R, d) between two reshapes.  Each batch's
+    index is checked against R first: a flat index alone would read the
+    next example's rows."""
     x = _as_tensor(x)
     idx = np.asarray(idx)
     if x.ndim != 3 or idx.shape[0] != x.shape[0]:
         raise ShapeError(f"batched_gather: x {x.shape} vs idx {idx.shape}")
     B, R, d = x.shape
     _check_rows("batched_gather", idx, R)
-    rows = idx.reshape(B, -1) + (R * np.arange(B))[:, None]  # rows of x as (B * R, d)
-    out = x.value.reshape(B * R, d)[rows].reshape(idx.shape + (d,))
-
-    def backward(g):
-        at, sums = RowIndex(rows).sums(_slot_terms(g, d))
-        return (RowSums(divmod(at, R), sums),)
-
-    return _make(out, (x,), backward, "batched_gather")
+    rows = idx.reshape(B, -1) + (R * np.arange(B))[:, None]
+    return reshape(gather(reshape(x, (B * R, d)), rows), idx.shape + (d,))
 
 
 # Elements (rows x W x D) per block of `neighbor_scores`' forward: 256 KB in

@@ -1,16 +1,16 @@
 """Packing of (prefix, label) examples and their collation into batches,
 and the session graphs built from them.
 
-Training packs each batch (`pack_example`) when it draws it, so it holds one
-batch of packs at a time; evaluation holds one pass's packs, to batch them by
-size.  A pack's node list starts with the session's unique items in
-first-occurrence order (so session-graph node slot == frontier slot) followed
-by the global-graph receptive field, breadth-first layer by layer up to
-`k_hops` hops; `layer_end[j]` ends the rows within j hops.  Only the rows within
-`k_hops - 1` hops get neighbor rows, copied from their `GlobalGraph` table
-rows (`top_n` wide, mask `nbr > 0`, neighbors mapped to frontier slots): the
-outermost layer's own neighbors fall outside the packed frontier and its
-aggregated values are never consumed, so it is isolated by construction.
+Training and evaluation pack each batch (`pack_example`) when they cut it,
+so they hold one batch of packs at a time.  A pack's node list starts with
+the session's unique items in first-occurrence order (so session-graph node
+slot == frontier slot) followed by the global-graph receptive field,
+breadth-first layer by layer up to `k_hops` hops; `layer_end[j]` ends the
+rows within j hops.  Only the rows within `k_hops - 1` hops get neighbor
+rows, copied from their `GlobalGraph` table rows (`top_n` wide, mask
+`nbr > 0`, neighbors mapped to frontier slots): the outermost layer's own
+neighbors fall outside the packed frontier and its aggregated values are
+never consumed, so it is isolated by construction.
 
 `collate` lays each batch out once, from the packs.  The model reads it
 only through `SessionBatch.rows` (`RealRows`), its real rows with no

@@ -133,7 +133,9 @@ def validate_config(data: dict | None) -> RunConfig:
 
     section_values: dict[str, dict] = {}
     for section, cls in _SECTIONS.items():
-        raw = data.pop(section, {}) or {}
+        raw = data.pop(section, None)
+        if raw is None:  # absent, or an empty section (`model:`)
+            raw = {}
         if not isinstance(raw, dict):
             problems.append(f"{section}: expected a mapping")
             continue
@@ -196,10 +198,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             data = loaded
     for section, values in (overrides or {}).items():
         if isinstance(values, dict):
-            data.setdefault(section, {})
-            if data[section] is None:
+            if data.get(section) is None:
                 data[section] = {}
-            data[section].update({k: v for k, v in values.items() if v is not None})
+            if isinstance(data[section], dict):  # validate_config reports any other value
+                data[section].update({k: v for k, v in values.items() if v is not None})
         elif values is not None:
             data[section] = values
     return validate_config(data)

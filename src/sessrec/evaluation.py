@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -59,39 +60,30 @@ class EvalReport:
 
 def ranks_for_packs(model, packs, batch_size=100):
     """Label ranks for packed examples, evaluated without building a tape,
-    returned in the order of `packs`.
-
-    Batches are cut from the packs stably sorted by (session-graph nodes,
-    frontier size), so each batch's stacked arrays and edge table pad to
-    sizes close to its own examples' instead of to the largest in a stretch
-    of stored order; each rank is written back to its pack's position.
-    Ranks come from the logits: the softmax is monotone, so it is skipped."""
-    order = sorted(range(len(packs)), key=lambda i: (packs[i].num_nodes, packs[i].frontier_size))
-    ranks = np.zeros(len(packs), dtype=np.int64)
+    in the order of `packs`, which may be any iterable: batches are cut from
+    it in stored order as its packs arrive.  Ranks come from the logits: the
+    softmax is monotone, so it is skipped."""
+    packs, ranks = iter(packs), []
     with ad.no_grad():
-        for start in range(0, len(order), batch_size):
-            chunk = order[start: start + batch_size]
-            out = model.forward(collate([packs[i] for i in chunk]), train_mode=False)
-            ranks[chunk] = rank_of(out.logits.value, [packs[i].label for i in chunk])
-    return ranks.tolist()
-
-
-def evaluate_packs(model, packs, batch_size=100, label="", fingerprint="") -> EvalReport:
-    """P@10/20 and MRR@10/20 over all packs, and P@20 and MRR@20 per
-    session-length bucket (`short`: at most `SHORT_SESSION` items; a bucket
-    without examples is left out)."""
-    ranks = ranks_for_packs(model, packs, batch_size)
-    p10, mrr10 = metrics(ranks, 10)
-    p20, mrr20 = metrics(ranks, 20)
-    ranks_arr, short = np.asarray(ranks), np.array([p.length <= SHORT_SESSION for p in packs])
-    by_length = {bucket: (*metrics(ranks_arr[sel], 20), int(sel.sum()))
-                 for bucket, sel in (("short", short), ("long", ~short)) if sel.any()}
-    return EvalReport(label, p10, p20, mrr10, mrr20, len(ranks), fingerprint, by_length=by_length)
+        while chunk := list(islice(packs, batch_size)):
+            out = model.forward(collate(chunk), train_mode=False)
+            ranks.extend(rank_of(out.logits.value, [p.label for p in chunk]).tolist())
+    return ranks
 
 
 def evaluate_model(model, examples, global_graph, batch_size=100, label="", fingerprint="") -> EvalReport:
-    packs = [pack_example(e.prefix, e.label, global_graph, model.config.k_hops) for e in examples]
-    return evaluate_packs(model, packs, batch_size, label=label, fingerprint=fingerprint)
+    """P@10/20 and MRR@10/20 over all examples, and P@20 and MRR@20 per
+    session-length bucket (`short`: at most `SHORT_SESSION` items; a bucket
+    without examples is left out).  Each batch is packed as it is cut, so
+    one batch of packs is alive at a time."""
+    packs = (pack_example(e.prefix, e.label, global_graph, model.config.k_hops) for e in examples)
+    ranks = np.array(ranks_for_packs(model, packs, batch_size))
+    p10, mrr10 = metrics(ranks, 10)
+    p20, mrr20 = metrics(ranks, 20)
+    short = np.array([len(e.prefix) <= SHORT_SESSION for e in examples])
+    by_length = {bucket: (*metrics(ranks[sel], 20), int(sel.sum()))
+                 for bucket, sel in (("short", short), ("long", ~short)) if sel.any()}
+    return EvalReport(label, p10, p20, mrr10, mrr20, len(ranks), fingerprint, by_length=by_length)
 
 
 def render_table(rows):

@@ -476,6 +476,20 @@ class TestGradcheck:
         err = ad.gradcheck(lambda x: ad.sum_all(bad_tanh(x)), np.array([0.7, -1.2, 0.3]))
         assert err > 1e-2
 
+    def test_batched_gather_with_repeated_rows(self):
+        # each batch reads its own rows, some of them more than once, and the
+        # same row numbers in both batches, so a gradient landing in the
+        # other batch's rows would show
+        rng = np.random.default_rng(15)
+        idx = np.array([[0, 2, 2, 3], [3, 1, 3, 3]]).reshape(2, 2, 2)
+        w = ad.constant(rng.normal(size=idx.shape + (3,)))
+
+        def f(x):
+            out = ad.batched_gather(ad.reshape(x, (2, 4, 3)), idx)
+            return ad.sum_all(ad.tanh(ad.mul(out, w)))
+
+        assert ad.gradcheck(f, rng.normal(size=2 * 4 * 3)) < 1e-8
+
     def test_weighted_sum_with_valid_mask(self):
         # ragged runs: an example shorter than the longest has no row in the
         # later position layers, where a padded layout masked it

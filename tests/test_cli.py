@@ -545,6 +545,23 @@ class TestPipeline:
         assert rc == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value, command", [
+        ("corpus", "3", ["preprocess", "--events", "x.csv"]),
+        ("model", "3", ["gradcheck"]),
+        ("train", "[1]", ["train"]),
+        ("paths", "3", ["evaluate"]),
+        ("graph", "false", ["build-graph"]),
+    ], ids=["corpus", "model", "train", "paths", "graph-false"])
+    def test_section_that_is_not_a_mapping_exits_2_with_one_line(self, tmp_path, capsys, section,
+                                                                 value, command):
+        # each subcommand has flags for the section, which stay unset here
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"{section}: {value}\n")
+        rc = main(command + ["--config", str(bad), "--work-dir", str(tmp_path / "w")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.strip() == f"error: invalid configuration: {section}: expected a mapping"
+
 
 class TestGradcheckCommand:
     def test_default_config_passes_threshold(self, capsys):

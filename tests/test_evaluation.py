@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sessrec import evaluation
 from sessrec.batching import collate, pack_example
-from sessrec.evaluation import (EvalReport, evaluate_packs, metrics, rank_of, ranks_for_packs,
+from sessrec.evaluation import (EvalReport, evaluate_model, metrics, rank_of, ranks_for_packs,
                                 render_table, rows_to_jsonl)
 from sessrec.graphs import build_global_graph, csr
 from sessrec.model import ModelConfig, NextItemModel
@@ -149,52 +149,78 @@ class TestRanksForPacks:
         alone = [ranks_for_packs(model, [p], batch_size=1)[0] for p in packs]
         assert ranks_for_packs(model, packs, batch_size) == alone
 
-    def test_batches_are_cut_in_padded_size_order(self, monkeypatch):
+    def test_batches_are_cut_in_stored_order(self, monkeypatch):
         rng = np.random.default_rng(3)
         sessions = random_corpus(rng, 30, 40, max_len=8)
         graph = build_global_graph(*csr(sessions), epsilon=2, top_n=4, num_items=40)
         packs = [pack_example(s[:k], s[k], graph, 2) for s in sessions for k in range(1, len(s))]
-        keys = [(p.num_nodes, p.frontier_size) for p in packs]
-        assert keys != sorted(keys)  # stored order alone would not pass
+        assert len(packs) % 9  # a short last batch
         batches = []
 
         def spy(chunk):
-            batches.append([(p.num_nodes, p.frontier_size) for p in chunk])
+            batches.append([id(p) for p in chunk])
             return collate(chunk)
 
         monkeypatch.setattr(evaluation, "collate", spy)
         model = NextItemModel(40, 7, ModelConfig(embedding_dim=8, k_hops=2))
-        ranks_for_packs(model, packs, batch_size=9)
-        arrived = [key for batch in batches for key in batch]
-        assert arrived == sorted(keys)
-        assert all(len(batch) == 9 for batch in batches[:-1]) and 1 <= len(batches[-1]) <= 9
+        ranks_for_packs(model, iter(packs), batch_size=9)
+        assert [i for batch in batches for i in batch] == [id(p) for p in packs]
+        assert all(len(batch) == 9 for batch in batches[:-1]) and 1 <= len(batches[-1]) < 9
+
+    def test_evaluation_holds_one_batch_of_packs(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        sessions = random_corpus(rng, 25, 30, max_len=8)
+        graph = build_global_graph(*csr(sessions), epsilon=2, top_n=4, num_items=30)
+        examples = examples_from_sessions(sessions)
+        pending, most = [0], [0]
+        pack, collate_packs = evaluation.pack_example, evaluation.collate
+
+        def counting_pack(*args):
+            pending[0] += 1
+            most[0] = max(most[0], pending[0])
+            return pack(*args)
+
+        def counting_collate(chunk):
+            pending[0] -= len(chunk)
+            return collate_packs(chunk)
+
+        monkeypatch.setattr(evaluation, "pack_example", counting_pack)
+        monkeypatch.setattr(evaluation, "collate", counting_collate)
+        model = NextItemModel(30, 7, ModelConfig(embedding_dim=8, k_hops=2))
+        report = evaluate_model(model, examples, graph, batch_size=8)
+        assert report.example_count == len(examples) > 3 * 8
+        assert most[0] == 8 and pending[0] == 0
 
 
 class TestLengthBuckets:
-    def _packs(self):
+    def _examples(self):
         rng = np.random.default_rng(4)
         sessions = random_corpus(rng, 20, 15, min_len=2, max_len=10)
         graph = build_global_graph(*csr(sessions), epsilon=2, top_n=4, num_items=15)
-        return [pack_example(s[:k], s[k], graph, 1) for s in sessions for k in range(1, len(s))]
+        return examples_from_sessions(sessions), graph
 
     def test_short_and_long_metrics_over_their_own_ranks(self):
-        packs = self._packs()
+        examples, graph = self._examples()
         model = NextItemModel(15, 9, ModelConfig(embedding_dim=8, k_hops=1))
+        packs = [pack_example(e.prefix, e.label, graph, 1) for e in examples]
         ranks = np.array(ranks_for_packs(model, packs, batch_size=10))
-        short = np.array([p.length <= 5 for p in packs])
+        short = np.array([len(e.prefix) <= 5 for e in examples])
         assert short.any() and not short.all()
-        row = evaluate_packs(model, packs, batch_size=10).row()
+        row = evaluate_model(model, examples, graph, batch_size=10).row()
         for bucket, sel in (("short", short), ("long", ~short)):
             p20, mrr20 = metrics(ranks[sel], 20)
             assert (row[f"P@20_{bucket}"], row[f"MRR@20_{bucket}"]) == (p20, mrr20)
             assert row[f"examples_{bucket}"] == int(sel.sum())
-        assert row["examples"] == len(packs) and (row["P@20"], row["MRR@20"]) == metrics(ranks, 20)
+        assert row["examples"] == len(examples)
+        assert (row["P@10"], row["MRR@10"]) == metrics(ranks, 10)
+        assert (row["P@20"], row["MRR@20"]) == metrics(ranks, 20)
 
     def test_bucket_without_examples_is_left_out(self):
-        packs = [p for p in self._packs() if p.length <= 5]
+        examples, graph = self._examples()
+        examples = [e for e in examples if len(e.prefix) <= 5]
         model = NextItemModel(15, 9, ModelConfig(embedding_dim=8, k_hops=1))
-        row = evaluate_packs(model, packs, batch_size=10).row()
-        assert row["examples_short"] == len(packs)
+        row = evaluate_model(model, examples, graph, batch_size=10).row()
+        assert row["examples_short"] == len(examples)
         assert not any(key.endswith("_long") for key in row)
 
     def test_rendered_table_keeps_its_columns(self):
